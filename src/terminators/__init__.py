@@ -21,7 +21,6 @@ from .documents import (
     SpanError,
     ingest,
     ingest_path,
-    parse_numbered,
     render_numbered,
     resolve_span,
 )

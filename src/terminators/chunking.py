@@ -153,8 +153,7 @@ def _trim_to_content(doc: SourceDocument, start: int, end: int) -> tuple[int, in
     return lo, hi
 
 
-def _split_run_at_cap(doc: SourceDocument, start: int, end: int,
-                      cap: int) -> list[tuple[int, int]]:
+def _split_run_at_cap(start: int, end: int, cap: int) -> list[tuple[int, int]]:
     """Hard-split one non-blank run into consecutive windows of at most cap lines."""
     windows = []
     lo = start
@@ -188,7 +187,7 @@ def _pack_block(doc: SourceDocument, start: int, end: int,
             if group is not None:
                 packed.append(group)
                 group = None
-            packed.extend(_split_run_at_cap(doc, s, e, cap))
+            packed.extend(_split_run_at_cap(s, e, cap))
             continue
         if group is None:
             group = (s, e)

@@ -26,41 +26,30 @@ from .documents import (
     SpanError,
     ingest_path,
 )
-from .parsing import ExtractionConfig, ExtractError, extract_document
+from .parsing import DEFAULT_WORKERS, ExtractionConfig, ExtractError
 from .pipeline import (
     REPORT_AUDIT,
     REPORT_FORMATS,
+    AuditRun,
     ResumeError,
     RunConfig,
     emit_report,
+    extract_step,
     json_dumps,
     load_run,
+    plan_step,
+    remediate_step,
     resume as resume_run,
     run_pipeline,
+    verify_step,
 )
-from .planning import (
-    PLAN_DISCLAIMER,
-    JurisdictionId,
-    PlanError,
-    Scenario,
-    plan_all,
-    plan_to_json,
-)
-from .remediation import (
-    DEFAULT_MAX_ATTEMPTS,
-    apply_outcome,
-    outcome_to_json,
-    remediate,
-    status_for_label,
-    advance,
-)
+from .planning import DEFAULT_MIN_CHECKS, JurisdictionId, PlanError, Scenario
+from .remediation import DEFAULT_MAX_ATTEMPTS
 from .terms import LifecycleError, SchemaError, term_from_json, term_to_json
 from .verification import (
     DEFAULT_LOW_OVERLAP_THRESHOLD,
     VerifyError,
     verification_from_json,
-    verification_to_json,
-    verify_all,
 )
 
 EXIT_OK = 0
@@ -92,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         metavar="SPEC",
@@ -107,11 +96,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help=f"response cache directory (default: ${CACHE_ENV} if set)",
     )
-    parser.add_argument("--workers", type=int, default=4, metavar="N")
-    parser.add_argument("--best-effort", action="store_true",
-                        help="record per-item failures and keep going")
+    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
+                        metavar="N")
+
+
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH",
                         help="output path (default: stdout; for run: runs root)")
+
+
+def _add_phase_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every verb that runs pipeline phases reads."""
+    _add_backend_flags(parser)
+    parser.add_argument("--best-effort", action="store_true",
+                        help="record per-item failures and keep going")
+    _add_out_flag(parser)
 
 
 def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
@@ -150,7 +149,8 @@ def _add_plan_flags(parser: argparse.ArgumentParser, *, required: bool) -> None:
                         help="user scenario: JSON or plain text")
     parser.add_argument("--jurisdiction", choices=["gdpr", "ccpa"],
                         help="regional profile for the planner")
-    parser.add_argument("--min-checks", type=int, default=3, metavar="N")
+    parser.add_argument("--min-checks", type=int, default=DEFAULT_MIN_CHECKS,
+                        metavar="N")
 
 
 def build_parser() -> _Parser:
@@ -168,13 +168,13 @@ def build_parser() -> _Parser:
     _add_extraction_flags(p)
     p.add_argument("--paper-format", action="store_true",
                    help="emit only the three-field term records")
-    _add_common(p)
+    _add_phase_flags(p)
 
     p = sub.add_parser("verify", help="verify terms against their citations")
     p.add_argument("terms_file")
     p.add_argument("doc_file")
     _add_verify_flags(p)
-    _add_common(p)
+    _add_phase_flags(p)
 
     p = sub.add_parser("remediate",
                        help="re-source or discard non-supported terms")
@@ -183,12 +183,12 @@ def build_parser() -> _Parser:
     p.add_argument("doc_file")
     _add_remediate_flags(p)
     _add_verify_flags(p)
-    _add_common(p)
+    _add_phase_flags(p)
 
     p = sub.add_parser("plan", help="plan accountability checks")
     p.add_argument("audit_file", help="remediate (or verify) output")
     _add_plan_flags(p, required=True)
-    _add_common(p)
+    _add_phase_flags(p)
 
     p = sub.add_parser("run", help="full pipeline into a run directory")
     p.add_argument("file")
@@ -196,17 +196,17 @@ def build_parser() -> _Parser:
     _add_verify_flags(p)
     _add_remediate_flags(p)
     _add_plan_flags(p, required=False)
-    _add_common(p)
+    _add_phase_flags(p)
 
     p = sub.add_parser("resume", help="continue an interrupted run")
     p.add_argument("run_dir")
-    _add_common(p)
+    _add_backend_flags(p)
 
     p = sub.add_parser("report", help="render a stored run")
     p.add_argument("run_dir")
     p.add_argument("--report-format", choices=REPORT_FORMATS,
                    default=REPORT_AUDIT)
-    _add_common(p)
+    _add_out_flag(p)
 
     return parser
 
@@ -242,14 +242,12 @@ def _emit(args, text: str) -> None:
 
 
 def _ingest_for(args, path: str) -> SourceDocument:
-    return ingest_path(
-        path,
-        getattr(args, "doc_format", None),
-        first_line=getattr(args, "first_line", 1),
-    )
+    return ingest_path(path, args.doc_format, first_line=args.first_line)
 
 
-def _load_stage_file(path: str) -> dict:
+def _load_stage_file(path: str, doc_file: str | None = None):
+    """(embedded document, terms, whole record) of an earlier verb's output.
+    With doc_file, the document on disk must match the embedded one."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -259,17 +257,16 @@ def _load_stage_file(path: str) -> dict:
             f"{path}: not a stage file (missing embedded document); "
             "pass the output of an earlier verb"
         )
-    return data
-
-
-def _check_doc_matches(doc: SourceDocument, doc_file: str) -> None:
-    on_disk = ingest_path(doc_file, first_line=doc.first_line)
-    if on_disk.fingerprint != doc.fingerprint:
-        raise ValueError(
-            f"{doc_file} does not match the document the terms were "
-            f"extracted from (fingerprint {on_disk.fingerprint[:12]} vs "
-            f"{doc.fingerprint[:12]})"
-        )
+    doc = SourceDocument.from_json(data["document"])
+    if doc_file is not None:
+        on_disk = ingest_path(doc_file, first_line=doc.first_line)
+        if on_disk.fingerprint != doc.fingerprint:
+            raise ValueError(
+                f"{doc_file} does not match the document the terms were "
+                f"extracted from (fingerprint {on_disk.fingerprint[:12]} vs "
+                f"{doc.fingerprint[:12]})"
+            )
+    return doc, [term_from_json(r) for r in data["terms"]], data
 
 
 def _extraction_config(args) -> ExtractionConfig:
@@ -316,111 +313,74 @@ def _load_scenario(args) -> Scenario | None:
     )
 
 
-def _cmd_extract(args) -> int:
-    doc = _ingest_for(args, args.file)
-    cfg = _extraction_config(args)
-    backend = _build_backend(args)
-    outcome = extract_document(
-        doc, cfg, backend,
-        workers=args.workers,
-        best_effort=args.best_effort,
-        cache_dir=_cache_dir(args),
+def _run_config(args, backend: Backend) -> RunConfig:
+    """The RunConfig a verb's flags describe. Settings for flags the verb
+    does not register keep their defaults; no step it runs reads them."""
+    flags = vars(args)
+    settings = {
+        name: flags[name]
+        for name in ("threshold", "context_lines", "max_attempts",
+                     "min_checks", "workers", "best_effort")
+        if name in flags
+    }
+    if "no_llm_resource" in flags:
+        settings["use_llm_resource"] = not args.no_llm_resource
+    if "scenario_file" in flags:
+        settings["scenario"] = _load_scenario(args)
+    extraction = (
+        _extraction_config(args) if "strategy" in flags
+        else ExtractionConfig(ChunkStrategy(ChunkMode.SECTION_BY_SECTION))
     )
+    return RunConfig(
+        extraction=extraction, backend_id=backend.backend_id, **settings
+    )
+
+
+def _run_stage(args, step, doc: SourceDocument, **state):
+    """Run one pipeline step over in-memory state, exactly as `run` runs
+    it. Returns (the state after the step, the stage record: the step's
+    record with the document embedded)."""
+    backend = _build_backend(args)
+    # A stage has no run id, run directory or phase bookkeeping.
+    run = AuditRun(run_id="", store=None, config=_run_config(args, backend),
+                   doc=doc, phase="", **state)
+    record, _ = step(run, backend, _cache_dir(args))
+    return run, {"document": doc.to_json(), **record}
+
+
+def _cmd_extract(args) -> int:
+    run, stage = _run_stage(args, extract_step, _ingest_for(args, args.file))
     if args.paper_format:
-        _emit(args, json_dumps(
-            [term_to_json(t, extended=False) for t in outcome.terms]
-        ))
-        return EXIT_OK
-    _emit(args, json_dumps({
-        "document": doc.to_json(),
-        "terms": [term_to_json(t) for t in outcome.terms],
-        "coverage": outcome.coverage,
-        "warnings": outcome.warnings,
-        "failures": outcome.failures,
-    }))
+        stage = [term_to_json(t, extended=False) for t in run.terms]
+    _emit(args, json_dumps(stage))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    stage = _load_stage_file(args.terms_file)
-    doc = SourceDocument.from_json(stage["document"])
-    _check_doc_matches(doc, args.doc_file)
-    terms = [term_from_json(r) for r in stage["terms"]]
-    backend = _build_backend(args)
-    results = verify_all(
-        terms, doc, backend,
-        threshold=args.threshold,
-        context_lines=args.context_lines,
-        workers=args.workers,
-        best_effort=args.best_effort,
-        cache_dir=_cache_dir(args),
-    )
-    verified_terms = [
-        advance(t, status_for_label(r.label)) for t, r in zip(terms, results)
-    ]
-    _emit(args, json_dumps({
-        "document": doc.to_json(),
-        "terms": [term_to_json(t) for t in verified_terms],
-        "verifications": [verification_to_json(r) for r in results],
-    }))
+    doc, terms, _ = _load_stage_file(args.terms_file, args.doc_file)
+    _, stage = _run_stage(args, verify_step, doc, terms=terms)
+    _emit(args, json_dumps(stage))
     return EXIT_OK
 
 
 def _cmd_remediate(args) -> int:
-    stage = _load_stage_file(args.verified_file)
-    if "verifications" not in stage:
+    doc, terms, data = _load_stage_file(args.verified_file, args.doc_file)
+    if "verifications" not in data:
         raise ValueError(
             f"{args.verified_file}: no verifications; pass the output of "
             "'terminators verify'"
         )
-    doc = SourceDocument.from_json(stage["document"])
-    _check_doc_matches(doc, args.doc_file)
-    terms = [term_from_json(r) for r in stage["terms"]]
-    results = [verification_from_json(r) for r in stage["verifications"]]
-    backend = _build_backend(args)
-    outcomes = []
-    finals = []
-    for term, result in zip(terms, results):
-        outcome = remediate(
-            term, result, doc, backend,
-            max_attempts=args.max_attempts,
-            use_llm_resource=not args.no_llm_resource,
-            threshold=args.threshold,
-            context_lines=args.context_lines,
-            best_effort=args.best_effort,
-            cache_dir=_cache_dir(args),
-        )
-        outcomes.append(outcome)
-        finals.append(apply_outcome(term, outcome))
-    _emit(args, json_dumps({
-        "document": doc.to_json(),
-        "terms": [term_to_json(t) for t in finals],
-        "outcomes": [outcome_to_json(o) for o in outcomes],
-    }))
+    results = [verification_from_json(r) for r in data["verifications"]]
+    _, stage = _run_stage(args, remediate_step, doc, terms=terms,
+                          verifications=results)
+    _emit(args, json_dumps(stage))
     return EXIT_OK
 
 
 def _cmd_plan(args) -> int:
-    stage = _load_stage_file(args.audit_file)
-    doc = SourceDocument.from_json(stage["document"])
-    terms = [term_from_json(r) for r in stage["terms"]]
-    scenario = _load_scenario(args)
-    backend = _build_backend(args)
-    plans, notices = plan_all(
-        terms, doc, scenario, backend,
-        min_checks=args.min_checks,
-        workers=args.workers,
-        best_effort=args.best_effort,
-        cache_dir=_cache_dir(args),
-    )
-    statements = {t.term_id: t.statement for t in terms}
-    _emit(args, json_dumps({
-        "disclaimer": PLAN_DISCLAIMER,
-        "plans": [
-            plan_to_json(p, statement=statements.get(p.term_id)) for p in plans
-        ],
-        "notices": notices,
-    }))
+    doc, terms, _ = _load_stage_file(args.audit_file)
+    _, stage = _run_stage(args, plan_step, doc, terms=terms)
+    _emit(args, json_dumps(stage))
     return EXIT_OK
 
 
@@ -440,21 +400,8 @@ def _run_summary(run) -> str:
 def _cmd_run(args) -> int:
     doc = _ingest_for(args, args.file)
     backend = _build_backend(args)
-    config = RunConfig(
-        extraction=_extraction_config(args),
-        threshold=args.threshold,
-        context_lines=args.context_lines,
-        max_attempts=args.max_attempts,
-        use_llm_resource=not args.no_llm_resource,
-        min_checks=args.min_checks,
-        workers=args.workers,
-        best_effort=args.best_effort,
-        backend_id=backend.backend_id,
-        scenario=_load_scenario(args),
-    )
-    out_root = args.out or "runs"
-    run = run_pipeline(doc, config, backend, out_root,
-                       cache_dir=_cache_dir(args))
+    run = run_pipeline(doc, _run_config(args, backend), backend,
+                       args.out or "runs", cache_dir=_cache_dir(args))
     sys.stdout.write(_run_summary(run))
     return EXIT_OK
 

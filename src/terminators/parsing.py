@@ -90,6 +90,19 @@ def run_request(backend: Backend, req, cache_dir=None):
     return complete(backend, req)
 
 
+def map_ordered(fn, items, workers: int) -> list:
+    """fn over items on up to `workers` threads (at least one), results in
+    input order, so output does not depend on thread scheduling. Every job
+    runs to completion; then the first failure in input order is raised.
+    Empty input starts no pool."""
+    items = list(items)
+    if not items:
+        return []
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
+
+
 def extract_chunk(
     chunk: Chunk,
     doc: SourceDocument,
@@ -179,8 +192,7 @@ def extract_document(
 
     parallel_merge runs parallel_fanout independent passes over each chunk
     (each pass marked in the prompt so requests stay distinct) and relies on
-    dedupe to collapse agreements. Results are collected in submission order,
-    so output does not depend on thread scheduling.
+    dedupe to collapse agreements.
     """
     chunks = chunk_document(doc, cfg.strategy)
     passes = 1
@@ -195,27 +207,22 @@ def extract_document(
 
     def job(item):
         c, note = item
-        return extract_chunk(
-            c, doc, cfg, backend, cache_dir=cache_dir, replica_note=note
-        )
+        try:
+            return extract_chunk(
+                c, doc, cfg, backend, cache_dir=cache_dir, replica_note=note
+            ), None
+        except (ExtractError, BackendError) as exc:
+            if not best_effort:
+                raise
+            return None, {"chunk_id": c.chunk_id, "error": str(exc)}
 
-    results: list[ChunkExtraction | None] = []
-    failures: list[dict] = []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(job, item) for item in work]
-        for (c, note), future in zip(work, futures):
-            try:
-                results.append(future.result())
-            except (ExtractError, BackendError) as exc:
-                if not best_effort:
-                    raise
-                results.append(None)
-                failures.append({"chunk_id": c.chunk_id, "error": str(exc)})
+    results = map_ordered(job, work, workers)
+    failures = [failure for _, failure in results if failure is not None]
 
     all_terms: list[Term] = []
     warnings: list[str] = []
     per_chunk_counts: dict[str, int] = {c.chunk_id: 0 for c in chunks}
-    for extraction in results:
+    for extraction, _ in results:
         if extraction is None:
             continue
         all_terms.extend(extraction.terms)

@@ -12,15 +12,20 @@ import hashlib
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .backends import Backend
 from .documents import SourceDocument, fingerprint_text
-from .parsing import ExtractionConfig, extract_document
+from .parsing import (
+    DEFAULT_WORKERS,
+    ExtractionConfig,
+    extract_document,
+    map_ordered,
+)
 from .planning import (
+    DEFAULT_MIN_CHECKS,
     PLAN_DISCLAIMER,
     AccountabilityPlan,
     Scenario,
@@ -29,6 +34,7 @@ from .planning import (
     plan_to_json,
 )
 from .remediation import (
+    DEFAULT_MAX_ATTEMPTS,
     RemediationOutcome,
     apply_outcome,
     outcome_from_json,
@@ -39,6 +45,7 @@ from .remediation import (
 )
 from .terms import Term, TermStatus, term_from_json, term_to_json
 from .verification import (
+    DEFAULT_LOW_OVERLAP_THRESHOLD,
     VerificationResult,
     verification_from_json,
     verification_to_json,
@@ -74,12 +81,12 @@ def _phase_index(phase: str) -> int:
 @dataclass(frozen=True)
 class RunConfig:
     extraction: ExtractionConfig
-    threshold: float = 0.3
+    threshold: float = DEFAULT_LOW_OVERLAP_THRESHOLD
     context_lines: int = 0
-    max_attempts: int = 2
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
     use_llm_resource: bool = True
-    min_checks: int = 3
-    workers: int = 4
+    min_checks: int = DEFAULT_MIN_CHECKS
+    workers: int = DEFAULT_WORKERS
     best_effort: bool = False
     backend_id: str = "scripted"
     scenario: Scenario | None = None
@@ -233,7 +240,9 @@ def start_run(doc: SourceDocument, config: RunConfig, out_root) -> AuditRun:
     return run
 
 
-def _phase_extract(run: AuditRun, backend: Backend, cache_dir) -> None:
+def extract_step(run: AuditRun, backend: Backend, cache_dir=None):
+    """Extract the run's document into run.terms. This and the other steps
+    return (the phase's record, its event summary)."""
     cfg = run.config
     outcome = extract_document(
         run.doc,
@@ -247,21 +256,17 @@ def _phase_extract(run: AuditRun, backend: Backend, cache_dir) -> None:
     run.coverage = outcome.coverage
     run.warnings = outcome.warnings
     run.failures = outcome.failures
-    run.store.write_json(
-        "terms.json",
-        {
-            "terms": [term_to_json(t) for t in run.terms],
-            "coverage": run.coverage,
-            "warnings": run.warnings,
-            "failures": run.failures,
-        },
-    )
-    run.phase = "extracted"
-    _save_run_header(run)
-    run.store.append_event("extracted", f"{len(run.terms)} terms")
+    record = {
+        "terms": [term_to_json(t) for t in run.terms],
+        "coverage": run.coverage,
+        "warnings": run.warnings,
+        "failures": run.failures,
+    }
+    return record, f"{len(run.terms)} terms"
 
 
-def _phase_verify(run: AuditRun, backend: Backend, cache_dir) -> None:
+def verify_step(run: AuditRun, backend: Backend, cache_dir=None):
+    """Verify run.terms and advance each term by its label."""
     cfg = run.config
     run.verifications = verify_all(
         run.terms,
@@ -277,27 +282,22 @@ def _phase_verify(run: AuditRun, backend: Backend, cache_dir) -> None:
         advance(term, status_for_label(result.label))
         for term, result in zip(run.terms, run.verifications)
     ]
-    run.store.write_json(
-        "verifications.json",
-        {
-            "verifications": [verification_to_json(v) for v in run.verifications],
-            "terms": [term_to_json(t) for t in run.terms],
-        },
-    )
-    run.phase = "verified"
-    _save_run_header(run)
+    record = {
+        "verifications": [verification_to_json(v) for v in run.verifications],
+        "terms": [term_to_json(t) for t in run.terms],
+    }
     supported = sum(1 for v in run.verifications if v.label == "Supported")
-    run.store.append_event(
-        "verified", f"{supported}/{len(run.verifications)} supported"
-    )
+    return record, f"{supported}/{len(run.verifications)} supported"
 
 
-def _phase_remediate(run: AuditRun, backend: Backend, cache_dir) -> None:
+def remediate_step(run: AuditRun, backend: Backend, cache_dir=None):
+    """Re-source or discard every term that run.verifications did not
+    support."""
     cfg = run.config
 
     def job(pair):
         term, result = pair
-        outcome = remediate(
+        return remediate(
             term,
             result,
             run.doc,
@@ -309,34 +309,25 @@ def _phase_remediate(run: AuditRun, backend: Backend, cache_dir) -> None:
             best_effort=cfg.best_effort,
             cache_dir=cache_dir,
         )
-        return outcome, apply_outcome(term, outcome)
 
-    pairs = list(zip(run.terms, run.verifications))
-    outcomes: list[RemediationOutcome] = []
-    finals: list[Term] = []
-    if pairs:
-        with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-            futures = [pool.submit(job, pair) for pair in pairs]
-            for future in futures:
-                outcome, final = future.result()
-                outcomes.append(outcome)
-                finals.append(final)
-    run.outcomes = outcomes
-    run.terms = finals
-    run.store.write_json(
-        "remediation.json",
-        {
-            "outcomes": [outcome_to_json(o) for o in run.outcomes],
-            "terms": [term_to_json(t) for t in run.terms],
-        },
+    run.outcomes = map_ordered(
+        job, zip(run.terms, run.verifications), cfg.workers
     )
-    run.phase = "remediated"
-    _save_run_header(run)
-    discarded = sum(1 for o in outcomes if o.action == "discarded")
-    run.store.append_event("remediated", f"{discarded} discarded")
+    run.terms = [
+        apply_outcome(term, outcome)
+        for term, outcome in zip(run.terms, run.outcomes)
+    ]
+    record = {
+        "outcomes": [outcome_to_json(o) for o in run.outcomes],
+        "terms": [term_to_json(t) for t in run.terms],
+    }
+    discarded = sum(1 for o in run.outcomes if o.action == "discarded")
+    return record, f"{discarded} discarded"
 
 
-def _phase_plan(run: AuditRun, backend: Backend, cache_dir) -> None:
+def plan_step(run: AuditRun, backend: Backend, cache_dir=None):
+    """Plan checks for the surviving run.terms under the configured
+    scenario; without one, planning is skipped with a notice."""
     cfg = run.config
     if cfg.scenario is None:
         run.plans = []
@@ -353,42 +344,42 @@ def _phase_plan(run: AuditRun, backend: Backend, cache_dir) -> None:
             cache_dir=cache_dir,
         )
     statements = {t.term_id: t.statement for t in run.terms}
-    run.store.write_json(
-        "plans.json",
-        {
-            "disclaimer": PLAN_DISCLAIMER,
-            "plans": [
-                plan_to_json(p, statement=statements.get(p.term_id))
-                for p in run.plans
-            ],
-            "notices": run.notices,
-        },
-    )
-    run.phase = "planned"
-    _save_run_header(run)
-    run.store.append_event("planned", f"{len(run.plans)} plans")
+    record = {
+        "disclaimer": PLAN_DISCLAIMER,
+        "plans": [
+            plan_to_json(p, statement=statements.get(p.term_id))
+            for p in run.plans
+        ],
+        "notices": run.notices,
+    }
+    return record, f"{len(run.plans)} plans"
 
 
-def _phase_report(run: AuditRun) -> None:
-    run.store.write_text("report.audit.json", emit_report(run, REPORT_AUDIT))
-    run.store.write_text("report.paper.json", emit_report(run, REPORT_PAPER))
-    run.store.write_text("report.md", emit_report(run, REPORT_MARKDOWN))
-    run.phase = "complete"
-    _save_run_header(run)
-    run.store.append_event("complete", "reports written")
+# (phase reached, artifact written, step), in pipeline order.
+_STEPS = (
+    ("extracted", "terms.json", extract_step),
+    ("verified", "verifications.json", verify_step),
+    ("remediated", "remediation.json", remediate_step),
+    ("planned", "plans.json", plan_step),
+)
 
 
 def _execute(run: AuditRun, backend: Backend, cache_dir=None) -> AuditRun:
-    if run.phase == "ingested":
-        _phase_extract(run, backend, cache_dir)
-    if run.phase == "extracted":
-        _phase_verify(run, backend, cache_dir)
-    if run.phase == "verified":
-        _phase_remediate(run, backend, cache_dir)
-    if run.phase == "remediated":
-        _phase_plan(run, backend, cache_dir)
+    for phase, artifact, step in _STEPS:
+        if _phase_index(run.phase) >= _phase_index(phase):
+            continue
+        record, summary = step(run, backend, cache_dir)
+        run.store.write_json(artifact, record)
+        run.phase = phase
+        _save_run_header(run)
+        run.store.append_event(phase, summary)
     if run.phase == "planned":
-        _phase_report(run)
+        run.store.write_text("report.audit.json", emit_report(run, REPORT_AUDIT))
+        run.store.write_text("report.paper.json", emit_report(run, REPORT_PAPER))
+        run.store.write_text("report.md", emit_report(run, REPORT_MARKDOWN))
+        run.phase = "complete"
+        _save_run_header(run)
+        run.store.append_event("complete", "reports written")
     return run
 
 

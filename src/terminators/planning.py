@@ -11,17 +11,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .backends import PLAN_CHECKS_KEY, Backend, BackendError, BackendRequest
 from .documents import SourceDocument, resolve_span
-from .parsing import run_request
+from .parsing import DEFAULT_WORKERS, map_ordered, run_request
 from .prompts import build_planner_request
 from .terms import LifecycleError, Term, TermStatus, canonical_source_string
 
 DEFAULT_MIN_CHECKS = 3
-DEFAULT_WORKERS = 4
 MAX_CHECK_CHARS = 500
 
 PLANNABLE_STATUSES = (TermStatus.VERIFIED_SUPPORTED, TermStatus.RESOURCED)
@@ -44,7 +42,6 @@ class JurisdictionId(enum.Enum):
 class JurisdictionProfile:
     id: JurisdictionId
     prompt_addendum: str
-    citation_note: str
 
 
 JURISDICTION_PROFILES: dict[JurisdictionId, JurisdictionProfile] = {
@@ -56,7 +53,6 @@ JURISDICTION_PROFILES: dict[JurisdictionId, JurisdictionProfile] = {
             "one's personal data, erasure, and data portability. Prefer "
             "checks that let the user exercise or observe these rights."
         ),
-        citation_note="General Data Protection Regulation (GDPR)",
     ),
     JurisdictionId.CCPA: JurisdictionProfile(
         id=JurisdictionId.CCPA,
@@ -66,7 +62,6 @@ JURISDICTION_PROFILES: dict[JurisdictionId, JurisdictionProfile] = {
             "personal information, and deletion requests. Prefer checks "
             "that let the user exercise or observe these rights."
         ),
-        citation_note="California Consumer Privacy Act (CCPA)",
     ),
 }
 
@@ -251,17 +246,11 @@ def plan_all(
             return None, str(exc)
 
     plans: list[AccountabilityPlan] = []
-    if eligible:
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            futures = [pool.submit(job, t) for t in eligible]
-            for term, future in zip(eligible, futures):
-                plan, error = future.result()
-                if plan is None:
-                    notices.append(
-                        f"term {term.term_id} skipped: planning failed: {error}"
-                    )
-                else:
-                    plans.append(plan)
+    for term, (plan, error) in zip(eligible, map_ordered(job, eligible, workers)):
+        if plan is None:
+            notices.append(f"term {term.term_id} skipped: planning failed: {error}")
+        else:
+            plans.append(plan)
     return plans, notices
 
 

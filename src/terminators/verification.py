@@ -15,12 +15,11 @@ from importlib import resources
 
 from .backends import Backend, BackendError
 from .documents import SourceDocument, SourceRef, SpanError, resolve_span
-from .parsing import run_request
+from .parsing import DEFAULT_WORKERS, map_ordered, run_request
 from .prompts import build_verifier_request
 from .terms import Term, canonical_source_string
 
 DEFAULT_LOW_OVERLAP_THRESHOLD = 0.3
-DEFAULT_WORKERS = 4
 
 LABEL_SUPPORTED = "Supported"
 LABEL_CONTRADICTED = "Contradicted"
@@ -196,7 +195,6 @@ def verify_all(
     """One result per term, in input order. Under best_effort a failing term
     becomes Unverifiable with the failure in its justification; otherwise the
     first failure aborts the batch."""
-    from concurrent.futures import ThreadPoolExecutor
 
     def job(term: Term) -> VerificationResult:
         try:
@@ -221,11 +219,7 @@ def verify_all(
                 verifier_prompt_fingerprint=None,
             )
 
-    if not terms:
-        return []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(job, t) for t in terms]
-        return [f.result() for f in futures]
+    return map_ordered(job, terms, workers)
 
 
 def verification_to_json(result: VerificationResult) -> dict:

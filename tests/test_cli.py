@@ -14,6 +14,7 @@ from helpers import (
     SCRIPTS,
 )
 from terminators.cli import EXIT_BACKEND, EXIT_OK, EXIT_PIPELINE, main
+from terminators.pipeline import json_dumps
 
 SCENARIO_TXT = FIXTURES / "student_scenario.txt"
 SCENARIO_JSON = FIXTURES / "student_scenario.json"
@@ -178,6 +179,55 @@ class TestStageChain:
         ])
         assert code == EXIT_PIPELINE
         assert "not a stage file" in capsys.readouterr().err
+
+
+class TestStagesMatchRun:
+    """Each stage verb runs the same step as `run`, so its output minus the
+    embedded document is the matching per-phase file, byte for byte."""
+
+    def test_stage_records_equal_run_directory_files(self, tmp_path, capsys):
+        doc = copy_excerpt(tmp_path)
+        script = backend_arg("mismatch_run.json")
+        scenario = ["--scenario-file", str(SCENARIO_TXT)]
+        assert main(extract_args(doc, "mismatch_run.json") + [
+            "--out", str(tmp_path / "terms.json"),
+        ]) == EXIT_OK
+        stages = [
+            ("verify", "terms.json", "verifications.json", [str(doc)]),
+            ("remediate", "verifications.json", "remediation.json", [str(doc)]),
+            ("plan", "remediation.json", "plans.json", scenario),
+        ]
+        for verb, given, made, extra in stages:
+            assert main([
+                verb, str(tmp_path / given), *extra,
+                "--backend", script, "--out", str(tmp_path / made),
+            ]) == EXIT_OK
+        assert main([
+            "run", str(doc), "--strategy", "paragraph", "--first-line", "106",
+            *scenario, "--backend", script, "--out", str(tmp_path / "runs"),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        for name in ("terms.json", "verifications.json", "remediation.json",
+                     "plans.json"):
+            stage = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+            assert stage.pop("document")["fingerprint"]
+            assert json_dumps(stage) == (run_dir / name).read_text(
+                encoding="utf-8"
+            ), name
+
+    def test_remediate_output_does_not_depend_on_workers(self, tmp_path):
+        _, _, s2, _, _ = TestStageChain().run_chain(tmp_path)
+        outputs = []
+        for workers in ("1", "4"):
+            out = tmp_path / f"remediated_{workers}.json"
+            assert main([
+                "remediate", str(s2), str(tmp_path / "OpenAI_ToS.txt"),
+                "--backend", backend_arg("mismatch_run.json"),
+                "--workers", workers, "--out", str(out),
+            ]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestScenarioLoading:
@@ -364,6 +414,18 @@ class TestExitCodes:
             main(["extract", "x.txt", "--strategy", "bogus"])
         assert exc.value.code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "runs/x", "--workers", "2"],
+        ["report", "runs/x", "--backend", "live"],
+        ["resume", "runs/x", "--best-effort"],
+        ["resume", "runs/x", "--out", "elsewhere"],
+    ])
+    def test_flags_a_verb_ignores_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_plan_requires_scenario(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

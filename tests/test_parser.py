@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -11,11 +12,13 @@ from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.chunking import ChunkMode, ChunkStrategy, chunk as chunk_document
 from terminators.documents import render_numbered
 from terminators.terms import term_to_json
+from terminators import parsing
 from terminators.parsing import (
     ExtractError,
     ExtractionConfig,
     extract_chunk,
     extract_document,
+    map_ordered,
 )
 from terminators.prompts import build_parser_request
 
@@ -256,6 +259,57 @@ class TestDeterminism:
         first = self.outcome_json(excerpt_doc, workers=4)
         assert first == self.outcome_json(excerpt_doc, workers=4)
         assert first == self.outcome_json(excerpt_doc, workers=1)
+
+
+class TestMapOrdered:
+    WAIT_S = 5
+
+    def test_keeps_input_order_when_later_items_finish_first(self):
+        done = {i: threading.Event() for i in range(3)}
+
+        def job(i):
+            # Each item waits for every later one, so they finish 2, 1, 0.
+            for later in range(i + 1, 3):
+                assert done[later].wait(self.WAIT_S)
+            done[i].set()
+            return i * 10
+
+        assert map_ordered(job, range(3), workers=3) == [0, 10, 20]
+
+    def test_raises_first_failure_in_input_order(self):
+        second_failed = threading.Event()
+        finished = []
+
+        def job(i):
+            if i == 1:
+                assert second_failed.wait(self.WAIT_S)
+                raise ValueError("item 1")
+            if i == 2:
+                second_failed.set()
+                raise KeyError("item 2")
+            finished.append(i)
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            map_ordered(job, range(4), workers=4)
+        assert sorted(finished) == [0, 3], "every job runs to completion"
+
+    def test_empty_input_starts_no_pool_and_workers_clamp_to_one(
+        self, monkeypatch
+    ):
+        pools = []
+        real = parsing.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(parsing, "ThreadPoolExecutor", recording_pool)
+        assert map_ordered(str, [], workers=4) == []
+        assert pools == []
+        assert map_ordered(str, iter([1, 2]), workers=0) == ["1", "2"]
+        assert map_ordered(str, [3], workers=-2) == ["3"]
+        assert pools == [1, 1]
 
 
 class TestPromptGolden:
