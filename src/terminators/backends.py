@@ -428,21 +428,29 @@ def cached_complete(backend: Backend, req: BackendRequest,
     One JSON file per request fingerprint, written atomically; a hit replays
     the stored raw text without touching the backend, so a cache populated
     by a live run makes later runs backend-free. Cache trouble degrades to
-    an uncached call with a warning, never an error.
+    an uncached call with a warning, never an error: an entry that does not
+    read, or whose stored text does not fit the request's schema, counts as
+    a miss and is overwritten.
     """
     cache_path = Path(cache_dir) / f"{req.request_fingerprint}.json"
     try:
         if cache_path.exists():
             entry = json.loads(cache_path.read_text(encoding="utf-8"))
             stored = entry["response"]
-            return _attach_parse(
+            if not isinstance(stored["raw_text"], str):
+                raise TypeError("stored raw_text is not a string")
+            resp = _attach_parse(
                 stored["raw_text"],
                 req.response_schema,
                 stored["usage"],
                 0.0,
                 stored["backend_id"],
             )
-    except (OSError, ValueError, KeyError) as exc:
+            if resp.parsed is not None:
+                return resp
+            log.warning("cache entry %s does not fit schema %r: %s",
+                        cache_path.name, req.response_schema, resp.parse_error)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         log.warning("unreadable cache entry %s: %s", cache_path.name, exc)
 
     resp = complete(backend, req)

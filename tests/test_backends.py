@@ -272,6 +272,32 @@ class TestCachedComplete:
         assert len(backend.calls) == 1
         assert json.loads(cache_file.read_text())["response"]
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: {**entry, "response": {**entry["response"],
+                                                 "raw_text": "[]"}},
+            lambda entry: {**entry, "response": {**entry["response"],
+                                                 "raw_text": 5}},
+            lambda entry: [],
+        ],
+        ids=["raw-text-off-schema", "raw-text-not-a-string",
+             "entry-not-an-object"],
+    )
+    def test_misshapen_entry_is_a_miss(self, tmp_path, caplog, corrupt):
+        backend = scripted(("water", "supported_verification.json"))
+        req = make_request()
+        cache_file = tmp_path / f"{req.request_fingerprint}.json"
+        cached_complete(backend, req, tmp_path)
+        entry = json.loads(cache_file.read_text())
+        cache_file.write_text(json.dumps(corrupt(entry)))
+        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
+            resp = cached_complete(backend, req, tmp_path)
+        assert resp.parsed["verification"] == "Supported"
+        assert len(backend.calls) == 2, "a bad entry must reach the backend"
+        assert json.loads(cache_file.read_text()) == entry
+        assert cache_file.name in caplog.text
+
     def test_unwritable_cache_dir_degrades(self, tmp_path):
         blocker = tmp_path / "cache"
         blocker.write_text("a file where the cache dir should be")

@@ -10,6 +10,7 @@ from helpers import (
     FIXTURES,
     GOLDEN,
     HAPPY_RUN_ENTRIES,
+    MISMATCH_RUN_ENTRIES,
     RESPONSES,
     SCRIPTS,
 )
@@ -367,6 +368,45 @@ class TestRunResumeReport:
         assert (run_dir / "report.paper.json").read_bytes() == (
             GOLDEN / "paper_report.json"
         ).read_bytes()
+
+
+class TestLexicalResourcing:
+    """`run --no-llm-resource` over the mismatch fixture: the lexical search
+    re-sources the Unverifiable term to lines 111-116, whose verification the
+    script answers Supported."""
+
+    ENTRIES = (
+        ("Cited source: OpenAI_ToS.txt:111-116", "supported_verification.json"),
+        ("Source passage (OpenAI_ToS.txt:111-116)", "plan_disclaimer.json"),
+    ) + MISMATCH_RUN_ENTRIES
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_run_matches_golden(self, tmp_path, capsys, workers):
+        doc = copy_excerpt(tmp_path)
+        script = write_script(tmp_path / "script.json", self.ENTRIES)
+        assert main([
+            "run", str(doc), "--strategy", "paragraph", "--first-line", "106",
+            "--backend", f"scripted:{script}",
+            "--scenario-file", str(SCENARIO_TXT), "--no-llm-resource",
+            "--workers", str(workers), "--out", str(tmp_path / "runs"),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert (run_dir / "remediation.json").read_bytes() == (
+            GOLDEN / "no_llm_resource_remediation.json"
+        ).read_bytes()
+        # The golden audit is from --workers 1. The run id and the config
+        # record the worker count, so those two fields follow the run.
+        audit = json.loads(
+            (GOLDEN / "no_llm_resource_report.audit.json").read_text(
+                encoding="utf-8"
+            )
+        )
+        audit["run_id"] = run_dir.name
+        audit["config"]["workers"] = workers
+        assert (run_dir / "report.audit.json").read_text(
+            encoding="utf-8"
+        ) == json_dumps(audit)
 
 
 class TestCache:

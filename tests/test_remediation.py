@@ -43,9 +43,21 @@ from terminators.terms import (
 from terminators.verification import (
     LABEL_SUPPORTED,
     LABEL_UNVERIFIABLE,
+    _stopwords,
     lexical_support_score,
     verify_term,
 )
+
+
+def exhaustive_best_window(statement, doc, cap):
+    """The reference search: score every window's text from scratch."""
+    candidates = []
+    for start in range(doc.first_line, doc.last_line + 1):
+        for end in range(start, min(start + cap, doc.last_line + 1)):
+            ref = SourceRef(doc.source_name, start, end)
+            score = lexical_support_score(statement, resolve_span(doc, ref))
+            candidates.append((-score, start, end - start, ref))
+    return min(candidates)[3]
 
 
 def mismatch_term(raw_doc):
@@ -131,19 +143,50 @@ class TestFindBestWindow:
             statement = random_statement(rng, doc)
             cap = rng.choice((1, 2, 4, 6))
             got = find_best_window(statement, doc, max_span_lines=cap)
+            assert got == exhaustive_best_window(statement, doc, cap)
 
-            candidates = []
-            for start in range(doc.first_line, doc.last_line + 1):
-                for end in range(start, min(start + cap, doc.last_line + 1)):
-                    ref = SourceRef(doc.source_name, start, end)
-                    score = lexical_support_score(
-                        statement, resolve_span(doc, ref)
-                    )
-                    candidates.append((-score, start, end - start, ref))
-            want = min(candidates)[3]
-            assert (got.start_line, got.end_line) == (
-                want.start_line,
-                want.end_line,
+    def test_stopword_fallback_is_decided_per_window(self):
+        # Line 2 alone is all stopwords, so its own tokens count; joined
+        # with line 1 the window has content tokens and they do not.
+        doc = ingest_doc_text("service terms\nthe and of\n")
+        ref = find_best_window("of the", doc, max_span_lines=3)
+        assert (ref.start_line, ref.end_line) == (2, 2)
+
+    def test_matches_brute_force_on_stopword_heavy_documents(self):
+        rng = random.Random(9031)
+        stop = sorted(_stopwords())
+        # "cans" and "dids" are content words whose stems are stopwords.
+        content = ("service", "terms", "users", "sharing", "data", "cans",
+                   "dids", "refunds", "stated")
+        for i in range(400):
+            # A few stopwords per document, so windows share them often.
+            few = rng.sample(stop, 6)
+            lines = []
+            for _ in range(rng.randint(1, 14)):
+                roll = rng.random()
+                if roll < 0.2:
+                    lines.append("")
+                else:
+                    # Half the lines are all stopwords, half mixed.
+                    pools = (few,) if roll < 0.6 else (few, content)
+                    lines.append(" ".join(
+                        rng.choice(rng.choice(pools))
+                        for _ in range(rng.randint(1, 5))
+                    ))
+            if not any(lines):
+                lines[0] = rng.choice(few)
+            doc = ingest_doc_text(
+                "\n".join(lines) + "\n",
+                first_line=rng.choice((1, 1, 40, 106)),
+            )
+            words = [rng.choice(few) for _ in range(rng.randint(1, 4))]
+            words += rng.sample(content, rng.choice((0, 0, 1, 2)))
+            rng.shuffle(words)
+            statement = " ".join(words)
+            cap = rng.choice((1, 2, 3, 6))
+            got = find_best_window(statement, doc, max_span_lines=cap)
+            assert got == exhaustive_best_window(statement, doc, cap), (
+                f"case {i}: {statement!r} over {lines!r}, cap {cap}"
             )
 
 
