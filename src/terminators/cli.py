@@ -44,7 +44,6 @@ from .pipeline import (
     verify_step,
 )
 from .planning import DEFAULT_MIN_CHECKS, JurisdictionId, PlanError, Scenario
-from .remediation import DEFAULT_MAX_ATTEMPTS
 from .terms import LifecycleError, SchemaError, term_from_json, term_to_json
 from .verification import (
     DEFAULT_LOW_OVERLAP_THRESHOLD,
@@ -138,8 +137,6 @@ def _add_verify_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_remediate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-attempts", type=int,
-                        default=DEFAULT_MAX_ATTEMPTS, metavar="N")
     parser.add_argument("--no-llm-resource", action="store_true",
                         help="propose replacement spans by lexical search only")
 
@@ -319,8 +316,8 @@ def _run_config(args, backend: Backend) -> RunConfig:
     flags = vars(args)
     settings = {
         name: flags[name]
-        for name in ("threshold", "context_lines", "max_attempts",
-                     "min_checks", "workers", "best_effort")
+        for name in ("threshold", "context_lines", "min_checks", "workers",
+                     "best_effort")
         if name in flags
     }
     if "no_llm_resource" in flags:
@@ -408,7 +405,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_resume(args) -> int:
     backend = _build_backend(args)
-    run = resume_run(args.run_dir, backend, cache_dir=_cache_dir(args))
+    run = resume_run(args.run_dir, backend, workers=args.workers,
+                     cache_dir=_cache_dir(args))
     sys.stdout.write(_run_summary(run))
     return EXIT_OK
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,7 +34,6 @@ from .planning import (
     plan_to_json,
 )
 from .remediation import (
-    DEFAULT_MAX_ATTEMPTS,
     RemediationOutcome,
     apply_outcome,
     outcome_from_json,
@@ -83,7 +82,6 @@ class RunConfig:
     extraction: ExtractionConfig
     threshold: float = DEFAULT_LOW_OVERLAP_THRESHOLD
     context_lines: int = 0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
     use_llm_resource: bool = True
     min_checks: int = DEFAULT_MIN_CHECKS
     workers: int = DEFAULT_WORKERS
@@ -92,14 +90,14 @@ class RunConfig:
     scenario: Scenario | None = None
 
     def to_json(self) -> dict:
+        """The settings that can change a run's output, which are its
+        identity: workers only sets concurrency, so it is left out."""
         return {
             "extraction": self.extraction.to_json(),
             "threshold": self.threshold,
             "context_lines": self.context_lines,
-            "max_attempts": self.max_attempts,
             "use_llm_resource": self.use_llm_resource,
             "min_checks": self.min_checks,
-            "workers": self.workers,
             "best_effort": self.best_effort,
             "backend_id": self.backend_id,
             "scenario": self.scenario.to_json() if self.scenario else None,
@@ -112,10 +110,8 @@ class RunConfig:
             extraction=ExtractionConfig.from_json(data["extraction"]),
             threshold=data["threshold"],
             context_lines=data["context_lines"],
-            max_attempts=data["max_attempts"],
             use_llm_resource=data["use_llm_resource"],
             min_checks=data["min_checks"],
-            workers=data["workers"],
             best_effort=data["best_effort"],
             backend_id=data["backend_id"],
             scenario=Scenario.from_json(scenario) if scenario else None,
@@ -302,7 +298,6 @@ def remediate_step(run: AuditRun, backend: Backend, cache_dir=None):
             result,
             run.doc,
             backend,
-            max_attempts=cfg.max_attempts,
             use_llm_resource=cfg.use_llm_resource,
             threshold=cfg.threshold,
             context_lines=cfg.context_lines,
@@ -455,12 +450,20 @@ def load_run(run_dir) -> AuditRun:
     return run
 
 
-def resume(run_dir, backend: Backend, *, cache_dir=None) -> AuditRun:
-    """Continue a persisted run from its first incomplete phase. Completed
-    runs come back unchanged."""
+def resume(
+    run_dir,
+    backend: Backend,
+    *,
+    workers: int = DEFAULT_WORKERS,
+    cache_dir=None,
+) -> AuditRun:
+    """Continue a persisted run from its first incomplete phase on up to
+    `workers` threads (a run directory does not record its concurrency).
+    Completed runs come back unchanged."""
     run = load_run(run_dir)
     if run.phase == "complete":
         return run
+    run.config = replace(run.config, workers=workers)
     run.store.append_event(run.phase, "resumed")
     return _execute(run, backend, cache_dir)
 

@@ -1,9 +1,10 @@
-"""The retry loop for terms whose citations did not hold up.
+"""Re-sourcing for terms whose citations did not hold up.
 
-Any term not labeled Supported gets up to max_attempts chances at a better
-source span, proposed either by a parser-role backend call over the full
-document or by a deterministic lexical search. A proposal that verifies
-Supported re-sources the term; running out of proposals discards it.
+Any term not labeled Supported gets one proposal for a better source span,
+made either by a parser-role backend call over the full document or by a
+deterministic lexical search. A new span that verifies Supported re-sources
+the term; anything else discards it. Both proposers are deterministic, so a
+second proposal would only repeat the first.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .verification import (
     verify_term,
 )
 
-DEFAULT_MAX_ATTEMPTS = 2
 DEFAULT_MAX_SPAN_LINES = 6
 
 ACTION_KEPT = "kept_supported"
@@ -98,8 +98,8 @@ class RemediationOutcome:
 @lru_cache(maxsize=1)
 def _line_index(doc: SourceDocument) -> tuple[tuple[frozenset, frozenset], ...]:
     """Each line's stem_sets, built once per document. One entry: the
-    retry loop asks about the same document many times in a row, and an
-    index per document would grow with every document a process sees."""
+    remediate phase asks about the same document many times in a row, and
+    an index per document would grow with every document a process sees."""
     return tuple(stem_sets(text) for _, text in doc.lines)
 
 
@@ -150,7 +150,6 @@ def resource_term(
     backend: Backend | None,
     *,
     use_llm: bool = True,
-    max_span_lines: int = DEFAULT_MAX_SPAN_LINES,
     cache_dir=None,
 ) -> SourceRef | None:
     """Propose a replacement source span for the statement, or nothing.
@@ -160,7 +159,7 @@ def resource_term(
     parse, does not resolve, or is not exactly one record counts as absent.
     """
     if not use_llm:
-        return find_best_window(term.statement, doc, max_span_lines=max_span_lines)
+        return find_best_window(term.statement, doc)
 
     req = build_resource_request(
         doc.source_name, render_numbered(doc), term.statement
@@ -187,7 +186,6 @@ def remediate(
     doc: SourceDocument,
     backend: Backend | None,
     *,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     use_llm_resource: bool = True,
     threshold: float = DEFAULT_LOW_OVERLAP_THRESHOLD,
     context_lines: int = 0,
@@ -196,9 +194,10 @@ def remediate(
 ) -> RemediationOutcome:
     """Decide one term's fate given its verification.
 
-    Supported terms pass through untouched. Anything else loops: propose a
-    span, stop if there is none or it repeats an earlier one, verify it,
-    accept on Supported. The full trail of proposals and verdicts is kept.
+    Supported terms pass through untouched. Anything else gets one proposal:
+    no span, or the span the term already cites, discards it unverified;
+    a new span is verified and re-sources the term on Supported, otherwise
+    the term is discarded. The trail records the proposal and its verdict.
     """
     if result.term_id != term.term_id:
         raise ValueError(
@@ -214,72 +213,49 @@ def remediate(
             trail=(),
         )
 
-    def span_key(ref: SourceRef) -> tuple:
-        return (ref.source_name, ref.start_line, ref.end_line)
+    def outcome(entry: TrailEntry, new_source: SourceRef | None = None):
+        return RemediationOutcome(
+            term_id=term.term_id,
+            action=ACTION_RESOURCED if new_source else ACTION_DISCARDED,
+            old_source=term.source,
+            new_source=new_source,
+            attempts=1,
+            trail=(entry,),
+        )
 
-    tried = {span_key(term.source)}
-    trail: list[TrailEntry] = []
-    attempts = 0
-    for attempt in range(1, max_attempts + 1):
-        attempts = attempt
-        try:
-            proposed = resource_term(
-                term,
-                doc,
-                backend,
-                use_llm=use_llm_resource,
-                cache_dir=cache_dir,
-            )
-        except BackendError as exc:
-            if not best_effort:
-                raise
-            trail.append(TrailEntry(attempt, None, None, f"re-sourcing failed: {exc}"))
-            break
-        if proposed is None:
-            trail.append(TrailEntry(attempt, None, None, "no span proposed"))
-            break
-        if span_key(proposed) in tried:
-            trail.append(
-                TrailEntry(attempt, proposed, None, "proposed an already tried span")
-            )
-            break
-        tried.add(span_key(proposed))
-        candidate = replace(term, source=proposed)
-        try:
-            verdict = verify_term(
-                candidate,
-                doc,
-                backend,
-                threshold=threshold,
-                context_lines=context_lines,
-                cache_dir=cache_dir,
-            )
-        except (VerifyError, BackendError) as exc:
-            if not best_effort:
-                raise
-            trail.append(
-                TrailEntry(attempt, proposed, None, f"verification failed: {exc}")
-            )
-            break
-        trail.append(TrailEntry(attempt, proposed, verdict, ""))
-        if verdict.label == LABEL_SUPPORTED:
-            return RemediationOutcome(
-                term_id=term.term_id,
-                action=ACTION_RESOURCED,
-                old_source=term.source,
-                new_source=proposed,
-                attempts=attempts,
-                trail=tuple(trail),
-            )
-
-    return RemediationOutcome(
-        term_id=term.term_id,
-        action=ACTION_DISCARDED,
-        old_source=term.source,
-        new_source=None,
-        attempts=attempts,
-        trail=tuple(trail),
-    )
+    try:
+        proposed = resource_term(
+            term, doc, backend, use_llm=use_llm_resource, cache_dir=cache_dir
+        )
+    except BackendError as exc:
+        if not best_effort:
+            raise
+        return outcome(TrailEntry(1, None, None, f"re-sourcing failed: {exc}"))
+    if proposed is None:
+        return outcome(TrailEntry(1, None, None, "no span proposed"))
+    if proposed == term.source:
+        return outcome(
+            TrailEntry(1, proposed, None, "proposed an already tried span")
+        )
+    try:
+        verdict = verify_term(
+            replace(term, source=proposed),
+            doc,
+            backend,
+            threshold=threshold,
+            context_lines=context_lines,
+            cache_dir=cache_dir,
+        )
+    except (VerifyError, BackendError) as exc:
+        if not best_effort:
+            raise
+        return outcome(
+            TrailEntry(1, proposed, None, f"verification failed: {exc}")
+        )
+    entry = TrailEntry(1, proposed, verdict, "")
+    if verdict.label == LABEL_SUPPORTED:
+        return outcome(entry, proposed)
+    return outcome(entry)
 
 
 def outcome_to_json(outcome: RemediationOutcome) -> dict:

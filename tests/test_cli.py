@@ -15,7 +15,7 @@ from helpers import (
     SCRIPTS,
 )
 from terminators.cli import EXIT_BACKEND, EXIT_OK, EXIT_PIPELINE, main
-from terminators.pipeline import json_dumps
+from terminators.pipeline import json_dumps, resume as resume_run
 
 SCENARIO_TXT = FIXTURES / "student_scenario.txt"
 SCENARIO_JSON = FIXTURES / "student_scenario.json"
@@ -335,7 +335,7 @@ class TestRunResumeReport:
         assert code == EXIT_PIPELINE
         assert "no run.json" in capsys.readouterr().err
 
-    def test_interrupted_run_then_resume(self, tmp_path, capsys):
+    def interrupted_run(self, tmp_path, capsys):
         doc = copy_excerpt(tmp_path)
         out_root = tmp_path / "runs"
         partial = write_script(
@@ -356,7 +356,10 @@ class TestRunResumeReport:
         assert len(run_dirs) == 1
         run_dir = run_dirs[0]
         assert not (run_dir / "plans.json").exists()
+        return run_dir
 
+    def test_interrupted_run_then_resume(self, tmp_path, capsys):
+        run_dir = self.interrupted_run(tmp_path, capsys)
         code = main([
             "resume", str(run_dir),
             "--backend", backend_arg("happy_run.json"),
@@ -368,6 +371,26 @@ class TestRunResumeReport:
         assert (run_dir / "report.paper.json").read_bytes() == (
             GOLDEN / "paper_report.json"
         ).read_bytes()
+
+    def test_resume_workers_flag_sets_the_concurrency(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        run_dir = self.interrupted_run(tmp_path, capsys)
+        seen = []
+
+        def spy(run_dir, backend, **kwargs):
+            run = resume_run(run_dir, backend, **kwargs)
+            seen.append(run.config.workers)
+            return run
+
+        monkeypatch.setattr("terminators.cli.resume_run", spy)
+        assert main([
+            "resume", str(run_dir),
+            "--backend", backend_arg("happy_run.json"),
+            "--workers", "3",
+        ]) == EXIT_OK
+        assert seen == [3]
+        assert "(complete)" in capsys.readouterr().out
 
 
 class TestLexicalResourcing:
@@ -395,18 +418,13 @@ class TestLexicalResourcing:
         assert (run_dir / "remediation.json").read_bytes() == (
             GOLDEN / "no_llm_resource_remediation.json"
         ).read_bytes()
-        # The golden audit is from --workers 1. The run id and the config
-        # record the worker count, so those two fields follow the run.
-        audit = json.loads(
-            (GOLDEN / "no_llm_resource_report.audit.json").read_text(
-                encoding="utf-8"
-            )
+        # The worker count is not part of the run identity, so every worker
+        # count writes the same run directory and audit report.
+        golden = GOLDEN / "no_llm_resource_report.audit.json"
+        assert run_dir.name == json.loads(golden.read_text("utf-8"))["run_id"]
+        assert (run_dir / "report.audit.json").read_bytes() == (
+            golden.read_bytes()
         )
-        audit["run_id"] = run_dir.name
-        audit["config"]["workers"] = workers
-        assert (run_dir / "report.audit.json").read_text(
-            encoding="utf-8"
-        ) == json_dumps(audit)
 
 
 class TestCache:
@@ -460,6 +478,8 @@ class TestExitCodes:
         ["report", "runs/x", "--backend", "live"],
         ["resume", "runs/x", "--best-effort"],
         ["resume", "runs/x", "--out", "elsewhere"],
+        ["run", "tos.txt", "--max-attempts", "2"],
+        ["remediate", "verified.json", "tos.txt", "--max-attempts", "2"],
     ])
     def test_flags_a_verb_ignores_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

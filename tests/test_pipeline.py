@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from datetime import datetime
 
 import pytest
@@ -210,6 +211,26 @@ class TestResume:
         ]
         assert any(e["event"] == "resumed" for e in events)
 
+    def test_resume_accepts_a_header_that_records_retries_and_workers(
+        self, tmp_path
+    ):
+        """A run.json that still records max_attempts and workers, keys no
+        longer written, resumes to the same bytes as a fresh run."""
+        run_dir = self.interrupted_run(tmp_path / "old")
+        header_file = run_dir / "run.json"
+        header = json.loads(header_file.read_text(encoding="utf-8"))
+        header["config"].update(max_attempts=2, workers=4)
+        header_file.write_text(json.dumps(header), encoding="utf-8")
+
+        resumed = resume(run_dir, happy_backend(), workers=3)
+        assert resumed.phase == "complete"
+        assert resumed.config.workers == 3
+        clean = run_happy(tmp_path / "clean")
+        for name in RUN_FILES:
+            assert (run_dir / name).read_bytes() == clean.store.path(
+                name
+            ).read_bytes(), f"{name} differs after resume"
+
     def test_resume_of_complete_run_is_a_no_op(self, tmp_path):
         run = run_happy(tmp_path)
         before = run.store.path("events.jsonl").read_bytes()
@@ -371,3 +392,10 @@ class TestRunConfig:
         other_cfg = RunConfig(extraction=PARAGRAPH_CFG)
         assert compute_run_id(doc, other_cfg) != base
         assert compute_run_id(ingest_raw(), happy_config()) != base
+
+    def test_run_id_does_not_depend_on_workers(self):
+        doc = ingest_excerpt()
+        one = replace(happy_config(), workers=1)
+        eight = replace(happy_config(), workers=8)
+        assert compute_run_id(doc, one) == compute_run_id(doc, eight)
+        assert "workers" not in one.to_json()

@@ -1,9 +1,10 @@
-"""Retry loop: re-sourcing, the proposal trail, and lifecycle enforcement."""
+"""Remediation: re-sourcing, the proposal trail, and lifecycle enforcement."""
 
 from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,8 @@ from helpers import (
     scripted,
 )
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
-from terminators.documents import SourceRef, resolve_span
+from terminators.documents import SourceRef, render_numbered, resolve_span
+from terminators.prompts import build_resource_request
 from terminators.remediation import (
     ACTION_DISCARDED,
     ACTION_KEPT,
@@ -273,7 +275,8 @@ class TestRemediate:
         assert outcome.new_source is None
         assert [e.note for e in outcome.trail] == ["no span proposed"]
 
-    def test_repeated_proposal_stops_the_loop(self, raw_doc):
+    def test_attempt_budget_respected(self, raw_doc):
+        # The budget is one proposal: an unsupported span is not re-requested.
         term = mismatch_term(raw_doc)
         result = self.unverifiable_result(term, raw_doc)
         backend = scripted(
@@ -282,24 +285,32 @@ class TestRemediate:
         )
         outcome = remediate(term, result, raw_doc, backend)
         assert outcome.action == ACTION_DISCARDED
-        assert outcome.attempts == 2
-        assert len(outcome.trail) == 2
-        assert outcome.trail[0].verification.label == LABEL_UNVERIFIABLE
-        assert outcome.trail[1].note == "proposed an already tried span"
-        assert outcome.trail[1].proposed.start_line == 30
-
-    def test_attempt_budget_respected(self, raw_doc):
-        term = mismatch_term(raw_doc)
-        result = self.unverifiable_result(term, raw_doc)
-        backend = scripted(
-            ("Locate the single passage", "resource_raw30.json"),
-            ("Attempt to reverse engineer", "unverifiable_verification.json"),
-        )
-        outcome = remediate(term, result, raw_doc, backend, max_attempts=1)
-        assert outcome.action == ACTION_DISCARDED
         assert outcome.attempts == 1
         assert len(outcome.trail) == 1
+        assert outcome.trail[0].proposed.start_line == 30
         assert outcome.trail[0].verification.label == LABEL_UNVERIFIABLE
+        resource_request = build_resource_request(
+            raw_doc.source_name, render_numbered(raw_doc), term.statement
+        )
+        assert backend.calls.count(resource_request.request_fingerprint) == 1
+        assert len(backend.calls) == 2
+
+    def test_repeated_proposal_stops_the_loop(self, raw_doc):
+        # A proposal of the span already cited is discarded without verifying.
+        cited = mismatch_term(raw_doc)
+        result = self.unverifiable_result(cited, raw_doc)
+        term = replace(cited, source=find_best_window(cited.statement, raw_doc))
+        backend = ScriptedBackend([])
+        outcome = remediate(
+            term, result, raw_doc, backend, use_llm_resource=False
+        )
+        assert outcome.action == ACTION_DISCARDED
+        assert outcome.attempts == 1
+        (entry,) = outcome.trail
+        assert entry.proposed == term.source
+        assert entry.verification is None
+        assert entry.note == "proposed an already tried span"
+        assert backend.calls == []
 
     def test_deterministic_resourcer_end_to_end(self, raw_doc):
         term = mismatch_term(raw_doc)
