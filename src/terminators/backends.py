@@ -14,7 +14,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -82,17 +82,7 @@ class BackendRequest:
     def request_fingerprint(self) -> str:
         """Deterministic digest of the request content; cache key and script
         matcher target. Contains no credential material."""
-        payload = json.dumps(
-            {
-                "role_prompt": self.role_prompt,
-                "user_prompt": self.user_prompt,
-                "response_schema": self.response_schema,
-                "temperature": self.temperature,
-                "max_output_tokens": self.max_output_tokens,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        payload = json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -386,13 +376,7 @@ def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
     if resp.parsed is not None:
         return resp
     reminder = FORMAT_REMINDERS[req.response_schema]
-    retry_req = BackendRequest(
-        role_prompt=req.role_prompt,
-        user_prompt=req.user_prompt + "\n\n" + reminder,
-        response_schema=req.response_schema,
-        temperature=req.temperature,
-        max_output_tokens=req.max_output_tokens,
-    )
+    retry_req = replace(req, user_prompt=req.user_prompt + "\n\n" + reminder)
     retry = backend.generate(retry_req)
     if retry.parsed is not None:
         return retry
@@ -405,13 +389,7 @@ def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
 
 def _response_to_cache_entry(req: BackendRequest, resp: BackendResponse) -> dict:
     return {
-        "request": {
-            "role_prompt": req.role_prompt,
-            "user_prompt": req.user_prompt,
-            "response_schema": req.response_schema,
-            "temperature": req.temperature,
-            "max_output_tokens": req.max_output_tokens,
-        },
+        "request": asdict(req),
         "response": {
             "raw_text": resp.raw_text,
             "usage": resp.usage,

@@ -41,21 +41,6 @@ class ChunkStrategy:
         if self.mode is ChunkMode.PARALLEL_MERGE and self.parallel_fanout < 2:
             raise ValueError("parallel_merge needs parallel_fanout >= 2")
 
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "max_chunk_lines": self.max_chunk_lines,
-            "parallel_fanout": self.parallel_fanout,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChunkStrategy":
-        return cls(
-            mode=ChunkMode(data["mode"]),
-            max_chunk_lines=data["max_chunk_lines"],
-            parallel_fanout=data["parallel_fanout"],
-        )
-
 
 @dataclass(frozen=True)
 class Chunk:
@@ -227,33 +212,29 @@ def chunk(doc: SourceDocument, strategy: ChunkStrategy) -> list[Chunk]:
         trimmed = _trim_to_content(doc, doc.first_line, doc.last_line)
         ranges = [] if trimmed is None else _pack_block(doc, *trimmed, cap)
         kind = "whole_document"
-    elif strategy.mode is ChunkMode.PARAGRAPH:
+    elif strategy.mode is ChunkMode.PARAGRAPH or (
+        # Section mode with no headings to follow is paragraph mode.
+        strategy.mode is ChunkMode.SECTION_BY_SECTION and not headings
+    ):
         ranges = []
         for s, e in _non_blank_runs(doc):
             ranges.extend(_pack_block(doc, s, e, cap))
         kind = "paragraph"
     elif strategy.mode is ChunkMode.SECTION_BY_SECTION:
         kind = "section"
-        if not headings:
-            # No headings to follow: behave exactly like paragraph mode.
-            ranges = []
-            for s, e in _non_blank_runs(doc):
-                ranges.extend(_pack_block(doc, s, e, cap))
-            kind = "paragraph"
-        else:
-            boundaries = [h.line_number for h in headings]
-            ranges = []
-            if boundaries[0] > doc.first_line:
-                pre = _trim_to_content(doc, doc.first_line, boundaries[0] - 1)
-                if pre is not None:
-                    ranges.extend(_pack_block(doc, *pre, cap))
-            for i, b in enumerate(boundaries):
-                section_end = (
-                    boundaries[i + 1] - 1 if i + 1 < len(boundaries) else doc.last_line
-                )
-                sec = _trim_to_content(doc, b, section_end)
-                if sec is not None:
-                    ranges.extend(_pack_block(doc, *sec, cap))
+        boundaries = [h.line_number for h in headings]
+        ranges = []
+        if boundaries[0] > doc.first_line:
+            pre = _trim_to_content(doc, doc.first_line, boundaries[0] - 1)
+            if pre is not None:
+                ranges.extend(_pack_block(doc, *pre, cap))
+        for i, b in enumerate(boundaries):
+            section_end = (
+                boundaries[i + 1] - 1 if i + 1 < len(boundaries) else doc.last_line
+            )
+            sec = _trim_to_content(doc, b, section_end)
+            if sec is not None:
+                ranges.extend(_pack_block(doc, *sec, cap))
     else:
         raise ValueError(f"unknown chunk mode {strategy.mode!r}")
 

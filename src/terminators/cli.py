@@ -39,17 +39,14 @@ from .pipeline import (
     load_run,
     plan_step,
     remediate_step,
+    restore,
     resume as resume_run,
     run_pipeline,
     verify_step,
 )
 from .planning import DEFAULT_MIN_CHECKS, JurisdictionId, PlanError, Scenario
-from .terms import LifecycleError, SchemaError, term_from_json, term_to_json
-from .verification import (
-    DEFAULT_LOW_OVERLAP_THRESHOLD,
-    VerifyError,
-    verification_from_json,
-)
+from .terms import LifecycleError, SchemaError, term_to_json
+from .verification import DEFAULT_LOW_OVERLAP_THRESHOLD, VerifyError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -242,9 +239,11 @@ def _ingest_for(args, path: str) -> SourceDocument:
     return ingest_path(path, args.doc_format, first_line=args.first_line)
 
 
-def _load_stage_file(path: str, doc_file: str | None = None):
-    """(embedded document, terms, whole record) of an earlier verb's output.
-    With doc_file, the document on disk must match the embedded one."""
+def _load_stage_file(path: str, needs: tuple[str, ...],
+                     doc_file: str | None = None):
+    """(embedded document, whole record) of an earlier verb's output, which
+    must hold the keys in needs. With doc_file, the document on disk must
+    match the embedded one."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -254,7 +253,16 @@ def _load_stage_file(path: str, doc_file: str | None = None):
             f"{path}: not a stage file (missing embedded document); "
             "pass the output of an earlier verb"
         )
-    doc = SourceDocument.from_json(data["document"])
+    for key in needs:
+        if key not in data:
+            raise ValueError(
+                f"{path}: no {key}; pass the output of an earlier verb "
+                "that writes them"
+            )
+    try:
+        doc = SourceDocument.from_json(data["document"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed embedded document: {exc!r}") from exc
     if doc_file is not None:
         on_disk = ingest_path(doc_file, first_line=doc.first_line)
         if on_disk.fingerprint != doc.fingerprint:
@@ -263,7 +271,7 @@ def _load_stage_file(path: str, doc_file: str | None = None):
                 f"extracted from (fingerprint {on_disk.fingerprint[:12]} vs "
                 f"{doc.fingerprint[:12]})"
             )
-    return doc, [term_from_json(r) for r in data["terms"]], data
+    return doc, data
 
 
 def _extraction_config(args) -> ExtractionConfig:
@@ -333,14 +341,16 @@ def _run_config(args, backend: Backend) -> RunConfig:
     )
 
 
-def _run_stage(args, step, doc: SourceDocument, **state):
-    """Run one pipeline step over in-memory state, exactly as `run` runs
-    it. Returns (the state after the step, the stage record: the step's
-    record with the document embedded)."""
+def _run_stage(args, step, doc: SourceDocument, record: dict | None = None):
+    """Run one pipeline step over the state an earlier stage's record
+    holds, exactly as `run` runs it. Returns (the state after the step, the
+    stage record: the step's record with the document embedded)."""
     backend = _build_backend(args)
     # A stage has no run id, run directory or phase bookkeeping.
     run = AuditRun(run_id="", store=None, config=_run_config(args, backend),
-                   doc=doc, phase="", **state)
+                   doc=doc, phase="")
+    if record is not None:
+        restore(run, record)
     record, _ = step(run, backend, _cache_dir(args))
     return run, {"document": doc.to_json(), **record}
 
@@ -354,29 +364,23 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc, terms, _ = _load_stage_file(args.terms_file, args.doc_file)
-    _, stage = _run_stage(args, verify_step, doc, terms=terms)
+    doc, data = _load_stage_file(args.terms_file, ("terms",), args.doc_file)
+    _, stage = _run_stage(args, verify_step, doc, data)
     _emit(args, json_dumps(stage))
     return EXIT_OK
 
 
 def _cmd_remediate(args) -> int:
-    doc, terms, data = _load_stage_file(args.verified_file, args.doc_file)
-    if "verifications" not in data:
-        raise ValueError(
-            f"{args.verified_file}: no verifications; pass the output of "
-            "'terminators verify'"
-        )
-    results = [verification_from_json(r) for r in data["verifications"]]
-    _, stage = _run_stage(args, remediate_step, doc, terms=terms,
-                          verifications=results)
+    doc, data = _load_stage_file(args.verified_file,
+                                 ("terms", "verifications"), args.doc_file)
+    _, stage = _run_stage(args, remediate_step, doc, data)
     _emit(args, json_dumps(stage))
     return EXIT_OK
 
 
 def _cmd_plan(args) -> int:
-    doc, terms, _ = _load_stage_file(args.audit_file)
-    _, stage = _run_stage(args, plan_step, doc, terms=terms)
+    doc, data = _load_stage_file(args.audit_file, ("terms",))
+    _, stage = _run_stage(args, plan_step, doc, data)
     _emit(args, json_dumps(stage))
     return EXIT_OK
 

@@ -108,6 +108,8 @@ class SourceDocument:
     @classmethod
     def from_json(cls, data: dict) -> "SourceDocument":
         lines = tuple((int(n), str(t)) for n, t in data["lines"])
+        if not lines:
+            raise ValueError("stored document has no lines")
         return cls(
             doc_id=str(data["doc_id"]),
             source_name=str(data["source_name"]),

@@ -48,24 +48,6 @@ class ExtractionConfig:
             return None
         return "; ".join(self.aspects)
 
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy.to_json(),
-            "aspects": list(self.aspects) if self.aspects else None,
-            "provider_name": self.provider_name,
-            "prompt_version": self.prompt_version,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ExtractionConfig":
-        aspects = data.get("aspects")
-        return cls(
-            strategy=ChunkStrategy.from_json(data["strategy"]),
-            aspects=tuple(aspects) if aspects else None,
-            provider_name=data.get("provider_name"),
-            prompt_version=data.get("prompt_version", PROMPT_VERSION),
-        )
-
 
 @dataclass
 class ChunkExtraction:

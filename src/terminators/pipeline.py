@@ -33,21 +33,18 @@ from .planning import (
     plan_from_json,
     plan_to_json,
 )
+from .records import from_json, to_json
 from .remediation import (
     RemediationOutcome,
     apply_outcome,
-    outcome_from_json,
-    outcome_to_json,
     remediate,
     status_for_label,
     advance,
 )
-from .terms import Term, TermStatus, term_from_json, term_to_json
+from .terms import SchemaError, Term, TermStatus, term_from_json, term_to_json
 from .verification import (
     DEFAULT_LOW_OVERLAP_THRESHOLD,
     VerificationResult,
-    verification_from_json,
-    verification_to_json,
     verify_all,
 )
 
@@ -79,47 +76,23 @@ def _phase_index(phase: str) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings that can change a run's output, which are its identity,
+    plus workers, which only sets concurrency: it is not compared, hashed
+    into the run id or stored."""
+
     extraction: ExtractionConfig
     threshold: float = DEFAULT_LOW_OVERLAP_THRESHOLD
     context_lines: int = 0
     use_llm_resource: bool = True
     min_checks: int = DEFAULT_MIN_CHECKS
-    workers: int = DEFAULT_WORKERS
+    workers: int = field(default=DEFAULT_WORKERS, compare=False)
     best_effort: bool = False
     backend_id: str = "scripted"
     scenario: Scenario | None = None
 
-    def to_json(self) -> dict:
-        """The settings that can change a run's output, which are its
-        identity: workers only sets concurrency, so it is left out."""
-        return {
-            "extraction": self.extraction.to_json(),
-            "threshold": self.threshold,
-            "context_lines": self.context_lines,
-            "use_llm_resource": self.use_llm_resource,
-            "min_checks": self.min_checks,
-            "best_effort": self.best_effort,
-            "backend_id": self.backend_id,
-            "scenario": self.scenario.to_json() if self.scenario else None,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RunConfig":
-        scenario = data.get("scenario")
-        return cls(
-            extraction=ExtractionConfig.from_json(data["extraction"]),
-            threshold=data["threshold"],
-            context_lines=data["context_lines"],
-            use_llm_resource=data["use_llm_resource"],
-            min_checks=data["min_checks"],
-            best_effort=data["best_effort"],
-            backend_id=data["backend_id"],
-            scenario=Scenario.from_json(scenario) if scenario else None,
-        )
-
     @property
     def fingerprint(self) -> str:
-        payload = json.dumps(self.to_json(), sort_keys=True, ensure_ascii=False)
+        payload = json.dumps(to_json(self), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
@@ -213,7 +186,7 @@ def _save_run_header(run: AuditRun) -> None:
             "phase": run.phase,
             "doc_name": run.doc.source_name,
             "doc_fingerprint": run.doc.fingerprint,
-            "config": run.config.to_json(),
+            "config": to_json(run.config),
         },
     )
 
@@ -279,7 +252,7 @@ def verify_step(run: AuditRun, backend: Backend, cache_dir=None):
         for term, result in zip(run.terms, run.verifications)
     ]
     record = {
-        "verifications": [verification_to_json(v) for v in run.verifications],
+        "verifications": to_json(run.verifications),
         "terms": [term_to_json(t) for t in run.terms],
     }
     supported = sum(1 for v in run.verifications if v.label == "Supported")
@@ -306,14 +279,14 @@ def remediate_step(run: AuditRun, backend: Backend, cache_dir=None):
         )
 
     run.outcomes = map_ordered(
-        job, zip(run.terms, run.verifications), cfg.workers
+        job, zip(run.terms, run.verifications, strict=True), cfg.workers
     )
     run.terms = [
         apply_outcome(term, outcome)
         for term, outcome in zip(run.terms, run.outcomes)
     ]
     record = {
-        "outcomes": [outcome_to_json(o) for o in run.outcomes],
+        "outcomes": to_json(run.outcomes),
         "terms": [term_to_json(t) for t in run.terms],
     }
     discarded = sum(1 for o in run.outcomes if o.action == "discarded")
@@ -393,60 +366,73 @@ def run_pipeline(
     return _execute(run, backend, cache_dir)
 
 
+def restore(run: AuditRun, record: dict) -> None:
+    """Set the run state a phase record holds, as a step left it: each of
+    the record's keys that names a run field (a stage file's "document" and
+    a plans record's "disclaimer" do not). A missing key leaves its field as
+    it is. Raises ValueError when the record does not decode."""
+    provider = run.config.extraction.provider_name
+    decoders = {
+        "terms": lambda r: term_from_json(r, provider_name=provider),
+        "coverage": None,
+        "warnings": None,
+        "failures": None,
+        "verifications": lambda r: from_json(VerificationResult, r),
+        "outcomes": lambda r: from_json(RemediationOutcome, r),
+        "plans": plan_from_json,
+        "notices": None,
+    }
+    if not isinstance(record, dict):
+        raise ValueError("a phase record must be a JSON object")
+    for key, decode in decoders.items():
+        if key not in record:
+            continue
+        values = record[key]
+        if not isinstance(values, list):
+            raise ValueError(f"{key!r} must be a list")
+        if decode is not None:
+            try:
+                values = [decode(r) for r in values]
+            except (KeyError, TypeError, AttributeError, SchemaError) as exc:
+                raise ValueError(f"malformed {key!r} entry: {exc!r}") from exc
+        setattr(run, key, values)
+
+
 def load_run(run_dir) -> AuditRun:
-    """Rehydrate a persisted run, restoring the newest stored term states."""
+    """Rehydrate a persisted run, restoring every stored phase in order.
+    A run directory whose files do not decode raises ResumeError."""
     store = RunStore(run_dir)
     if not store.exists("run.json"):
         raise ResumeError("missing_run", f"no run.json under {store.run_dir}")
-    header = store.read_json("run.json")
-    config = RunConfig.from_json(header["config"])
-    doc = SourceDocument.from_json(store.read_json("document.json"))
-    if fingerprint_text(doc.text()) != doc.fingerprint:
-        raise ResumeError(
-            "document_changed",
-            f"stored document under {store.run_dir} no longer matches its "
-            "fingerprint",
+    try:
+        header = store.read_json("run.json")
+        doc = SourceDocument.from_json(store.read_json("document.json"))
+        if fingerprint_text(doc.text()) != doc.fingerprint:
+            raise ResumeError(
+                "document_changed",
+                f"stored document under {store.run_dir} no longer matches its "
+                "fingerprint",
+            )
+        if header["doc_fingerprint"] != doc.fingerprint:
+            raise ResumeError(
+                "document_changed",
+                "run header fingerprint does not match the stored document",
+            )
+        run = AuditRun(
+            run_id=header["run_id"],
+            store=store,
+            config=from_json(RunConfig, header["config"]),
+            doc=doc,
+            phase=header["phase"],
         )
-    if header["doc_fingerprint"] != doc.fingerprint:
+        reached = _phase_index(run.phase)
+        for phase, artifact, _ in _STEPS:
+            if _phase_index(phase) <= reached:
+                restore(run, store.read_json(artifact))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ResumeError(
-            "document_changed",
-            "run header fingerprint does not match the stored document",
-        )
-    run = AuditRun(
-        run_id=header["run_id"],
-        store=store,
-        config=config,
-        doc=doc,
-        phase=header["phase"],
-    )
-    provider = config.extraction.provider_name
-    idx = _phase_index(run.phase)
-    if idx >= _phase_index("extracted"):
-        data = store.read_json("terms.json")
-        run.terms = [
-            term_from_json(r, provider_name=provider) for r in data["terms"]
-        ]
-        run.coverage = data["coverage"]
-        run.warnings = data["warnings"]
-        run.failures = data["failures"]
-    if idx >= _phase_index("verified"):
-        data = store.read_json("verifications.json")
-        run.verifications = [
-            verification_from_json(r) for r in data["verifications"]
-        ]
-        run.terms = [
-            term_from_json(r, provider_name=provider) for r in data["terms"]
-        ]
-    if idx >= _phase_index("remediated"):
-        data = store.read_json("remediation.json")
-        run.outcomes = [outcome_from_json(r) for r in data["outcomes"]]
-        run.terms = [
-            term_from_json(r, provider_name=provider) for r in data["terms"]
-        ]
-    if idx >= _phase_index("planned"):
-        data = store.read_json("plans.json")
-        run.plans = [plan_from_json(r) for r in data["plans"]]
-        run.notices = data["notices"]
+            "malformed_run", f"{store.run_dir}: malformed run: {exc}"
+        ) from exc
     return run
 
 
@@ -510,17 +496,15 @@ def emit_report(run: AuditRun, format: str) -> str:
                     "first_line": run.doc.first_line,
                     "last_line": run.doc.last_line,
                 },
-                "config": run.config.to_json(),
+                "config": to_json(run.config),
                 "counts": {
                     "extracted": len(run.terms),
                     "surviving": len(surviving),
                     "discarded": len(discarded),
                 },
                 "terms": [term_to_json(t) for t in run.terms],
-                "verifications": [
-                    verification_to_json(v) for v in run.verifications
-                ],
-                "remediation": [outcome_to_json(o) for o in run.outcomes],
+                "verifications": to_json(run.verifications),
+                "remediation": to_json(run.outcomes),
                 "plans": [
                     plan_to_json(p, statement=statements.get(p.term_id))
                     for p in run.plans

@@ -11,12 +11,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .backends import PLAN_CHECKS_KEY, Backend, BackendError, BackendRequest
+from .backends import PLAN_CHECKS_KEY, Backend, BackendError
 from .documents import SourceDocument, resolve_span
 from .parsing import DEFAULT_WORKERS, map_ordered, run_request
 from .prompts import build_planner_request
+from .records import to_json
 from .terms import LifecycleError, Term, TermStatus, canonical_source_string
 
 DEFAULT_MIN_CHECKS = 3
@@ -86,31 +87,8 @@ class Scenario:
 
     @property
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            {
-                "description": self.description,
-                "persona": self.persona,
-                "jurisdiction": self.jurisdiction.value,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        payload = json.dumps(to_json(self), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-    def to_json(self) -> dict:
-        return {
-            "description": self.description,
-            "persona": self.persona,
-            "jurisdiction": self.jurisdiction.value,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Scenario":
-        return cls(
-            description=data["description"],
-            persona=data.get("persona"),
-            jurisdiction=JurisdictionId(data.get("jurisdiction", "none")),
-        )
 
 
 @dataclass
@@ -178,16 +156,13 @@ def plan_term(
     warnings: list[str] = []
     checks = _valid_checks(resp.parsed[PLAN_CHECKS_KEY], warnings)
     if len(checks) < min_checks:
-        followup = BackendRequest(
-            role_prompt=req.role_prompt,
+        followup = replace(
+            req,
             user_prompt=(
                 req.user_prompt
                 + f"\n\nThat list is too short. Propose at least {min_checks} "
                 "distinct checks."
             ),
-            response_schema=req.response_schema,
-            temperature=req.temperature,
-            max_output_tokens=req.max_output_tokens,
         )
         try:
             retry = run_request(backend, followup, cache_dir)

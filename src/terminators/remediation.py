@@ -21,7 +21,6 @@ from .terms import (
     SchemaError,
     Term,
     TermStatus,
-    canonical_source_string,
     parse_source_string,
 )
 from .verification import (
@@ -32,8 +31,6 @@ from .verification import (
     content_tokens,
     lexical_support_score,  # unused here; perfbench's tracer wraps this name
     stem_sets,
-    verification_from_json,
-    verification_to_json,
     verify_term,
 )
 
@@ -256,67 +253,6 @@ def remediate(
     if verdict.label == LABEL_SUPPORTED:
         return outcome(entry, proposed)
     return outcome(entry)
-
-
-def outcome_to_json(outcome: RemediationOutcome) -> dict:
-    return {
-        "term_id": outcome.term_id,
-        "action": outcome.action,
-        "old_source": canonical_source_string(outcome.old_source),
-        "new_source": (
-            canonical_source_string(outcome.new_source)
-            if outcome.new_source
-            else None
-        ),
-        "attempts": outcome.attempts,
-        "trail": [
-            {
-                "attempt": entry.attempt,
-                "proposed": (
-                    canonical_source_string(entry.proposed)
-                    if entry.proposed
-                    else None
-                ),
-                "verification": (
-                    verification_to_json(entry.verification)
-                    if entry.verification
-                    else None
-                ),
-                "note": entry.note,
-            }
-            for entry in outcome.trail
-        ],
-    }
-
-
-def outcome_from_json(record: dict) -> RemediationOutcome:
-    trail = tuple(
-        TrailEntry(
-            attempt=entry["attempt"],
-            proposed=(
-                parse_source_string(entry["proposed"]) if entry["proposed"] else None
-            ),
-            verification=(
-                verification_from_json(entry["verification"])
-                if entry["verification"]
-                else None
-            ),
-            note=entry["note"],
-        )
-        for entry in record["trail"]
-    )
-    return RemediationOutcome(
-        term_id=record["term_id"],
-        action=record["action"],
-        old_source=parse_source_string(record["old_source"]),
-        new_source=(
-            parse_source_string(record["new_source"])
-            if record["new_source"]
-            else None
-        ),
-        attempts=record["attempts"],
-        trail=trail,
-    )
 
 
 def apply_outcome(term: Term, outcome: RemediationOutcome) -> Term:

@@ -12,7 +12,7 @@ import enum
 import hashlib
 import re
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .documents import SourceDocument, SourceRef, resolve_span
 

@@ -236,24 +236,3 @@ def verify_all(
 
     return map_ordered(job, terms, workers)
 
-
-def verification_to_json(result: VerificationResult) -> dict:
-    return {
-        "term_id": result.term_id,
-        "label": result.label,
-        "justification": result.justification,
-        "lexical_score": result.lexical_score,
-        "pre_check_flag": result.pre_check_flag,
-        "verifier_prompt_fingerprint": result.verifier_prompt_fingerprint,
-    }
-
-
-def verification_from_json(record: dict) -> VerificationResult:
-    return VerificationResult(
-        term_id=record["term_id"],
-        label=record["label"],
-        justification=record["justification"],
-        lexical_score=record["lexical_score"],
-        pre_check_flag=record["pre_check_flag"],
-        verifier_prompt_fingerprint=record["verifier_prompt_fingerprint"],
-    )

@@ -56,6 +56,25 @@ class TestBackendRequest:
             make_request(response_schema=SCHEMA_PLAN).request_fingerprint != base
         )
 
+    def test_fingerprint_and_cache_request_are_pinned(self, tmp_path):
+        req = make_request()
+        assert req.request_fingerprint == (
+            "d3e0e75627a2838dc4018cec12724fe7add7a178ea704e1b563a6bc9265da810"
+        )
+        cached_complete(
+            scripted(("water", "supported_verification.json")), req, tmp_path
+        )
+        text = (tmp_path / f"{req.request_fingerprint}.json").read_text()
+        assert text.startswith(
+            '{\n  "request": {\n'
+            '    "role_prompt": "You label statements.",\n'
+            '    "user_prompt": "Statement: water is wet.",\n'
+            '    "response_schema": "verification",\n'
+            '    "temperature": 0.0,\n'
+            '    "max_output_tokens": 2048\n'
+            '  },\n  "response": {\n'
+        )
+
 
 class TestExtractStructuredValue:
     def test_bare_value(self):

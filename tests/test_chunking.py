@@ -21,6 +21,7 @@ from terminators.chunking import (
     detect_headings,
 )
 from terminators.documents import ingest
+from terminators.records import from_json, to_json
 
 
 def ref_ranges(doc, mode: str, cap: int) -> list[tuple[int, int]]:
@@ -143,8 +144,8 @@ def test_strategy_validation():
         ChunkStrategy(ChunkMode.PARAGRAPH, max_chunk_lines=0)
     with pytest.raises(ValueError):
         ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=1)
-    round_tripped = ChunkStrategy.from_json(
-        ChunkStrategy(ChunkMode.SECTION_BY_SECTION, 40, 1).to_json()
+    round_tripped = from_json(
+        ChunkStrategy, to_json(ChunkStrategy(ChunkMode.SECTION_BY_SECTION, 40, 1))
     )
     assert round_tripped == ChunkStrategy(ChunkMode.SECTION_BY_SECTION, 40, 1)
 

@@ -487,6 +487,65 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, key, corrupt, message", [
+        ("verify", "terms", lambda r: r.pop("terms"), "no terms"),
+        ("verify", "terms", lambda r: r["document"].update(lines=[]),
+         "document has no lines"),
+        ("remediate", "verifications",
+         lambda r: r["verifications"][0].pop("label"), "missing key 'label'"),
+        ("remediate", "verifications",
+         lambda r: r["verifications"].pop(), "shorter"),
+        ("plan", "outcomes",
+         lambda r: r["terms"][0].pop("status"), "malformed 'terms' entry"),
+    ], ids=["no-terms-key", "document-without-lines",
+            "verification-without-label",
+            "fewer-verifications-than-terms", "term-without-status"])
+    def test_malformed_stage_file_exits_two(
+        self, tmp_path, capsys, verb, key, corrupt, message
+    ):
+        doc, *stages = TestStageChain().run_chain(tmp_path)
+        stage = next(
+            s for s in stages if key in json.loads(s.read_text(encoding="utf-8"))
+        )
+        record = json.loads(stage.read_text(encoding="utf-8"))
+        corrupt(record)
+        stage.write_text(json.dumps(record), encoding="utf-8")
+        argv = [verb, str(stage)]
+        argv += (["--scenario-file", str(SCENARIO_TXT)] if verb == "plan"
+                 else [str(doc)])
+        code = main(argv + ["--backend", backend_arg("mismatch_run.json")])
+        assert code == EXIT_PIPELINE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact, corrupt, message", [
+        ("verifications.json", lambda r: r["verifications"][0].pop("label"),
+         "missing key 'label'"),
+        ("verifications.json",
+         lambda r: r["verifications"][0].update(lexical_score="high"),
+         "expected a number"),
+        ("terms.json", lambda r: r["terms"][0].pop("source"),
+         "malformed 'terms' entry"),
+        ("remediation.json",
+         lambda r: r["outcomes"][0].update(old_source="nowhere"),
+         "unparseable source"),
+        ("plans.json", lambda r: r["plans"][0].pop("scenario_fingerprint"),
+         "malformed 'plans' entry"),
+        ("run.json", lambda r: r.pop("config"), "malformed run: 'config'"),
+        ("run.json", lambda r: r.update(phase="halfway"), "malformed run"),
+    ], ids=["verification-without-label", "score-not-a-number",
+            "term-without-source", "bad-citation", "plan-without-fingerprint",
+            "header-without-config", "unknown-phase"])
+    def test_malformed_run_directory_exits_two(
+        self, tmp_path, capsys, artifact, corrupt, message
+    ):
+        run_dir, _ = TestRunResumeReport().completed_run(tmp_path, capsys)
+        path = run_dir / artifact
+        record = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(record)
+        path.write_text(json.dumps(record), encoding="utf-8")
+        assert main(["report", str(run_dir)]) == EXIT_PIPELINE
+        assert message in capsys.readouterr().err
+
     def test_plan_requires_scenario(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["plan", "stage.json", "--backend", "live"])

@@ -21,6 +21,7 @@ from terminators.parsing import (
     map_ordered,
 )
 from terminators.prompts import build_parser_request
+from terminators.records import from_json, to_json
 
 WHOLE = ChunkStrategy(ChunkMode.WHOLE_DOCUMENT)
 PARAGRAPH = ChunkStrategy(ChunkMode.PARAGRAPH)
@@ -59,7 +60,7 @@ class TestExtractionConfig:
             aspects=("privacy",),
             provider_name="OpenAI",
         )
-        assert ExtractionConfig.from_json(cfg.to_json()) == cfg
+        assert from_json(ExtractionConfig, to_json(cfg)) == cfg
 
 
 class TestWholeDocument(object):

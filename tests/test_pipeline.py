@@ -36,6 +36,7 @@ from terminators.pipeline import (
     run_pipeline,
 )
 from terminators.planning import PLAN_DISCLAIMER, Scenario
+from terminators.records import from_json, to_json
 from terminators.terms import TermStatus
 
 PARAGRAPH_CFG = ExtractionConfig(ChunkStrategy(ChunkMode.PARAGRAPH))
@@ -383,7 +384,7 @@ class TestRunConfig:
             threshold=0.5,
             scenario=Scenario("desc", persona="p"),
         )
-        assert RunConfig.from_json(config.to_json()) == config
+        assert from_json(RunConfig, to_json(config)) == config
 
     def test_run_id_tracks_content(self):
         doc = ingest_excerpt()
@@ -398,4 +399,4 @@ class TestRunConfig:
         one = replace(happy_config(), workers=1)
         eight = replace(happy_config(), workers=8)
         assert compute_run_id(doc, one) == compute_run_id(doc, eight)
-        assert "workers" not in one.to_json()
+        assert "workers" not in to_json(one)

@@ -25,6 +25,7 @@ from terminators.planning import (
     plan_term,
     plan_to_json,
 )
+from terminators.records import from_json, to_json
 from terminators.remediation import advance
 from terminators.terms import LifecycleError, TermStatus, validate_term
 
@@ -71,10 +72,10 @@ class TestScenario:
             STUDENT_SCENARIO, persona="university student",
             jurisdiction=JurisdictionId.CCPA,
         )
-        assert Scenario.from_json(scenario.to_json()) == scenario
+        assert from_json(Scenario, to_json(scenario)) == scenario
 
     def test_jurisdiction_defaults_to_none(self):
-        assert Scenario.from_json({"description": "d"}).jurisdiction is (
+        assert from_json(Scenario, {"description": "d"}).jurisdiction is (
             JurisdictionId.NONE
         )
 

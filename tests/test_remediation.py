@@ -21,6 +21,7 @@ from helpers import (
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.documents import SourceRef, render_numbered, resolve_span
 from terminators.prompts import build_resource_request
+from terminators.records import from_json, to_json
 from terminators.remediation import (
     ACTION_DISCARDED,
     ACTION_KEPT,
@@ -30,8 +31,6 @@ from terminators.remediation import (
     advance,
     apply_outcome,
     find_best_window,
-    outcome_from_json,
-    outcome_to_json,
     remediate,
     resource_term,
     status_for_label,
@@ -432,7 +431,7 @@ class TestOutcomeSerialization:
             scripted(("reverse engineer, decompile", "listing6_verification.json")),
         )
         outcome = remediate(term, result, raw_doc, resourced_backend())
-        assert outcome_from_json(outcome_to_json(outcome)) == outcome
+        assert from_json(RemediationOutcome, to_json(outcome)) == outcome
 
     def test_round_trip_discard(self, raw_doc):
         term = mismatch_term(raw_doc)
@@ -445,10 +444,10 @@ class TestOutcomeSerialization:
             ("Locate the single passage", "empty_terms.json"),
         )
         outcome = remediate(term, result, raw_doc, backend)
-        data = outcome_to_json(outcome)
+        data = to_json(outcome)
         assert data["new_source"] is None
         assert data["trail"][0]["proposed"] is None
-        assert outcome_from_json(data) == outcome
+        assert from_json(RemediationOutcome, data) == outcome
 
     def test_json_is_plain_data(self, raw_doc):
         term = mismatch_term(raw_doc)
@@ -458,4 +457,4 @@ class TestOutcomeSerialization:
             scripted(("reverse engineer, decompile", "listing6_verification.json")),
         )
         outcome = remediate(term, result, raw_doc, resourced_backend())
-        json.dumps(outcome_to_json(outcome))  # must not raise
+        json.dumps(to_json(outcome))  # must not raise

@@ -25,6 +25,7 @@ from helpers import (
 )
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.documents import SourceRef, resolve_span
+from terminators.records import from_json, to_json
 from terminators.terms import term_from_json, validate_term
 from terminators.verification import (
     FLAG_LOW_OVERLAP,
@@ -39,8 +40,6 @@ from terminators.verification import (
     pre_check,
     stem,
     tokenize,
-    verification_from_json,
-    verification_to_json,
     verify_all,
     verify_term,
 )
@@ -383,9 +382,9 @@ class TestSerialization:
             pre_check_flag=FLAG_PASS,
             verifier_prompt_fingerprint="ab" * 32,
         )
-        assert verification_from_json(verification_to_json(result)) == result
+        assert from_json(VerificationResult, to_json(result)) == result
 
     def test_none_fingerprint_survives(self):
         result = VerificationResult("t2", LABEL_UNVERIFIABLE, "x", 0.0,
                                     FLAG_UNRESOLVABLE, None)
-        assert verification_from_json(verification_to_json(result)) == result
+        assert from_json(VerificationResult, to_json(result)) == result
