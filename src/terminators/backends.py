@@ -15,6 +15,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -78,10 +79,12 @@ class BackendRequest:
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
 
-    @property
+    @cached_property
     def request_fingerprint(self) -> str:
         """Deterministic digest of the request content; cache key and script
-        matcher target. Contains no credential material."""
+        matcher target. Contains no credential material. Computed once per
+        request: the dataclass is frozen, and dataclasses.replace builds a
+        new request with its own digest."""
         payload = json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -405,29 +408,30 @@ def cached_complete(backend: Backend, req: BackendRequest,
 
     One JSON file per request fingerprint, written atomically; a hit replays
     the stored raw text without touching the backend, so a cache populated
-    by a live run makes later runs backend-free. Cache trouble degrades to
-    an uncached call with a warning, never an error: an entry that does not
-    read, or whose stored text does not fit the request's schema, counts as
-    a miss and is overwritten.
+    by a live run makes later runs backend-free. A missing entry is a plain
+    miss. Other cache trouble degrades to an uncached call with a warning,
+    never an error: an entry that does not read, or whose stored text does
+    not fit the request's schema, counts as a miss and is overwritten.
     """
     cache_path = Path(cache_dir) / f"{req.request_fingerprint}.json"
     try:
-        if cache_path.exists():
-            entry = json.loads(cache_path.read_text(encoding="utf-8"))
-            stored = entry["response"]
-            if not isinstance(stored["raw_text"], str):
-                raise TypeError("stored raw_text is not a string")
-            resp = _attach_parse(
-                stored["raw_text"],
-                req.response_schema,
-                stored["usage"],
-                0.0,
-                stored["backend_id"],
-            )
-            if resp.parsed is not None:
-                return resp
-            log.warning("cache entry %s does not fit schema %r: %s",
-                        cache_path.name, req.response_schema, resp.parse_error)
+        entry = json.loads(cache_path.read_text(encoding="utf-8"))
+        stored = entry["response"]
+        if not isinstance(stored["raw_text"], str):
+            raise TypeError("stored raw_text is not a string")
+        resp = _attach_parse(
+            stored["raw_text"],
+            req.response_schema,
+            stored["usage"],
+            0.0,
+            stored["backend_id"],
+        )
+        if resp.parsed is not None:
+            return resp
+        log.warning("cache entry %s does not fit schema %r: %s",
+                    cache_path.name, req.response_schema, resp.parse_error)
+    except FileNotFoundError:
+        pass
     except (OSError, ValueError, KeyError, TypeError) as exc:
         log.warning("unreadable cache entry %s: %s", cache_path.name, exc)
 

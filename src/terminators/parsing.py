@@ -7,7 +7,8 @@ one deduplicated, source-ordered term list with a per-chunk coverage report.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+import threading
 from dataclasses import dataclass, field
 
 from .backends import Backend, BackendError, cached_complete, complete
@@ -73,16 +74,53 @@ def run_request(backend: Backend, req, cache_dir=None):
 
 
 def map_ordered(fn, items, workers: int) -> list:
-    """fn over items on up to `workers` threads (at least one), results in
-    input order, so output does not depend on thread scheduling. Every job
-    runs to completion; then the first failure in input order is raised.
-    Empty input starts no pool."""
+    """fn over items on the calling thread plus up to `workers` - 1 helper
+    threads, results in input order, so output does not depend on thread
+    scheduling. Each thread claims the next unclaimed index until none is
+    left. Every job runs to completion; then the first failure in input
+    order is raised. Empty input, workers <= 1 and one item start no
+    thread. An interrupt stops further claims, waits for the helpers'
+    current jobs and propagates."""
     items = list(items)
-    if not items:
-        return []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
+    results = [None] * len(items)
+    failures: list[BaseException | None] = [None] * len(items)
+    # next() on a count is atomic under the GIL: no index is claimed twice.
+    claims = itertools.count()
+    stopped = False
+
+    def drain():
+        nonlocal stopped
+        while not stopped:
+            i = next(claims)
+            if i >= len(items):
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                failures[i] = exc
+            except BaseException as exc:
+                failures[i] = exc
+                stopped = True
+                raise
+
+    helpers = [
+        threading.Thread(target=drain)
+        for _ in range(min(workers, len(items)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    except BaseException:
+        stopped = True
+        raise
+    finally:
+        for helper in helpers:
+            helper.join()
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return results
 
 
 def extract_chunk(
@@ -108,11 +146,9 @@ def extract_chunk(
     numbered = render_numbered(
         doc, start_line=chunk.start_line, end_line=chunk.end_line
     )
-    req = build_parser_request(doc.source_name, numbered, aspects=cfg.aspects)
     if replica_note:
-        req = build_parser_request(
-            doc.source_name, numbered + "\n\n" + replica_note, aspects=cfg.aspects
-        )
+        numbered += "\n\n" + replica_note
+    req = build_parser_request(doc.source_name, numbered, aspects=cfg.aspects)
     try:
         resp = run_request(backend, req, cache_dir)
     except BackendError as exc:

@@ -454,20 +454,16 @@ def resume(
     return _execute(run, backend, cache_dir)
 
 
-def _verification_by_term(run: AuditRun) -> dict[str, VerificationResult]:
-    return {v.term_id: v for v in run.verifications}
-
-
-def _final_label(run: AuditRun, term: Term) -> str | None:
-    """The verification label backing the term's current source."""
-    if term.status is TermStatus.RESOURCED:
-        for outcome in run.outcomes:
-            if outcome.term_id == term.term_id:
-                for entry in reversed(outcome.trail):
-                    if entry.verification is not None:
-                        return entry.verification.label
-    result = _verification_by_term(run).get(term.term_id)
-    return result.label if result else None
+def _proposal_labels(run: AuditRun) -> dict[str, str]:
+    """Per term id, the label of its outcome's last verified proposal (the
+    first such outcome when a term has several)."""
+    labels = {}
+    for outcome in reversed(run.outcomes):
+        for entry in reversed(outcome.trail):
+            if entry.verification is not None:
+                labels[outcome.term_id] = entry.verification.label
+                break
+    return labels
 
 
 def emit_report(run: AuditRun, format: str) -> str:
@@ -535,19 +531,24 @@ def emit_report(run: AuditRun, format: str) -> str:
         "| Term | Status | Label | Checks |",
         "| --- | --- | --- | --- |",
     ]
+    labels = {v.term_id: v.label for v in run.verifications}
+    proposal_labels = _proposal_labels(run)
     for term in surviving:
+        # The label backing the term's current source.
+        label = labels.get(term.term_id, "")
+        if term.status is TermStatus.RESOURCED:
+            label = proposal_labels.get(term.term_id, label)
         lines.append(
             f"| {cell(term.statement)} | {term.status.value} "
-            f"| {_final_label(run, term) or ''} "
+            f"| {label} "
             f"| {checks_by_term.get(term.term_id, 0)} |"
         )
     lines.extend(["", "## Discarded terms", ""])
     if discarded:
         lines.extend(["| Term | Label | Attempts |", "| --- | --- | --- |"])
         attempts_by_term = {o.term_id: o.attempts for o in run.outcomes}
-        labels = _verification_by_term(run)
         for term in discarded:
-            label = labels[term.term_id].label if term.term_id in labels else ""
+            label = labels.get(term.term_id, "")
             lines.append(
                 f"| {cell(term.statement)} | {label} "
                 f"| {attempts_by_term.get(term.term_id, 0)} |"

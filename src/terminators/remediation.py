@@ -100,6 +100,13 @@ def _line_index(doc: SourceDocument) -> tuple[tuple[frozenset, frozenset], ...]:
     return tuple(stem_sets(text) for _, text in doc.lines)
 
 
+@lru_cache(maxsize=1)
+def _numbered_document(doc: SourceDocument) -> str:
+    """The whole numbered document every re-sourcing request shows, rendered
+    once per document; one entry, as in _line_index."""
+    return render_numbered(doc)
+
+
 def find_best_window(
     statement: str,
     doc: SourceDocument,
@@ -159,7 +166,7 @@ def resource_term(
         return find_best_window(term.statement, doc)
 
     req = build_resource_request(
-        doc.source_name, render_numbered(doc), term.statement
+        doc.source_name, _numbered_document(doc), term.statement
     )
     resp = run_request(backend, req, cache_dir)
     records = resp.parsed

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -55,6 +56,16 @@ class TestBackendRequest:
         assert (
             make_request(response_schema=SCHEMA_PLAN).request_fingerprint != base
         )
+
+    def test_replace_gets_a_fresh_fingerprint(self):
+        req = make_request()
+        base = req.request_fingerprint
+        changed = replace(req, user_prompt="other")
+        assert changed.request_fingerprint == (
+            make_request(user_prompt="other").request_fingerprint
+        )
+        assert changed.request_fingerprint != base
+        assert req.request_fingerprint == base
 
     def test_fingerprint_and_cache_request_are_pinned(self, tmp_path):
         req = make_request()
@@ -316,6 +327,28 @@ class TestCachedComplete:
         assert len(backend.calls) == 2, "a bad entry must reach the backend"
         assert json.loads(cache_file.read_text()) == entry
         assert cache_file.name in caplog.text
+
+    def test_cold_miss_logs_no_warning(self, tmp_path, caplog):
+        backend = scripted(("water", "supported_verification.json"))
+        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
+            resp = cached_complete(backend, make_request(), tmp_path)
+        assert resp.parsed["verification"] == "Supported"
+        assert len(backend.calls) == 1
+        assert caplog.records == []
+
+    def test_directory_at_entry_path_warns_and_reaches_backend(
+        self, tmp_path, caplog
+    ):
+        backend = scripted(("water", "supported_verification.json"))
+        req = make_request()
+        (tmp_path / f"{req.request_fingerprint}.json").mkdir()
+        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
+            resp = cached_complete(backend, req, tmp_path)
+        assert resp.parsed["verification"] == "Supported"
+        assert len(backend.calls) == 1
+        assert f"unreadable cache entry {req.request_fingerprint}.json" in (
+            caplog.text
+        )
 
     def test_unwritable_cache_dir_degrades(self, tmp_path):
         blocker = tmp_path / "cache"

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -12,7 +14,6 @@ from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.chunking import ChunkMode, ChunkStrategy, chunk as chunk_document
 from terminators.documents import render_numbered
 from terminators.terms import term_to_json
-from terminators import parsing
 from terminators.parsing import (
     ExtractError,
     ExtractionConfig,
@@ -298,19 +299,66 @@ class TestMapOrdered:
     def test_empty_input_starts_no_pool_and_workers_clamp_to_one(
         self, monkeypatch
     ):
-        pools = []
-        real = parsing.ThreadPoolExecutor
+        started = []
+        real_start = threading.Thread.start
 
-        def recording_pool(max_workers):
-            pools.append(max_workers)
-            return real(max_workers=max_workers)
+        def recording_start(thread):
+            started.append(thread)
+            real_start(thread)
 
-        monkeypatch.setattr(parsing, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
         assert map_ordered(str, [], workers=4) == []
-        assert pools == []
         assert map_ordered(str, iter([1, 2]), workers=0) == ["1", "2"]
         assert map_ordered(str, [3], workers=-2) == ["3"]
-        assert pools == [1, 1]
+        assert map_ordered(str, [4, 5], workers=1) == ["4", "5"]
+        assert started == []
+        # The calling thread is one of the workers; there are only 2 items.
+        assert map_ordered(str, [6, 7], workers=4) == ["6", "7"]
+        assert len(started) == 1
+
+    def test_workers_one_runs_every_job_on_the_calling_thread(self):
+        caller = threading.get_ident()
+        assert map_ordered(
+            lambda _: threading.get_ident(), range(5), workers=1
+        ) == [caller] * 5
+
+    def test_interrupt_on_the_calling_thread_stops_claims_and_joins(self):
+        caller = threading.get_ident()
+        helper_busy = threading.Event()
+        interrupted = threading.Event()
+        helpers = set()
+        ran = []
+
+        def job(i):
+            if threading.get_ident() == caller:
+                assert helper_busy.wait(self.WAIT_S)
+                interrupted.set()
+                raise KeyboardInterrupt
+            helpers.add(threading.current_thread())
+            helper_busy.set()
+            assert interrupted.wait(self.WAIT_S)
+            time.sleep(0.001)
+            ran.append(i)
+            return i
+
+        with pytest.raises(KeyboardInterrupt):
+            map_ordered(job, range(50), workers=2)
+        assert len(helpers) == 1
+        assert not any(helper.is_alive() for helper in helpers)
+        assert len(ran) < 49, "no claims after the interrupt"
+
+    def test_every_item_runs_once_under_contention(self):
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = map_ordered(
+                lambda i: ran.append(i) or 2 * i, range(2000), workers=8
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [2 * i for i in range(2000)]
+        assert sorted(ran) == list(range(2000))
 
 
 class TestPromptGolden:

@@ -18,6 +18,7 @@ from helpers import (
     response_text,
     scripted,
 )
+from terminators import remediation
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.documents import SourceRef, render_numbered, resolve_span
 from terminators.prompts import build_resource_request
@@ -293,6 +294,38 @@ class TestRemediate:
         )
         assert backend.calls.count(resource_request.request_fingerprint) == 1
         assert len(backend.calls) == 2
+
+    def test_document_is_rendered_once_for_every_proposal(
+        self, raw_doc, monkeypatch
+    ):
+        renders = []
+        real = remediation.render_numbered
+
+        def counting_render(*args, **kwargs):
+            renders.append(args)
+            return real(*args, **kwargs)
+
+        remediation._numbered_document.cache_clear()
+        monkeypatch.setattr(remediation, "render_numbered", counting_render)
+        cited = mismatch_term(raw_doc)
+        result = self.unverifiable_result(cited, raw_doc)
+        backend = scripted(("Locate the single passage", "empty_terms.json"))
+        terms = [
+            replace(cited, term_id=f"t-{i}", statement=f"{cited.statement} {i}")
+            for i in range(3)
+        ]
+        for term in terms:
+            outcome = remediate(
+                term, replace(result, term_id=term.term_id), raw_doc, backend
+            )
+            assert [e.note for e in outcome.trail] == ["no span proposed"]
+        assert renders == [(raw_doc,)]
+        assert backend.calls == [
+            build_resource_request(
+                raw_doc.source_name, real(raw_doc), term.statement
+            ).request_fingerprint
+            for term in terms
+        ]
 
     def test_repeated_proposal_stops_the_loop(self, raw_doc):
         # A proposal of the span already cited is discarded without verifying.

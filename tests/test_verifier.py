@@ -23,6 +23,7 @@ from helpers import (
     response_text,
     scripted,
 )
+from terminators import backends
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.documents import SourceRef, resolve_span
 from terminators.records import from_json, to_json
@@ -273,6 +274,34 @@ class TestVerifyTerm:
             resolve_span(excerpt_doc, term.source),
         )
         assert result.verifier_prompt_fingerprint == expected.request_fingerprint
+
+    def test_each_request_is_fingerprinted_once(
+        self, excerpt_doc, tmp_path, monkeypatch
+    ):
+        term = validate_term(listing4_records()[0], excerpt_doc, warnings=[])
+        backend = scripted(
+            ("backed by the passage it cites", "supported_verification.json")
+        )
+        calls = []
+        real = backends.asdict
+
+        def counting_asdict(obj, *args, **kwargs):
+            calls.append(type(obj).__name__)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(backends, "asdict", counting_asdict)
+        cold = verify_term(term, excerpt_doc, backend, cache_dir=tmp_path)
+        # The fingerprint, then the cache entry's stored request.
+        assert calls == ["BackendRequest", "BackendRequest"]
+        calls.clear()
+        warm = verify_term(term, excerpt_doc, backend, cache_dir=tmp_path)
+        assert calls == ["BackendRequest"]
+        assert len(backend.calls) == 1, "the second round is a cache hit"
+        assert warm == cold
+        assert warm.verifier_prompt_fingerprint == (
+            "98ac6984751d287081ccb721f96b3a7d3add1e2aaea0204332e05ce67beb74bf"
+        )
+        assert (tmp_path / f"{warm.verifier_prompt_fingerprint}.json").exists()
 
     def test_unresolvable_never_reaches_backend(self, excerpt_doc):
         term = make_term("Ghost clause.", "OpenAI_ToS.txt:400", excerpt_doc)
