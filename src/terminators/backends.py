@@ -281,7 +281,8 @@ class LiveBackend(Backend):
 
     The credential is read from an environment variable at call time and
     never logged or embedded in fingerprints. Transient failures (429, 5xx,
-    timeouts) retry with exponential backoff.
+    timeouts) retry with exponential backoff. Calls in flight are bounded by
+    the caller's worker count (parsing.map_ordered), not here.
     """
 
     def __init__(
@@ -293,7 +294,6 @@ class LiveBackend(Backend):
         max_attempts: int = 4,
         timeout_s: float = 60.0,
         backoff_base_s: float = 1.0,
-        max_concurrency: int = 4,
     ):
         self.model = model
         self.endpoint = endpoint
@@ -302,7 +302,6 @@ class LiveBackend(Backend):
         self.timeout_s = timeout_s
         self.backoff_base_s = backoff_base_s
         self.backend_id = f"live:{model}"
-        self._semaphore = threading.Semaphore(max_concurrency)
 
     def generate(self, req: BackendRequest) -> BackendResponse:
         import requests
@@ -329,13 +328,12 @@ class LiveBackend(Backend):
                 time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
             started = time.monotonic()
             try:
-                with self._semaphore:
-                    resp = requests.post(
-                        self.endpoint,
-                        json=payload,
-                        headers=headers,
-                        timeout=self.timeout_s,
-                    )
+                resp = requests.post(
+                    self.endpoint,
+                    json=payload,
+                    headers=headers,
+                    timeout=self.timeout_s,
+                )
             except requests.RequestException as exc:
                 last_failure = f"request failed: {type(exc).__name__}"
                 log.warning("backend attempt %d/%d failed: %s",

@@ -213,8 +213,7 @@ def _build_backend(args) -> Backend:
                       "--backend scripted:<script.json>"
         )
     if spec == "live":
-        return LiveBackend(args.model, args.endpoint,
-                           max_concurrency=max(1, args.workers))
+        return LiveBackend(args.model, args.endpoint)
     if spec.startswith("scripted:"):
         path = spec[len("scripted:"):]
         if not path:
@@ -292,7 +291,6 @@ def _load_scenario(args) -> Scenario | None:
     if not args.scenario_file:
         return None
     text = Path(args.scenario_file).read_text(encoding="utf-8")
-    persona = None
     jurisdiction = None
     try:
         data = json.loads(text)
@@ -301,7 +299,6 @@ def _load_scenario(args) -> Scenario | None:
     else:
         if isinstance(data, dict):
             description = data.get("description", "")
-            persona = data.get("persona")
             jurisdiction = data.get("jurisdiction")
         elif isinstance(data, str):
             description = data
@@ -313,7 +310,6 @@ def _load_scenario(args) -> Scenario | None:
         jurisdiction = args.jurisdiction
     return Scenario(
         description=description,
-        persona=persona,
         jurisdiction=JurisdictionId(jurisdiction) if jurisdiction else JurisdictionId.NONE,
     )
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from html.parser import HTMLParser
 
 FORMAT_PLAIN = "plain"
-FORMAT_MARKDOWN = "markdown"
 FORMAT_HTML = "html"
-FORMATS = (FORMAT_PLAIN, FORMAT_MARKDOWN, FORMAT_HTML)
+FORMATS = (FORMAT_PLAIN, FORMAT_HTML)
 
 _NUMBERED_LINE_RE = re.compile(r"^(\d+):(?: (.*))?$")
 
@@ -234,13 +233,8 @@ def ingest_path(path, format_hint: str | None = None, *, source_name: str | None
 
     p = Path(path)
     if format_hint is None:
-        suffix = p.suffix.lower()
-        if suffix in (".html", ".htm"):
-            format_hint = FORMAT_HTML
-        elif suffix in (".md", ".markdown"):
-            format_hint = FORMAT_MARKDOWN
-        else:
-            format_hint = FORMAT_PLAIN
+        is_html = p.suffix.lower() in (".html", ".htm")
+        format_hint = FORMAT_HTML if is_html else FORMAT_PLAIN
     return ingest(p.read_bytes(), source_name or p.name, format_hint,
                   first_line=first_line)
 

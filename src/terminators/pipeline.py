@@ -41,7 +41,14 @@ from .remediation import (
     status_for_label,
     advance,
 )
-from .terms import SchemaError, Term, TermStatus, term_from_json, term_to_json
+from .terms import (
+    SURVIVING_STATUSES,
+    SchemaError,
+    Term,
+    TermStatus,
+    term_from_json,
+    term_to_json,
+)
 from .verification import (
     DEFAULT_LOW_OVERLAP_THRESHOLD,
     VerificationResult,
@@ -49,8 +56,6 @@ from .verification import (
 )
 
 PHASES = ("ingested", "extracted", "verified", "remediated", "planned", "complete")
-
-SURVIVING_STATUSES = (TermStatus.VERIFIED_SUPPORTED, TermStatus.RESOURCED)
 
 REPORT_AUDIT = "audit_json"
 REPORT_PAPER = "paper_json"
@@ -113,11 +118,7 @@ class RunStore:
         return self.path(name).exists()
 
     def write_json(self, name: str, obj) -> None:
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        target = self.path(name)
-        tmp = target.with_name(f".{name}.{os.getpid()}.tmp")
-        tmp.write_text(json_dumps(obj), encoding="utf-8")
-        os.replace(tmp, target)
+        self.write_text(name, json_dumps(obj))
 
     def write_text(self, name: str, text: str) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -454,18 +455,6 @@ def resume(
     return _execute(run, backend, cache_dir)
 
 
-def _proposal_labels(run: AuditRun) -> dict[str, str]:
-    """Per term id, the label of its outcome's last verified proposal (the
-    first such outcome when a term has several)."""
-    labels = {}
-    for outcome in reversed(run.outcomes):
-        for entry in reversed(outcome.trail):
-            if entry.verification is not None:
-                labels[outcome.term_id] = entry.verification.label
-                break
-    return labels
-
-
 def emit_report(run: AuditRun, format: str) -> str:
     """Render a persisted run. audit_json is the full lifecycle record,
     paper_json is the compact three-field array of surviving terms, and
@@ -528,31 +517,20 @@ def emit_report(run: AuditRun, format: str) -> str:
         "",
         "## Surviving terms",
         "",
-        "| Term | Status | Label | Checks |",
-        "| --- | --- | --- | --- |",
+        "| Term | Status | Checks |",
+        "| --- | --- | --- |",
     ]
-    labels = {v.term_id: v.label for v in run.verifications}
-    proposal_labels = _proposal_labels(run)
     for term in surviving:
-        # The label backing the term's current source.
-        label = labels.get(term.term_id, "")
-        if term.status is TermStatus.RESOURCED:
-            label = proposal_labels.get(term.term_id, label)
         lines.append(
             f"| {cell(term.statement)} | {term.status.value} "
-            f"| {label} "
             f"| {checks_by_term.get(term.term_id, 0)} |"
         )
     lines.extend(["", "## Discarded terms", ""])
     if discarded:
-        lines.extend(["| Term | Label | Attempts |", "| --- | --- | --- |"])
-        attempts_by_term = {o.term_id: o.attempts for o in run.outcomes}
+        lines.extend(["| Term | Label |", "| --- | --- |"])
+        labels = {v.term_id: v.label for v in run.verifications}
         for term in discarded:
-            label = labels.get(term.term_id, "")
-            lines.append(
-                f"| {cell(term.statement)} | {label} "
-                f"| {attempts_by_term.get(term.term_id, 0)} |"
-            )
+            lines.append(f"| {cell(term.statement)} | {labels.get(term.term_id, '')} |")
     else:
         lines.append("None.")
     lines.extend(["", f"> {PLAN_DISCLAIMER}", ""])

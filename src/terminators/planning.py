@@ -18,12 +18,10 @@ from .documents import SourceDocument, resolve_span
 from .parsing import DEFAULT_WORKERS, map_ordered, run_request
 from .prompts import build_planner_request
 from .records import to_json
-from .terms import LifecycleError, Term, TermStatus, canonical_source_string
+from .terms import SURVIVING_STATUSES, LifecycleError, Term, canonical_source_string
 
 DEFAULT_MIN_CHECKS = 3
 MAX_CHECK_CHARS = 500
-
-PLANNABLE_STATUSES = (TermStatus.VERIFIED_SUPPORTED, TermStatus.RESOURCED)
 
 # The plans are observational aids, not legal analysis; every serialized
 # plan set carries this notice.
@@ -78,12 +76,11 @@ class PlanError(Exception):
 @dataclass(frozen=True)
 class Scenario:
     description: str
-    persona: str | None = None
     jurisdiction: JurisdictionId = JurisdictionId.NONE
 
     def __post_init__(self):
-        if not self.description or not self.description.strip():
-            raise ValueError("scenario description must be non-empty")
+        if not isinstance(self.description, str) or not self.description.strip():
+            raise ValueError("scenario description must be a non-empty string")
 
     @property
     def fingerprint(self) -> str:
@@ -131,7 +128,7 @@ def plan_term(
     for more; whatever count results is returned, with a shortfall warning
     rather than an error, since check count is a backend behavior.
     """
-    if term.status not in PLANNABLE_STATUSES:
+    if term.status not in SURVIVING_STATUSES:
         raise LifecycleError(
             f"term {term.term_id}: cannot plan for status {term.status.value}; "
             "only verified_supported or resourced terms are eligible"
@@ -202,7 +199,7 @@ def plan_all(
     notices: list[str] = []
     eligible: list[Term] = []
     for term in terms:
-        if term.status in PLANNABLE_STATUSES:
+        if term.status in SURVIVING_STATUSES:
             eligible.append(term)
         else:
             notices.append(

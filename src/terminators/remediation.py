@@ -76,7 +76,6 @@ def status_for_label(label: str) -> TermStatus:
 
 @dataclass(frozen=True)
 class TrailEntry:
-    attempt: int
     proposed: SourceRef | None
     verification: VerificationResult | None
     note: str
@@ -88,7 +87,6 @@ class RemediationOutcome:
     action: str
     old_source: SourceRef
     new_source: SourceRef | None
-    attempts: int
     trail: tuple[TrailEntry, ...]
 
 
@@ -213,7 +211,6 @@ def remediate(
             action=ACTION_KEPT,
             old_source=term.source,
             new_source=None,
-            attempts=0,
             trail=(),
         )
 
@@ -223,7 +220,6 @@ def remediate(
             action=ACTION_RESOURCED if new_source else ACTION_DISCARDED,
             old_source=term.source,
             new_source=new_source,
-            attempts=1,
             trail=(entry,),
         )
 
@@ -234,13 +230,11 @@ def remediate(
     except BackendError as exc:
         if not best_effort:
             raise
-        return outcome(TrailEntry(1, None, None, f"re-sourcing failed: {exc}"))
+        return outcome(TrailEntry(None, None, f"re-sourcing failed: {exc}"))
     if proposed is None:
-        return outcome(TrailEntry(1, None, None, "no span proposed"))
+        return outcome(TrailEntry(None, None, "no span proposed"))
     if proposed == term.source:
-        return outcome(
-            TrailEntry(1, proposed, None, "proposed an already tried span")
-        )
+        return outcome(TrailEntry(proposed, None, "proposed an already tried span"))
     try:
         verdict = verify_term(
             replace(term, source=proposed),
@@ -253,10 +247,8 @@ def remediate(
     except (VerifyError, BackendError) as exc:
         if not best_effort:
             raise
-        return outcome(
-            TrailEntry(1, proposed, None, f"verification failed: {exc}")
-        )
-    entry = TrailEntry(1, proposed, verdict, "")
+        return outcome(TrailEntry(proposed, None, f"verification failed: {exc}"))
+    entry = TrailEntry(proposed, verdict, "")
     if verdict.label == LABEL_SUPPORTED:
         return outcome(entry, proposed)
     return outcome(entry)

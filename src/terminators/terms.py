@@ -35,6 +35,10 @@ class TermStatus(enum.Enum):
     DISCARDED = "discarded"
 
 
+# The end states a term keeps: reported as surviving and eligible for plans.
+SURVIVING_STATUSES = (TermStatus.VERIFIED_SUPPORTED, TermStatus.RESOURCED)
+
+
 class Role(enum.Enum):
     USER = "user"
     PROVIDER = "provider"

@@ -147,7 +147,7 @@ def test_mismatch_detection_and_remediation():
     )
     resourced = remediate(term, result, doc, fixer)
     assert resourced.action == "resourced"
-    assert resourced.attempts == 1
+    assert len(resourced.trail) == 1
     assert (resourced.new_source.start_line, resourced.new_source.end_line) == (30, 30)
 
 

@@ -136,7 +136,7 @@ class TestStageChain:
         remediated = json.loads(s3.read_text(encoding="utf-8"))
         actions = [o["action"] for o in remediated["outcomes"]]
         assert actions == ["kept_supported"] * 3 + ["discarded"]
-        assert remediated["outcomes"][3]["attempts"] == 1
+        assert len(remediated["outcomes"][3]["trail"]) == 1
         assert remediated["outcomes"][3]["trail"][0]["note"] == "no span proposed"
         assert remediated["terms"][3]["status"] == "discarded"
 
@@ -244,9 +244,10 @@ class TestScenarioLoading:
         assert code == EXIT_OK
         return json.loads(out.read_text(encoding="utf-8"))
 
-    def test_text_and_json_scenarios_differ_in_fingerprint(
+    def test_text_and_json_scenarios_share_a_fingerprint(
         self, tmp_path, capsys
     ):
+        """The JSON scenario adds a "persona" key, which is not read."""
         from_text = self.plan_with(
             tmp_path, ["--scenario-file", str(SCENARIO_TXT)], capsys
         )
@@ -255,7 +256,7 @@ class TestScenarioLoading:
         )
         a = from_text["plans"][0]["scenario_fingerprint"]
         b = from_json["plans"][0]["scenario_fingerprint"]
-        assert a != b, "persona in the JSON scenario must change the fingerprint"
+        assert a == b
 
     def test_jurisdiction_flag_overrides(self, tmp_path, capsys):
         planned = self.plan_with(
@@ -266,6 +267,20 @@ class TestScenarioLoading:
         assert all(
             p["jurisdiction_used"] == "gdpr" for p in planned["plans"]
         )
+
+    def test_non_string_description_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"description": 5}))
+        code = main([
+            "run", str(copy_excerpt(tmp_path)),
+            "--backend", backend_arg("happy_run.json"),
+            "--scenario-file", str(scenario),
+            "--out", str(tmp_path / "runs"),
+        ])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "scenario description must be a non-empty string" in err
+        assert "Traceback" not in err
 
     def test_string_json_scenario(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -470,6 +485,9 @@ class TestExitCodes:
         assert exc.value.code == 1
         with pytest.raises(SystemExit) as exc:
             main(["extract", "x.txt", "--strategy", "bogus"])
+        assert exc.value.code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "tos.md", "--doc-format", "markdown"])
         assert exc.value.code == 1
         capsys.readouterr()
 

@@ -76,6 +76,8 @@ def test_ingest_rejects_non_utf8():
 def test_ingest_rejects_unknown_format_hint():
     with pytest.raises(ValueError):
         ingest(b"x\n", "a.txt", "pdf")
+    with pytest.raises(ValueError):
+        ingest(b"x\n", "a.md", "markdown")
 
 
 def test_html_ingestion_strips_tags_and_script():
@@ -113,6 +115,13 @@ def test_ingest_path_infers_format_from_extension(tmp_path):
     plain = tmp_path / "doc.txt"
     plain.write_bytes(b"<p>kept literally</p>\n")
     assert ingest_path(plain).text() == "<p>kept literally</p>"
+
+    # Markdown is plain text: the same bytes give the same document.
+    md = tmp_path / "doc.md"
+    md.write_bytes(plain.read_bytes())
+    from_md, from_txt = ingest_path(md), ingest_path(plain)
+    assert from_md.fingerprint == from_txt.fingerprint
+    assert from_md.lines == from_txt.lines
 
 
 def test_ingest_path_source_name_override(tmp_path):

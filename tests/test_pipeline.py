@@ -22,6 +22,7 @@ from helpers import (
 )
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.chunking import ChunkMode, ChunkStrategy
+from terminators.cli import main as cli_main
 from terminators.parsing import ExtractionConfig
 from terminators.pipeline import (
     REPORT_AUDIT,
@@ -35,7 +36,7 @@ from terminators.pipeline import (
     resume,
     run_pipeline,
 )
-from terminators.planning import PLAN_DISCLAIMER, Scenario
+from terminators.planning import PLAN_DISCLAIMER, JurisdictionId, Scenario
 from terminators.records import from_json, to_json
 from terminators.terms import TermStatus
 
@@ -88,7 +89,7 @@ class TestHappyRun:
     def test_remediation_all_kept(self, tmp_path):
         run = run_happy(tmp_path)
         assert all(o.action == "kept_supported" for o in run.outcomes)
-        assert all(o.attempts == 0 for o in run.outcomes)
+        assert all(o.trail == () for o in run.outcomes)
 
     def test_rerun_overwrites_same_directory(self, tmp_path):
         first = run_happy(tmp_path)
@@ -116,7 +117,6 @@ class TestMismatchRun:
             o for o in run.outcomes if o.term_id == dropped.term_id
         )
         assert outcome.action == "discarded"
-        assert outcome.attempts == 1
         assert [e.note for e in outcome.trail] == ["no span proposed"]
 
     def test_surviving_terms_planned_discarded_noticed(self, tmp_path):
@@ -255,6 +255,86 @@ class TestResume:
         assert exc.value.kind == "document_changed"
 
 
+class TestOlderRunDirectory:
+    """Run directories written before remediation outcomes dropped
+    `attempts` and `trail[].attempt`, and scenarios dropped `persona`.
+    Unknown record keys are ignored on load, so such a directory still
+    loads, reports and resumes, and what is written again omits them."""
+
+    OLD_KEYS = ("attempts", "attempt", "persona")
+
+    def old_format_run(self, out_root, *, phase="complete"):
+        """A mismatch run rewritten in the older format. Returns its
+        directory and the report.audit.json the current code wrote."""
+        run = run_pipeline(
+            ingest_excerpt(), happy_config(), mismatch_backend(), out_root
+        )
+        run_dir = run.store.run_dir
+
+        def rewrite(name, edit):
+            data = json.loads((run_dir / name).read_text(encoding="utf-8"))
+            edit(data)
+            (run_dir / name).write_text(json.dumps(data), encoding="utf-8")
+
+        def add_attempts(outcomes):
+            for outcome in outcomes:
+                outcome["attempts"] = len(outcome["trail"])
+                for i, entry in enumerate(outcome["trail"]):
+                    entry["attempt"] = i + 1
+
+        def add_persona(config):
+            config["scenario"]["persona"] = "university student"
+
+        audit = (run_dir / "report.audit.json").read_bytes()
+        rewrite("remediation.json", lambda r: add_attempts(r["outcomes"]))
+        rewrite("report.audit.json", lambda r: (
+            add_attempts(r["remediation"]), add_persona(r["config"])))
+        rewrite("run.json", lambda h: (
+            add_persona(h["config"]), h.update(phase=phase)))
+        return run_dir, audit
+
+    def keys_in(self, data) -> set[str]:
+        if isinstance(data, dict):
+            return set(data).union(*(self.keys_in(v) for v in data.values()))
+        if isinstance(data, list):
+            return set().union(*(self.keys_in(v) for v in data))
+        return set()
+
+    def test_load_and_report(self, tmp_path):
+        run_dir, audit = self.old_format_run(tmp_path)
+        stored = json.loads((run_dir / "report.audit.json").read_text(encoding="utf-8"))
+        assert set(self.OLD_KEYS) <= self.keys_in(stored)
+        run = load_run(run_dir)
+        assert run.phase == "complete"
+        assert run.config.scenario == happy_config().scenario
+        assert [len(o.trail) for o in run.outcomes] == [0, 0, 0, 1]
+        out = tmp_path / "report.audit.json"
+        assert cli_main(["report", str(run_dir), "--out", str(out)]) == 0
+        assert out.read_bytes() == audit
+        written = json.loads(audit.decode("utf-8"))
+        assert self.keys_in(written).isdisjoint(self.OLD_KEYS)
+
+    def test_resume(self, tmp_path):
+        run_dir, _ = self.old_format_run(tmp_path / "old", phase="remediated")
+        for name in ("plans.json", "report.audit.json", "report.paper.json",
+                     "report.md"):
+            (run_dir / name).unlink()
+        resumed = resume(run_dir, mismatch_backend())
+        assert resumed.phase == "complete"
+        audit = json.loads((run_dir / "report.audit.json").read_text(encoding="utf-8"))
+        assert self.keys_in(audit).isdisjoint(self.OLD_KEYS)
+        clean = run_pipeline(
+            ingest_excerpt(), happy_config(), mismatch_backend(),
+            tmp_path / "clean",
+        )
+        for name in RUN_FILES:
+            if name == "remediation.json":
+                continue  # left in the older format: resume does not rewrite it
+            assert (run_dir / name).read_bytes() == clean.store.path(
+                name
+            ).read_bytes(), f"{name} differs after resume"
+
+
 class TestResourcedThroughPipeline:
     """Full-document run over the raw fixture where the only extracted term
     cites the wrong line; remediation must re-source it to line 30."""
@@ -320,11 +400,7 @@ class TestResourcedThroughPipeline:
         assert paper[0]["source"] == f"{RAW_NAME}:30"
 
         markdown = emit_report(run, REPORT_MARKDOWN)
-        row = next(
-            line for line in markdown.splitlines()
-            if line.startswith("|") and "resourced" in line
-        )
-        assert "Supported" in row, "label comes from the resourced trail"
+        assert f"| {term.statement} | resourced | 0 |" in markdown.splitlines()
 
     def test_no_scenario_notice(self, tmp_path):
         run = self.run(tmp_path)
@@ -360,7 +436,9 @@ class TestReports:
         assert markdown.startswith("# Accountability audit: OpenAI_ToS.txt")
         assert "4 terms extracted, 3 surviving, 1 discarded." in markdown
         assert "## Surviving terms" in markdown
+        assert "| Term | Status | Checks |" in markdown
         assert "## Discarded terms" in markdown
+        assert "| Term | Label |" in markdown
         assert f"> {PLAN_DISCLAIMER}" in markdown
         surviving_rows = [
             line
@@ -382,7 +460,7 @@ class TestRunConfig:
                 ChunkStrategy(ChunkMode.SECTION_BY_SECTION), aspects=("privacy",)
             ),
             threshold=0.5,
-            scenario=Scenario("desc", persona="p"),
+            scenario=Scenario("desc", jurisdiction=JurisdictionId.GDPR),
         )
         assert from_json(RunConfig, to_json(config)) == config
 

@@ -29,7 +29,7 @@ from terminators.records import from_json, to_json
 from terminators.remediation import advance
 from terminators.terms import LifecycleError, TermStatus, validate_term
 
-STUDENT = Scenario(description=STUDENT_SCENARIO, persona="university student")
+STUDENT = Scenario(description=STUDENT_SCENARIO)
 
 
 def listing3_term(excerpt_doc, index=0, status=TermStatus.VERIFIED_SUPPORTED):
@@ -52,26 +52,20 @@ class TestScenario:
     def test_description_required(self):
         with pytest.raises(ValueError):
             Scenario(description="   ")
+        with pytest.raises(ValueError, match="string"):
+            Scenario(description=5)
 
     def test_fingerprint_sensitivity(self):
         base = STUDENT.fingerprint
-        assert Scenario(STUDENT_SCENARIO, persona="university student").fingerprint == base
+        assert Scenario(STUDENT_SCENARIO).fingerprint == base
         assert Scenario("different scenario").fingerprint != base
-        assert Scenario(STUDENT_SCENARIO, persona="auditor").fingerprint != base
         assert (
-            Scenario(
-                STUDENT_SCENARIO,
-                persona="university student",
-                jurisdiction=JurisdictionId.GDPR,
-            ).fingerprint
+            Scenario(STUDENT_SCENARIO, jurisdiction=JurisdictionId.GDPR).fingerprint
             != base
         )
 
     def test_json_round_trip(self):
-        scenario = Scenario(
-            STUDENT_SCENARIO, persona="university student",
-            jurisdiction=JurisdictionId.CCPA,
-        )
+        scenario = Scenario(STUDENT_SCENARIO, jurisdiction=JurisdictionId.CCPA)
         assert from_json(Scenario, to_json(scenario)) == scenario
 
     def test_jurisdiction_defaults_to_none(self):

@@ -66,15 +66,15 @@ def random_outcome(rng: random.Random) -> RemediationOutcome:
     old = random_ref(rng)
     action = rng.choice((ACTION_KEPT, ACTION_RESOURCED, ACTION_DISCARDED))
     if action == ACTION_KEPT:
-        return RemediationOutcome(term_id, action, old, None, 0, ())
+        return RemediationOutcome(term_id, action, old, None, ())
     proposed = rng.choice((None, random_ref(rng)))
     verdict = None if proposed is None else rng.choice((None, random_verification(rng)))
     if action == ACTION_RESOURCED:
         proposed = random_ref(rng)
         verdict = random_verification(rng)
-    entry = TrailEntry(1, proposed, verdict, rng.choice(("", "no span proposed")))
+    entry = TrailEntry(proposed, verdict, rng.choice(("", "no span proposed")))
     new = proposed if action == ACTION_RESOURCED else None
-    return RemediationOutcome(term_id, action, old, new, 1, (entry,))
+    return RemediationOutcome(term_id, action, old, new, (entry,))
 
 
 def random_run_config(rng: random.Random) -> RunConfig:
@@ -83,7 +83,7 @@ def random_run_config(rng: random.Random) -> RunConfig:
     aspects = rng.choice((None, ("privacy",), ("user obligations", "fees")))
     scenario = rng.choice((
         None,
-        Scenario("I store coursework.", persona=rng.choice((None, "student")),
+        Scenario("I store coursework.",
                  jurisdiction=rng.choice(list(JurisdictionId))),
     ))
     return RunConfig(
@@ -157,18 +157,15 @@ class TestLayout:
             action=ACTION_RESOURCED,
             old_source=SourceRef("ToS.txt", 28, 28),
             new_source=SourceRef("ToS.txt", 30, 31),
-            attempts=1,
-            trail=(TrailEntry(1, SourceRef("ToS.txt", 30, 31), verdict, ""),),
+            trail=(TrailEntry(SourceRef("ToS.txt", 30, 31), verdict, ""),),
         )
         assert layout(to_json(outcome)) == layout({
             "term_id": "t1",
             "action": "resourced",
             "old_source": "ToS.txt:28",
             "new_source": "ToS.txt:30-31",
-            "attempts": 1,
             "trail": [
                 {
-                    "attempt": 1,
                     "proposed": "ToS.txt:30-31",
                     "verification": {
                         "term_id": "t1",
@@ -212,7 +209,6 @@ class TestLayout:
             "backend_id": "scripted",
             "scenario": {
                 "description": "desc",
-                "persona": None,
                 "jurisdiction": "gdpr",
             },
         })
@@ -225,7 +221,7 @@ class TestCompatibility:
             "threshold": 0.5,
             "workers": 8,
             "max_attempts": 2,
-            "scenario": {"description": "d"},
+            "scenario": {"description": "d", "persona": "student"},
         }
         assert from_json(RunConfig, data) == RunConfig(
             extraction=ExtractionConfig(ChunkStrategy(ChunkMode.PARAGRAPH)),
@@ -247,7 +243,7 @@ class TestCompatibility:
           "verifier_prompt_fingerprint": None},
          "lexical_score: expected a number"),
         (TrailEntry,
-         {"attempt": 1, "proposed": "nowhere", "verification": None, "note": ""},
+         {"proposed": "nowhere", "verification": None, "note": ""},
          "proposed: .*unparseable source"),
         (Scenario, {"description": "d", "jurisdiction": "mars"}, "jurisdiction"),
         (ChunkStrategy, {"mode": "paragraph", "max_chunk_lines": True},

@@ -244,7 +244,6 @@ class TestRemediate:
         result = verify_term(term, raw_doc, backend)
         outcome = remediate(term, result, raw_doc, ScriptedBackend([]))
         assert outcome.action == ACTION_KEPT
-        assert outcome.attempts == 0
         assert outcome.trail == ()
         assert outcome.new_source is None
 
@@ -253,12 +252,10 @@ class TestRemediate:
         result = self.unverifiable_result(term, raw_doc)
         outcome = remediate(term, result, raw_doc, resourced_backend())
         assert outcome.action == ACTION_RESOURCED
-        assert outcome.attempts == 1
         assert (outcome.new_source.start_line, outcome.new_source.end_line) == (30, 30)
         assert (outcome.old_source.start_line, outcome.old_source.end_line) == (28, 28)
         assert len(outcome.trail) == 1
         entry = outcome.trail[0]
-        assert entry.attempt == 1
         assert entry.verification.label == LABEL_SUPPORTED
         assert entry.note == ""
 
@@ -271,7 +268,6 @@ class TestRemediate:
         )
         outcome = remediate(term, result, raw_doc, backend)
         assert outcome.action == ACTION_DISCARDED
-        assert outcome.attempts == 1
         assert outcome.new_source is None
         assert [e.note for e in outcome.trail] == ["no span proposed"]
 
@@ -285,7 +281,6 @@ class TestRemediate:
         )
         outcome = remediate(term, result, raw_doc, backend)
         assert outcome.action == ACTION_DISCARDED
-        assert outcome.attempts == 1
         assert len(outcome.trail) == 1
         assert outcome.trail[0].proposed.start_line == 30
         assert outcome.trail[0].verification.label == LABEL_UNVERIFIABLE
@@ -337,7 +332,6 @@ class TestRemediate:
             term, result, raw_doc, backend, use_llm_resource=False
         )
         assert outcome.action == ACTION_DISCARDED
-        assert outcome.attempts == 1
         (entry,) = outcome.trail
         assert entry.proposed == term.source
         assert entry.verification is None
@@ -377,7 +371,7 @@ class TestRemediate:
             term, result, raw_doc, ScriptedBackend([]), best_effort=True
         )
         assert outcome.action == ACTION_DISCARDED
-        assert outcome.attempts == 1
+        assert len(outcome.trail) == 1
         assert outcome.trail[0].note.startswith("re-sourcing failed:")
 
     def test_best_effort_verify_failure_noted(self, raw_doc):
@@ -419,7 +413,6 @@ class TestApplyOutcome:
             action=ACTION_DISCARDED,
             old_source=term.source,
             new_source=None,
-            attempts=1,
             trail=(),
         )
         assert apply_outcome(verified, outcome).status is TermStatus.DISCARDED
@@ -431,7 +424,6 @@ class TestApplyOutcome:
             action=ACTION_KEPT,
             old_source=term.source,
             new_source=None,
-            attempts=0,
             trail=(),
         )
         kept = apply_outcome(
@@ -448,7 +440,6 @@ class TestApplyOutcome:
             action=ACTION_DISCARDED,
             old_source=term.source,
             new_source=None,
-            attempts=1,
             trail=(),
         )
         with pytest.raises(ValueError, match="does not belong"):
