@@ -80,12 +80,18 @@ class BackendRequest:
             raise ValueError("max_output_tokens must be positive")
 
     @cached_property
+    def as_dict(self) -> dict:
+        """The request as a plain dict: what the fingerprint hashes and what
+        a cache entry stores. Built once per request: the dataclass is
+        frozen, and dataclasses.replace builds a new request."""
+        return asdict(self)
+
+    @cached_property
     def request_fingerprint(self) -> str:
         """Deterministic digest of the request content; cache key and script
         matcher target. Contains no credential material. Computed once per
-        request: the dataclass is frozen, and dataclasses.replace builds a
-        new request with its own digest."""
-        payload = json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
+        request."""
+        payload = json.dumps(self.as_dict, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -150,6 +156,10 @@ def extract_structured_value(raw_text: str, schema: str):
         except json.JSONDecodeError:
             pos = idx + 1
             continue
+        except RecursionError:
+            raise ValueError(
+                f"JSON value at offset {idx} is nested too deeply"
+            ) from None
         candidates.append(value)
         pos = end
 
@@ -276,12 +286,25 @@ def load_script(path) -> ScriptedBackend:
     return ScriptedBackend(entries)
 
 
+def _retry_after_s(resp) -> float:
+    """Seconds a 429 or 503 response asks the client to wait before the
+    next attempt (its Retry-After header in the delta-seconds form), or 0."""
+    if resp.status_code not in (429, 503):
+        return 0.0
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except (TypeError, ValueError):
+        return 0.0
+    return seconds if 0.0 <= seconds < float("inf") else 0.0
+
+
 class LiveBackend(Backend):
     """Chat-completion HTTP client.
 
     The credential is read from an environment variable at call time and
     never logged or embedded in fingerprints. Transient failures (429, 5xx,
-    timeouts) retry with exponential backoff. Calls in flight are bounded by
+    timeouts) retry with exponential backoff; a 429 or 503 that carries
+    Retry-After waits at least that long. Calls in flight are bounded by
     the caller's worker count (parsing.map_ordered), not here.
     """
 
@@ -323,9 +346,12 @@ class LiveBackend(Backend):
         headers = {"Authorization": f"Bearer {api_key}"}
 
         last_failure = "no attempt made"
+        retry_after_s = 0.0
         for attempt in range(self.max_attempts):
             if attempt:
-                time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+                time.sleep(max(self.backoff_base_s * (2 ** (attempt - 1)),
+                               retry_after_s))
+                retry_after_s = 0.0
             started = time.monotonic()
             try:
                 resp = requests.post(
@@ -345,6 +371,7 @@ class LiveBackend(Backend):
                                            f"(HTTP {resp.status_code})")
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_failure = f"HTTP {resp.status_code}"
+                retry_after_s = _retry_after_s(resp)
                 log.warning("backend attempt %d/%d failed: %s",
                             attempt + 1, self.max_attempts, last_failure)
                 continue
@@ -370,14 +397,39 @@ class LiveBackend(Backend):
         )
 
 
+# Per thread: the callable complete() runs just before a request goes to
+# the backend. parsing.map_ordered installs one to start its helper threads
+# only once a job has a backend wait ahead of it.
+_wait_hooks = threading.local()
+
+
+def install_wait_hook(hook):
+    """Make `hook` (a no-argument callable, or None) the calling thread's
+    wait hook; returns the hook it replaces, for the caller to restore."""
+    previous = getattr(_wait_hooks, "hook", None)
+    _wait_hooks.hook = hook
+    return previous
+
+
+def announce_wait() -> None:
+    """Run the calling thread's wait hook, if any: a request is about to
+    go to the backend."""
+    hook = getattr(_wait_hooks, "hook", None)
+    if hook is not None:
+        hook()
+
+
 def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
     """One generation with structured output, allowing a single retry that
-    restates the format when the first response does not parse."""
+    restates the format when the first response does not parse. Every
+    backend call goes through here, each announced to the wait hook."""
+    announce_wait()
     resp = backend.generate(req)
     if resp.parsed is not None:
         return resp
     reminder = FORMAT_REMINDERS[req.response_schema]
     retry_req = replace(req, user_prompt=req.user_prompt + "\n\n" + reminder)
+    announce_wait()
     retry = backend.generate(retry_req)
     if retry.parsed is not None:
         return retry
@@ -390,7 +442,7 @@ def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
 
 def _response_to_cache_entry(req: BackendRequest, resp: BackendResponse) -> dict:
     return {
-        "request": asdict(req),
+        "request": req.as_dict,
         "response": {
             "raw_text": resp.raw_text,
             "usage": resp.usage,
@@ -408,8 +460,9 @@ def cached_complete(backend: Backend, req: BackendRequest,
     the stored raw text without touching the backend, so a cache populated
     by a live run makes later runs backend-free. A missing entry is a plain
     miss. Other cache trouble degrades to an uncached call with a warning,
-    never an error: an entry that does not read, or whose stored text does
-    not fit the request's schema, counts as a miss and is overwritten.
+    never an error: an entry that does not read (nested too deeply to decode
+    included), or whose stored text does not fit the request's schema,
+    counts as a miss and is overwritten.
     """
     cache_path = Path(cache_dir) / f"{req.request_fingerprint}.json"
     try:
@@ -430,7 +483,7 @@ def cached_complete(backend: Backend, req: BackendRequest,
                     cache_path.name, req.response_schema, resp.parse_error)
     except FileNotFoundError:
         pass
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         log.warning("unreadable cache entry %s: %s", cache_path.name, exc)
 
     resp = complete(backend, req)

@@ -11,7 +11,13 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 
-from .backends import Backend, BackendError, cached_complete, complete
+from .backends import (
+    Backend,
+    BackendError,
+    cached_complete,
+    complete,
+    install_wait_hook,
+)
 from .chunking import Chunk, ChunkMode, ChunkStrategy, chunk as chunk_document
 from .documents import SourceDocument, render_numbered
 from .prompts import PROMPT_VERSION, build_parser_request
@@ -77,16 +83,19 @@ def map_ordered(fn, items, workers: int) -> list:
     """fn over items on the calling thread plus up to `workers` - 1 helper
     threads, results in input order, so output does not depend on thread
     scheduling. Each thread claims the next unclaimed index until none is
-    left. Every job runs to completion; then the first failure in input
-    order is raised. Empty input, workers <= 1 and one item start no
-    thread. An interrupt stops further claims, waits for the helpers'
-    current jobs and propagates."""
+    left. Helpers pay only while a job waits on the backend, so they start
+    when a job on the calling thread first announces a backend call
+    (backends.announce_wait); a phase served wholly from the cache runs on
+    the calling thread alone. Every job runs to completion; then the first
+    failure in input order is raised. An interrupt stops further claims,
+    waits for the started helpers' current jobs and propagates."""
     items = list(items)
     results = [None] * len(items)
     failures: list[BaseException | None] = [None] * len(items)
     # next() on a count is atomic under the GIL: no index is claimed twice.
     claims = itertools.count()
     stopped = False
+    helpers: list[threading.Thread] = []
 
     def drain():
         nonlocal stopped
@@ -103,18 +112,23 @@ def map_ordered(fn, items, workers: int) -> list:
                 stopped = True
                 raise
 
-    helpers = [
-        threading.Thread(target=drain)
-        for _ in range(min(workers, len(items)) - 1)
-    ]
-    for helper in helpers:
-        helper.start()
+    def start_helpers():
+        while len(helpers) < min(workers, len(items)) - 1:
+            helper = threading.Thread(target=drain)
+            helper.start()
+            helpers.append(helper)
+        # An enclosing map_ordered on this thread has a wait ahead too.
+        if outer is not None:
+            outer()
+
+    outer = install_wait_hook(start_helpers)
     try:
         drain()
     except BaseException:
         stopped = True
         raise
     finally:
+        install_wait_hook(outer)
         for helper in helpers:
             helper.join()
     for failure in failures:

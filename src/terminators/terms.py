@@ -105,9 +105,10 @@ def parse_source_string(source: str) -> SourceRef:
     m = SOURCE_RE.match(source)
     if m is None:
         raise SchemaError("source_format", f"unparseable source {source!r}")
-    start = int(m.group("start"))
-    end = int(m.group("end")) if m.group("end") else start
     try:
+        # int() refuses digit strings past the interpreter's length limit.
+        start = int(m.group("start"))
+        end = int(m.group("end")) if m.group("end") else start
         return SourceRef(m.group("name"), start, end)
     except ValueError as exc:
         raise SchemaError("source_range", f"{source!r}: {exc}") from exc

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from pathlib import Path
 
 from terminators.backends import (
@@ -64,6 +65,19 @@ def ingest_raw() -> SourceDocument:
 def ingest_doc_text(text: str, name: str = "Inline.txt",
                     first_line: int = 1) -> SourceDocument:
     return ingest(text.encode("utf-8"), name, first_line=first_line)
+
+
+def record_thread_starts(monkeypatch) -> list:
+    """Threads started from now on, in start order."""
+    started = []
+    real_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
 
 
 def response_text(name: str) -> str:

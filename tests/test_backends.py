@@ -7,6 +7,7 @@ import logging
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import response_text, scripted, SCRIPTS
 from terminators.backends import (
@@ -145,6 +146,36 @@ class TestExtractStructuredValue:
     def test_empty_array_is_valid_term_list(self):
         assert extract_structured_value("[]", SCHEMA_TERM_LIST) == []
 
+    @pytest.mark.parametrize("opener", ["[", '{"a": '])
+    def test_too_deep_nesting_is_a_value_error(self, opener):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            extract_structured_value(opener * 100_000, SCHEMA_TERM_LIST)
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=20),
+                st.sampled_from(
+                    ["[", "]", "{", "}", '"', ":", ",", "```json\n",
+                     '{"verification": "Supported", "justification": "x"}',
+                     '[{"term": "t", "source": "a.txt:1", '
+                     '"applicable_to": ["user"]}]',
+                     '{"possible_accountability_checks": ["c"]}']
+                ),
+            ),
+            max_size=12,
+        ).map("".join),
+        st.sampled_from([SCHEMA_TERM_LIST, SCHEMA_VERIFICATION, SCHEMA_PLAN]),
+    )
+    def test_any_text_gives_a_value_or_a_value_error(self, raw, schema):
+        try:
+            value = extract_structured_value(raw, schema)
+        except ValueError:
+            return
+        assert isinstance(value, (list, dict))
+
 
 class TestScriptedBackend:
     def test_first_matching_entry_wins(self):
@@ -231,6 +262,14 @@ class TestComplete:
         with pytest.raises(BackendError) as exc:
             complete(backend, make_request())
         assert exc.value.kind == "malformed_output"
+        assert len(backend.calls) == 2
+
+    def test_too_deep_output_is_malformed(self):
+        backend = ScriptedBackend([ScriptEntry("water", "[" * 100_000)])
+        with pytest.raises(BackendError) as exc:
+            complete(backend, make_request())
+        assert exc.value.kind == "malformed_output"
+        assert "nested too deeply" in str(exc.value)
         assert len(backend.calls) == 2
 
 
@@ -328,6 +367,28 @@ class TestCachedComplete:
         assert json.loads(cache_file.read_text()) == entry
         assert cache_file.name in caplog.text
 
+    @pytest.mark.parametrize(
+        "deep_entry",
+        [
+            "[" * 100_000,
+            '{"response": {"raw_text": "' + "[" * 100_000 + '"}}',
+        ],
+        ids=["entry-too-deep", "raw-text-too-deep"],
+    )
+    def test_too_deep_entry_is_a_miss(self, tmp_path, caplog, deep_entry):
+        backend = scripted(("water", "supported_verification.json"))
+        req = make_request()
+        cache_file = tmp_path / f"{req.request_fingerprint}.json"
+        cache_file.write_text(deep_entry)
+        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
+            resp = cached_complete(backend, req, tmp_path)
+        assert resp.parsed["verification"] == "Supported"
+        assert len(backend.calls) == 1, "a too-deep entry must reach the backend"
+        assert json.loads(cache_file.read_text())["response"]["raw_text"] == (
+            resp.raw_text
+        )
+        assert cache_file.name in caplog.text
+
     def test_cold_miss_logs_no_warning(self, tmp_path, caplog):
         backend = scripted(("water", "supported_verification.json"))
         with caplog.at_level(logging.WARNING, logger="terminators.backends"):
@@ -359,10 +420,11 @@ class TestCachedComplete:
 
 
 class _FakeResponse:
-    def __init__(self, status_code, body=None, text=""):
+    def __init__(self, status_code, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._body is None:
@@ -428,6 +490,28 @@ class TestLiveBackend:
         resp = self.make().generate(make_request())
         assert resp.parsed["verification"] == "Supported"
         assert responses == []
+
+    def test_retry_after_sets_the_least_wait(self, monkeypatch):
+        monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")
+        responses = [
+            _FakeResponse(429, headers={"Retry-After": "7"}),
+            _FakeResponse(503, headers={"Retry-After": "0.5"}),
+            _FakeResponse(500, headers={"Retry-After": "9"}),
+            _FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            _FakeResponse(503, headers={"Retry-After": "-3"}),
+            _FakeResponse(200, _chat_body('{"verification": "Supported", "justification": "ok"}')),
+        ]
+        slept = []
+        monkeypatch.setattr("requests.post", lambda *a, **k: responses.pop(0))
+        monkeypatch.setattr("time.sleep", slept.append)
+        resp = self.make(backoff_base_s=1.0, max_attempts=6).generate(
+            make_request()
+        )
+        assert resp.parsed["verification"] == "Supported"
+        # Backoff is 1, 2, 4, 8, 16 s. Only a 429 or 503 with a delta-seconds
+        # Retry-After can stretch it: 7 > 1 does, 0.5 < 2 does not, and a
+        # 500, a date or a negative value leave the backoff alone.
+        assert slept == [7.0, 2.0, 4.0, 8.0, 16.0]
 
     def test_exhausted_retries_raise_transient(self, monkeypatch):
         monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")

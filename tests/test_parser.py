@@ -9,8 +9,24 @@ import time
 
 import pytest
 
-from helpers import EXCERPT_NAME, GOLDEN, response_text, scripted
-from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
+from helpers import (
+    EXCERPT_NAME,
+    GOLDEN,
+    record_thread_starts,
+    response_text,
+    scripted,
+)
+from terminators.backends import (
+    SCHEMA_VERIFICATION,
+    Backend,
+    BackendError,
+    BackendRequest,
+    BackendResponse,
+    ScriptEntry,
+    ScriptedBackend,
+    announce_wait,
+    install_wait_hook,
+)
 from terminators.chunking import ChunkMode, ChunkStrategy, chunk as chunk_document
 from terminators.documents import render_numbered
 from terminators.terms import term_to_json
@@ -20,6 +36,7 @@ from terminators.parsing import (
     extract_chunk,
     extract_document,
     map_ordered,
+    run_request,
 )
 from terminators.prompts import build_parser_request
 from terminators.records import from_json, to_json
@@ -264,12 +281,17 @@ class TestDeterminism:
 
 
 class TestMapOrdered:
+    """Helpers start when a job on the calling thread announces a backend
+    call, so jobs that stand in for backend waits call announce_wait()
+    before they block."""
+
     WAIT_S = 5
 
     def test_keeps_input_order_when_later_items_finish_first(self):
         done = {i: threading.Event() for i in range(3)}
 
         def job(i):
+            announce_wait()
             # Each item waits for every later one, so they finish 2, 1, 0.
             for later in range(i + 1, 3):
                 assert done[later].wait(self.WAIT_S)
@@ -283,6 +305,7 @@ class TestMapOrdered:
         finished = []
 
         def job(i):
+            announce_wait()
             if i == 1:
                 assert second_failed.wait(self.WAIT_S)
                 raise ValueError("item 1")
@@ -299,22 +322,114 @@ class TestMapOrdered:
     def test_empty_input_starts_no_pool_and_workers_clamp_to_one(
         self, monkeypatch
     ):
-        started = []
-        real_start = threading.Thread.start
+        started = record_thread_starts(monkeypatch)
 
-        def recording_start(thread):
-            started.append(thread)
-            real_start(thread)
+        def job(x):
+            announce_wait()
+            return str(x)
 
-        monkeypatch.setattr(threading.Thread, "start", recording_start)
-        assert map_ordered(str, [], workers=4) == []
-        assert map_ordered(str, iter([1, 2]), workers=0) == ["1", "2"]
-        assert map_ordered(str, [3], workers=-2) == ["3"]
-        assert map_ordered(str, [4, 5], workers=1) == ["4", "5"]
+        assert map_ordered(job, [], workers=4) == []
+        assert map_ordered(job, iter([1, 2]), workers=0) == ["1", "2"]
+        assert map_ordered(job, [3], workers=-2) == ["3"]
+        assert map_ordered(job, [4, 5], workers=1) == ["4", "5"]
         assert started == []
         # The calling thread is one of the workers; there are only 2 items.
-        assert map_ordered(str, [6, 7], workers=4) == ["6", "7"]
+        assert map_ordered(job, [6, 7], workers=4) == ["6", "7"]
         assert len(started) == 1
+
+    def test_jobs_that_never_reach_a_backend_start_no_thread(
+        self, monkeypatch
+    ):
+        started = record_thread_starts(monkeypatch)
+        caller = threading.get_ident()
+        assert map_ordered(
+            lambda _: threading.get_ident(), range(5), workers=4
+        ) == [caller] * 5
+        assert started == []
+
+    def test_helpers_start_at_the_first_miss_after_hits(
+        self, tmp_path, monkeypatch
+    ):
+        started = record_thread_starts(monkeypatch)
+        starts_at_each_call = []
+
+        class Echo(Backend):
+            """Supported, with the request's own prompt as justification."""
+
+            def generate(self, req):
+                starts_at_each_call.append(len(started))
+                raw = json.dumps({"verification": "Supported",
+                                  "justification": req.user_prompt})
+                return BackendResponse(raw, json.loads(raw), None, {}, 0.0,
+                                       "echo")
+
+        reqs = [
+            BackendRequest("You label statements.", f"Statement {i}.",
+                           SCHEMA_VERIFICATION)
+            for i in range(12)
+        ]
+        backend = Echo()
+        for req in reqs[:3]:
+            run_request(backend, req, tmp_path)
+        starts_at_each_call.clear()
+        caller = threading.get_ident()
+        seen = []
+
+        def job(req):
+            seen.append((req.user_prompt, threading.get_ident(), len(started)))
+            return run_request(backend, req, tmp_path).parsed["justification"]
+
+        out = map_ordered(job, reqs, workers=3)
+        assert out == [req.user_prompt for req in reqs]
+        # The three hits and the first miss ran on the calling thread with
+        # no helper, and both helpers started before that miss reached the
+        # backend.
+        assert seen[:4] == [(f"Statement {i}.", caller, 0) for i in range(4)]
+        assert starts_at_each_call[0] == 2
+        assert len(started) == 2
+        assert len(starts_at_each_call) == 9
+
+    def test_interrupt_before_any_helper_starts_propagates(
+        self, monkeypatch
+    ):
+        started = record_thread_starts(monkeypatch)
+        outer_fired = []
+
+        def job(i):
+            if i == 1:
+                raise KeyboardInterrupt
+            return i
+
+        assert install_wait_hook(lambda: outer_fired.append(1)) is None
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                map_ordered(job, range(5), workers=4)
+            assert started == []
+            # The enclosing hook is back in place and never fired.
+            assert outer_fired == []
+            announce_wait()
+            assert outer_fired == [1]
+        finally:
+            install_wait_hook(None)
+
+    def test_a_nested_wait_starts_the_enclosing_helpers_too(
+        self, monkeypatch
+    ):
+        started = record_thread_starts(monkeypatch)
+
+        def inner_job(i):
+            announce_wait()
+            return i
+
+        def outer_job(i):
+            return map_ordered(inner_job, [i, i + 1], workers=2)
+
+        assert map_ordered(outer_job, range(3), workers=2) == [
+            [0, 1], [1, 2], [2, 3]
+        ]
+        # One helper per inner call, plus the outer helper, which the first
+        # inner call on the calling thread started through the chain.
+        assert len(started) == 4
 
     def test_workers_one_runs_every_job_on_the_calling_thread(self):
         caller = threading.get_ident()
@@ -330,6 +445,7 @@ class TestMapOrdered:
         ran = []
 
         def job(i):
+            announce_wait()
             if threading.get_ident() == caller:
                 assert helper_busy.wait(self.WAIT_S)
                 interrupted.set()
@@ -353,7 +469,9 @@ class TestMapOrdered:
         sys.setswitchinterval(1e-6)
         try:
             out = map_ordered(
-                lambda i: ran.append(i) or 2 * i, range(2000), workers=8
+                lambda i: announce_wait() or ran.append(i) or 2 * i,
+                range(2000),
+                workers=8,
             )
         finally:
             sys.setswitchinterval(interval)

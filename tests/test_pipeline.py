@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import threading
 from dataclasses import replace
 from datetime import datetime
 
@@ -18,9 +20,15 @@ from helpers import (
     ingest_excerpt,
     ingest_raw,
     mismatch_backend,
+    record_thread_starts,
     scripted,
 )
-from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
+from terminators.backends import (
+    Backend,
+    BackendError,
+    ScriptEntry,
+    ScriptedBackend,
+)
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.cli import main as cli_main
 from terminators.parsing import ExtractionConfig
@@ -175,6 +183,52 @@ class TestDeterminism:
             "ingested", "extracted", "verified", "remediated", "planned",
             "complete",
         ]
+
+
+class PairedStartBackend(Backend):
+    """Holds each of its first two requests until both are in flight, so a
+    run that sends its backend calls one at a time fails at the first."""
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.barrier = threading.Barrier(2)
+        self.arrivals = itertools.count()
+
+    def generate(self, req):
+        if next(self.arrivals) < 2:
+            self.barrier.wait(timeout=5)
+        return self.inner.generate(req)
+
+
+class TestThreads:
+    """Helper threads start only once a request reaches the backend."""
+
+    def test_warm_rerun_starts_no_thread_and_matches_cold(
+        self, tmp_path, monkeypatch
+    ):
+        config = replace(happy_config(), workers=4)
+        cache = tmp_path / "cache"
+        cold = run_pipeline(ingest_excerpt(), config, mismatch_backend(),
+                            tmp_path / "cold", cache_dir=cache)
+        started = record_thread_starts(monkeypatch)
+        # Strict and empty: any backend call would raise.
+        warm = run_pipeline(ingest_excerpt(), config, ScriptedBackend([]),
+                            tmp_path / "warm", cache_dir=cache)
+        assert started == []
+        assert warm.phase == "complete"
+        for name in RUN_FILES:
+            assert warm.store.path(name).read_bytes() == (
+                cold.store.path(name).read_bytes()
+            ), f"{name} differs between the cold and the warm run"
+
+    def test_cold_misses_overlap(self, tmp_path):
+        backend = PairedStartBackend(mismatch_backend())
+        config = replace(happy_config(), workers=2)
+        run = run_pipeline(ingest_excerpt(), config, backend, tmp_path,
+                           cache_dir=tmp_path / "cache")
+        assert run.phase == "complete"
+        assert not backend.barrier.broken
 
 
 class TestResume:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import ingest_excerpt, ingest_raw
 from terminators.documents import SourceRef
@@ -58,6 +59,36 @@ class TestSourceStrings:
         assert canonical_source_string(SourceRef("a.txt", 5, 5)) == "a.txt:5"
         ref = SourceRef("b.txt", 2, 6)
         assert parse_source_string(canonical_source_string(ref)) == ref
+
+    def test_overlong_line_number_is_a_schema_error(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_source_string("a.txt:" + "9" * 5000)
+        assert exc.value.kind == "source_range"
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=40),
+            st.tuples(
+                st.text(max_size=12),
+                st.one_of(
+                    st.text(alphabet="0123456789", max_size=8),
+                    # Runs around int()'s 4,300-digit limit.
+                    st.integers(1, 6000).map(lambda n: "7" * n),
+                ),
+                st.sampled_from(["", "-"]),
+                st.text(alphabet="0123456789-", max_size=12),
+            ).map(lambda parts: "{}:{}{}{}".format(*parts)),
+        )
+    )
+    def test_any_string_gives_a_ref_or_a_schema_error(self, source):
+        try:
+            ref = parse_source_string(source)
+        except SchemaError:
+            return
+        assert isinstance(ref, SourceRef)
+        assert 1 <= ref.start_line <= ref.end_line
 
 
 class TestPartyRoles:

@@ -291,8 +291,9 @@ class TestVerifyTerm:
 
         monkeypatch.setattr(backends, "asdict", counting_asdict)
         cold = verify_term(term, excerpt_doc, backend, cache_dir=tmp_path)
-        # The fingerprint, then the cache entry's stored request.
-        assert calls == ["BackendRequest", "BackendRequest"]
+        # One dict per request: the fingerprint hashes it and the cache
+        # entry stores it.
+        assert calls == ["BackendRequest"]
         calls.clear()
         warm = verify_term(term, excerpt_doc, backend, cache_dir=tmp_path)
         assert calls == ["BackendRequest"]
