@@ -14,7 +14,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -80,18 +80,21 @@ class BackendRequest:
             raise ValueError("max_output_tokens must be positive")
 
     @cached_property
-    def as_dict(self) -> dict:
-        """The request as a plain dict: what the fingerprint hashes and what
-        a cache entry stores. Built once per request: the dataclass is
-        frozen, and dataclasses.replace builds a new request."""
-        return asdict(self)
-
-    @cached_property
     def request_fingerprint(self) -> str:
         """Deterministic digest of the request content; cache key and script
         matcher target. Contains no credential material. Computed once per
-        request."""
-        payload = json.dumps(self.as_dict, sort_keys=True, ensure_ascii=False)
+        request: the dataclass is frozen, and dataclasses.replace builds a
+        new request.
+
+        The digest is SHA-256 of the sorted-key JSON of every field,
+        non-ASCII characters written as themselves. Prompts that are ASCII
+        without U+007F encode to the same text with the faster ASCII
+        encoder, which differs from the other only in escaping U+007F and
+        everything above it."""
+        ascii_only = all(p.isascii() and "\x7f" not in p
+                         for p in (self.role_prompt, self.user_prompt))
+        payload = json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                             sort_keys=True, ensure_ascii=ascii_only)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -440,29 +443,19 @@ def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
     )
 
 
-def _response_to_cache_entry(req: BackendRequest, resp: BackendResponse) -> dict:
-    return {
-        "request": req.as_dict,
-        "response": {
-            "raw_text": resp.raw_text,
-            "usage": resp.usage,
-            "latency_ms": resp.latency_ms,
-            "backend_id": resp.backend_id,
-        },
-    }
-
-
 def cached_complete(backend: Backend, req: BackendRequest,
                     cache_dir) -> BackendResponse:
     """complete() with a content-addressed response cache.
 
-    One JSON file per request fingerprint, written atomically; a hit replays
-    the stored raw text without touching the backend, so a cache populated
-    by a live run makes later runs backend-free. A missing entry is a plain
-    miss. Other cache trouble degrades to an uncached call with a warning,
-    never an error: an entry that does not read (nested too deeply to decode
-    included), or whose stored text does not fit the request's schema,
-    counts as a miss and is overwritten.
+    One JSON file per request fingerprint, written atomically, holding only
+    the response: the file name already identifies the request. A hit
+    replays the stored raw text without touching the backend, so a cache
+    populated by a live run makes later runs backend-free; it reads only
+    "response", so entries that also store the request replay unchanged.
+    A missing entry is a plain miss. Other cache trouble degrades to an
+    uncached call with a warning, never an error: an entry that does not
+    read (nested too deeply to decode included), or whose stored text does
+    not fit the request's schema, counts as a miss and is overwritten.
     """
     cache_path = Path(cache_dir) / f"{req.request_fingerprint}.json"
     try:
@@ -492,9 +485,11 @@ def cached_complete(backend: Backend, req: BackendRequest,
         tmp_path = cache_path.with_name(
             f".{cache_path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
+        entry = {"response": {"raw_text": resp.raw_text, "usage": resp.usage,
+                              "latency_ms": resp.latency_ms,
+                              "backend_id": resp.backend_id}}
         tmp_path.write_text(
-            json.dumps(_response_to_cache_entry(req, resp),
-                       indent=2, ensure_ascii=False) + "\n",
+            json.dumps(entry, indent=2, ensure_ascii=False) + "\n",
             encoding="utf-8",
         )
         os.replace(tmp_path, cache_path)

@@ -247,6 +247,8 @@ def _load_stage_file(path: str, needs: tuple[str, ...],
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict) or "document" not in data:
         raise ValueError(
             f"{path}: not a stage file (missing embedded document); "
@@ -296,6 +298,10 @@ def _load_scenario(args) -> Scenario | None:
         data = json.loads(text)
     except json.JSONDecodeError:
         description = text.strip()
+    except RecursionError:
+        raise ValueError(
+            f"{args.scenario_file}: scenario JSON nested too deeply"
+        ) from None
     else:
         if isinstance(data, dict):
             description = data.get("description", "")

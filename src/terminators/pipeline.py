@@ -128,7 +128,10 @@ class RunStore:
         os.replace(tmp, target)
 
     def read_json(self, name: str):
-        return json.loads(self.path(name).read_text(encoding="utf-8"))
+        try:
+            return json.loads(self.path(name).read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError(f"{name}: JSON nested too deeply") from None
 
     def reset_events(self) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from .documents import SourceDocument, SourceRef, resolve_span
 
 # Greedy name match so document names containing colons still parse;
-# the final numeric group(s) are the span.
-SOURCE_RE = re.compile(r"^(?P<name>.+):(?P<start>\d+)(?:-(?P<end>\d+))?$")
+# the final numeric group(s) are the span, in ASCII digits only.
+SOURCE_RE = re.compile(r"^(?P<name>.+):(?P<start>[0-9]+)(?:-(?P<end>[0-9]+))?$")
 
 _WS_RE = re.compile(r"\s+")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)

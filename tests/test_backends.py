@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from terminators.backends import (
     SCHEMA_PLAN,
     SCHEMA_TERM_LIST,
     SCHEMA_VERIFICATION,
+    SCHEMAS,
     BackendError,
     BackendRequest,
     LiveBackend,
@@ -35,6 +37,24 @@ def make_request(**overrides) -> BackendRequest:
     }
     fields.update(overrides)
     return BackendRequest(**fields)
+
+
+# Prompts for the fingerprint oracle: all ASCII but U+007F (the fast JSON
+# encoder's path), ASCII with U+007F (the one ASCII character the two
+# encoders escape differently), and any text weighted towards C0 controls,
+# quotes, backslashes, U+007F, U+2028 and characters beyond the BMP.
+PROMPTS = st.one_of(
+    st.text(st.characters(max_codepoint=0x7E), max_size=30),
+    st.text(st.characters(max_codepoint=0x7F), max_size=30),
+    st.text(
+        st.one_of(
+            st.sampled_from(["\x7f", '"', "\\", "\u2028", "\U0001f600"]),
+            st.characters(max_codepoint=0x1F),
+            st.characters(codec="utf-8"),
+        ),
+        max_size=30,
+    ),
+)
 
 
 class TestBackendRequest:
@@ -77,14 +97,33 @@ class TestBackendRequest:
             scripted(("water", "supported_verification.json")), req, tmp_path
         )
         text = (tmp_path / f"{req.request_fingerprint}.json").read_text()
-        assert text.startswith(
-            '{\n  "request": {\n'
-            '    "role_prompt": "You label statements.",\n'
-            '    "user_prompt": "Statement: water is wet.",\n'
-            '    "response_schema": "verification",\n'
-            '    "temperature": 0.0,\n'
-            '    "max_output_tokens": 2048\n'
-            '  },\n  "response": {\n'
+        assert text == (
+            '{\n  "response": {\n'
+            '    "raw_text": "{\\n  \\"verification\\": \\"Supported\\",\\n'
+            '  \\"justification\\": \\"The cited passage states this '
+            'requirement directly, in slightly different wording.\\"\\n}\\n",\n'
+            '    "usage": {\n'
+            '      "input_tokens": 11,\n'
+            '      "output_tokens": 34\n'
+            '    },\n'
+            '    "latency_ms": 0.0,\n'
+            '    "backend_id": "scripted"\n'
+            '  }\n}\n'
+        )
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(PROMPTS, PROMPTS, st.sampled_from(SCHEMAS), st.floats(0.0, 1.0),
+           st.integers(1, 10**6))
+    def test_fingerprint_equals_the_asdict_oracle(
+        self, role_prompt, user_prompt, schema, temperature, max_output_tokens
+    ):
+        req = BackendRequest(role_prompt, user_prompt, schema, temperature,
+                             max_output_tokens)
+        # Oracle: one dict copy and one encoder for every prompt.
+        payload = json.dumps(asdict(req), sort_keys=True, ensure_ascii=False)
+        assert req.request_fingerprint == (
+            hashlib.sha256(payload.encode("utf-8")).hexdigest()
         )
 
 
@@ -328,8 +367,28 @@ class TestCachedComplete:
         entry = json.loads(
             (tmp_path / f"{req.request_fingerprint}.json").read_text()
         )
-        assert entry["request"]["user_prompt"] == req.user_prompt
+        # The file name is the request's fingerprint; the entry holds only
+        # the response.
+        assert list(entry) == ["response"]
         assert "Supported" in entry["response"]["raw_text"]
+
+    def test_entry_with_stored_request_still_replays(self, tmp_path):
+        req = make_request()
+        cached_complete(
+            scripted(("water", "supported_verification.json")), req, tmp_path
+        )
+        cache_file = tmp_path / f"{req.request_fingerprint}.json"
+        # The layout earlier versions wrote: the request beside the response.
+        old_layout = json.dumps(
+            {"request": asdict(req), **json.loads(cache_file.read_text())},
+            indent=2, ensure_ascii=False,
+        ) + "\n"
+        cache_file.write_text(old_layout, encoding="utf-8")
+        empty = ScriptedBackend([])
+        resp = cached_complete(empty, req, tmp_path)
+        assert resp.parsed["verification"] == "Supported"
+        assert empty.calls == []
+        assert cache_file.read_text(encoding="utf-8") == old_layout
 
     def test_corrupt_entry_degrades_to_backend(self, tmp_path):
         backend = scripted(("water", "supported_verification.json"))

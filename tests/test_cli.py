@@ -564,6 +564,42 @@ class TestExitCodes:
         assert main(["report", str(run_dir)]) == EXIT_PIPELINE
         assert message in capsys.readouterr().err
 
+    def test_too_deep_stage_file_exits_two(self, tmp_path, capsys):
+        doc = copy_excerpt(tmp_path)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        code = main([
+            "verify", str(deep), str(doc),
+            "--backend", backend_arg("verify_supported.json"),
+        ])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
+    def test_too_deep_scenario_file_exits_two(self, tmp_path, capsys):
+        doc = copy_excerpt(tmp_path)
+        deep = tmp_path / "scenario.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        code = main([
+            "run", str(doc), "--strategy", "paragraph", "--first-line", "106",
+            "--backend", backend_arg("happy_run.json"),
+            "--scenario-file", str(deep), "--out", str(tmp_path / "runs"),
+        ])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "scenario JSON nested too deeply" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("artifact", ["run.json", "verifications.json"])
+    def test_too_deep_run_file_exits_two(self, tmp_path, capsys, artifact):
+        run_dir, _ = TestRunResumeReport().completed_run(tmp_path, capsys)
+        (run_dir / artifact).write_text("[" * 100_000, encoding="utf-8")
+        assert main(["report", str(run_dir)]) == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert f"malformed run: {artifact}: JSON nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_plan_requires_scenario(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["plan", "stage.json", "--backend", "live"])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import EXCERPT_FIRST_LINE, ingest_excerpt, random_document
 from terminators.documents import (
@@ -205,6 +207,32 @@ def test_document_json_round_trip():
     doc = ingest_excerpt()
     clone = SourceDocument.from_json(doc.to_json())
     assert clone == doc
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=60),
+        st.lists(
+            st.one_of(st.sampled_from(["\n", "\r", "\r\n", "\ufeff", " ",
+                                       "<p>", "</p>", "<script>", "&amp;",
+                                       "\u2028"]),
+                      st.characters(codec="utf-8")),
+            max_size=30,
+        ).map(lambda parts: "".join(parts).encode("utf-8")),
+    ),
+    st.sampled_from([None, FORMAT_HTML]),
+    st.integers(1, 10**6),
+)
+def test_any_bytes_ingest_or_raise_and_round_trip(raw, format_hint, first_line):
+    try:
+        doc = ingest(raw, "fuzz.txt", format_hint, first_line=first_line)
+    except IngestError:
+        return
+    stored = json.loads(json.dumps(doc.to_json(), ensure_ascii=False))
+    clone = SourceDocument.from_json(stored)
+    assert clone == doc
+    assert fingerprint_text(clone.text()) == clone.fingerprint
 
 
 def test_excerpt_numbering_matches_fixture():

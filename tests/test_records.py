@@ -7,6 +7,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.documents import SourceRef
@@ -103,12 +104,16 @@ def random_run_config(rng: random.Random) -> RunConfig:
     )
 
 
+RECORD_MAKERS = [
+    (VerificationResult, random_verification),
+    (RemediationOutcome, random_outcome),
+    (RunConfig, random_run_config),
+]
+
+
 class TestRoundTripSweep:
-    @pytest.mark.parametrize("cls, make", [
-        (VerificationResult, random_verification),
-        (RemediationOutcome, random_outcome),
-        (RunConfig, random_run_config),
-    ], ids=["verification", "outcome", "run-config"])
+    @pytest.mark.parametrize("cls, make", RECORD_MAKERS,
+                             ids=["verification", "outcome", "run-config"])
     def test_round_trip(self, cls, make):
         rng = random.Random(f"records|{cls.__name__}")
         for _ in range(SWEEP_CASES):
@@ -253,3 +258,51 @@ class TestCompatibility:
     def test_malformed_records_raise_value_error(self, cls, data, message):
         with pytest.raises(ValueError, match=message):
             from_json(cls, data)
+
+
+# Any JSON value: what a hand-edited or damaged run file may hold. Scalars
+# get their own branch, since st.recursive draws mostly containers.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=12))
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=12), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def damaged(draw, make):
+    """A valid record's JSON with one value somewhere in it replaced by any
+    JSON value, or its key dropped. A seeded Random picks the record and
+    the place, so every field is hit about as often."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    record = through_text(make(rng))
+    node, key = record, rng.choice(list(record))
+    while isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.5:
+        node = node[key]
+        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+    if isinstance(node, dict) and rng.random() < 0.25:
+        del node[key]
+    else:
+        node[key] = draw(JSON_VALUES)
+    return record
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("cls, make", RECORD_MAKERS,
+                             ids=["verification", "outcome", "run-config"])
+    def test_any_json_gives_a_record_or_a_value_error(self, cls, make):
+        @settings(derandomize=True, database=None, max_examples=100,
+                  deadline=None)
+        @given(JSON_VALUES, damaged(make))
+        def check(value, damaged_record):
+            for data in (value, damaged_record):
+                try:
+                    record = from_json(cls, data)
+                except ValueError:
+                    continue
+                assert isinstance(record, cls)
+
+        check()

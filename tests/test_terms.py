@@ -65,6 +65,13 @@ class TestSourceStrings:
             parse_source_string("a.txt:" + "9" * 5000)
         assert exc.value.kind == "source_range"
 
+    def test_non_ascii_digits_are_a_format_error(self):
+        for bad in ("a.txt:\u0661\u0662", "a.txt:1-\u0662",
+                    "a.txt:\uff11\uff12"):
+            with pytest.raises(SchemaError) as exc:
+                parse_source_string(bad)
+            assert exc.value.kind == "source_format"
+
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
     @given(
@@ -74,6 +81,9 @@ class TestSourceStrings:
                 st.text(max_size=12),
                 st.one_of(
                     st.text(alphabet="0123456789", max_size=8),
+                    # Digits of other scripts, which \d would accept.
+                    st.text(alphabet=st.characters(categories=["Nd"]),
+                            min_size=1, max_size=4),
                     # Runs around int()'s 4,300-digit limit.
                     st.integers(1, 6000).map(lambda n: "7" * n),
                 ),
@@ -89,6 +99,8 @@ class TestSourceStrings:
             return
         assert isinstance(ref, SourceRef)
         assert 1 <= ref.start_line <= ref.end_line
+        span = source[len(ref.source_name) + 1:]
+        assert all(c in "0123456789" for c in span if c.isdigit())
 
 
 class TestPartyRoles:

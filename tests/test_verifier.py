@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
@@ -283,20 +284,21 @@ class TestVerifyTerm:
             ("backed by the passage it cites", "supported_verification.json")
         )
         calls = []
-        real = backends.asdict
+        real = backends.hashlib.sha256
 
-        def counting_asdict(obj, *args, **kwargs):
-            calls.append(type(obj).__name__)
-            return real(obj, *args, **kwargs)
+        def counting_sha256(*args, **kwargs):
+            calls.append("sha256")
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(backends, "asdict", counting_asdict)
+        monkeypatch.setattr(backends, "hashlib",
+                            SimpleNamespace(sha256=counting_sha256))
         cold = verify_term(term, excerpt_doc, backend, cache_dir=tmp_path)
-        # One dict per request: the fingerprint hashes it and the cache
-        # entry stores it.
-        assert calls == ["BackendRequest"]
+        # One digest per request, shared by the backend, the cache and the
+        # verification record.
+        assert calls == ["sha256"]
         calls.clear()
         warm = verify_term(term, excerpt_doc, backend, cache_dir=tmp_path)
-        assert calls == ["BackendRequest"]
+        assert calls == ["sha256"]
         assert len(backend.calls) == 1, "the second round is a cache hit"
         assert warm == cold
         assert warm.verifier_prompt_fingerprint == (
