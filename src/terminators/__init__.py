@@ -25,7 +25,6 @@ from .documents import (
     resolve_span,
 )
 from .parsing import (
-    ExtractError,
     ExtractionConfig,
     ExtractionOutcome,
     extract_chunk,
@@ -43,7 +42,6 @@ from .pipeline import (
 from .planning import (
     AccountabilityPlan,
     JurisdictionId,
-    PlanError,
     Scenario,
     plan_all,
     plan_term,
@@ -68,7 +66,6 @@ from .terms import (
 )
 from .verification import (
     VerificationResult,
-    VerifyError,
     lexical_support_score,
     verify_all,
     verify_term,

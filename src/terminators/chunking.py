@@ -38,8 +38,14 @@ class ChunkStrategy:
     def __post_init__(self):
         if self.max_chunk_lines < 1:
             raise ValueError("max_chunk_lines must be >= 1")
-        if self.mode is ChunkMode.PARALLEL_MERGE and self.parallel_fanout < 2:
-            raise ValueError("parallel_merge needs parallel_fanout >= 2")
+        if self.mode is ChunkMode.PARALLEL_MERGE:
+            if self.parallel_fanout < 2:
+                raise ValueError("parallel_merge needs parallel_fanout >= 2")
+        elif self.parallel_fanout != 1:
+            raise ValueError(
+                "parallel_fanout must be 1 outside parallel_merge, "
+                f"not {self.parallel_fanout}"
+            )
 
 
 @dataclass(frozen=True)

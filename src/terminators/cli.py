@@ -26,7 +26,7 @@ from .documents import (
     SpanError,
     ingest_path,
 )
-from .parsing import DEFAULT_WORKERS, ExtractionConfig, ExtractError
+from .parsing import DEFAULT_WORKERS, ExtractionConfig
 from .pipeline import (
     REPORT_AUDIT,
     REPORT_FORMATS,
@@ -44,9 +44,9 @@ from .pipeline import (
     run_pipeline,
     verify_step,
 )
-from .planning import DEFAULT_MIN_CHECKS, JurisdictionId, PlanError, Scenario
+from .planning import DEFAULT_MIN_CHECKS, JurisdictionId, Scenario
 from .terms import LifecycleError, SchemaError, term_to_json
-from .verification import DEFAULT_LOW_OVERLAP_THRESHOLD, VerifyError
+from .verification import DEFAULT_LOW_OVERLAP_THRESHOLD
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -447,9 +447,6 @@ def main(argv=None) -> int:
         IngestError,
         SpanError,
         SchemaError,
-        ExtractError,
-        VerifyError,
-        PlanError,
         LifecycleError,
         ResumeError,
         ValueError,

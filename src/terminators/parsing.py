@@ -26,14 +26,6 @@ from .terms import SchemaError, Term, dedupe_terms, validate_term
 DEFAULT_WORKERS = 4
 
 
-class ExtractError(Exception):
-    """Extraction failed for one chunk."""
-
-    def __init__(self, chunk_id: str, message: str):
-        self.chunk_id = chunk_id
-        super().__init__(message)
-
-
 @dataclass(frozen=True)
 class ExtractionConfig:
     strategy: ChunkStrategy
@@ -163,12 +155,7 @@ def extract_chunk(
     if replica_note:
         numbered += "\n\n" + replica_note
     req = build_parser_request(doc.source_name, numbered, aspects=cfg.aspects)
-    try:
-        resp = run_request(backend, req, cache_dir)
-    except BackendError as exc:
-        if exc.kind == "malformed_output":
-            raise ExtractError(chunk.chunk_id, str(exc)) from exc
-        raise
+    resp = run_request(backend, req, cache_dir)
 
     warnings: list[str] = []
     terms: list[Term] = []
@@ -243,7 +230,7 @@ def extract_document(
             return extract_chunk(
                 c, doc, cfg, backend, cache_dir=cache_dir, replica_note=note
             ), None
-        except (ExtractError, BackendError) as exc:
+        except BackendError as exc:
             if not best_effort:
                 raise
             return None, {"chunk_id": c.chunk_id, "error": str(exc)}

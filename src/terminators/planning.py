@@ -37,40 +37,21 @@ class JurisdictionId(enum.Enum):
     CCPA = "ccpa"
 
 
-@dataclass(frozen=True)
-class JurisdictionProfile:
-    id: JurisdictionId
-    prompt_addendum: str
-
-
-JURISDICTION_PROFILES: dict[JurisdictionId, JurisdictionProfile] = {
-    JurisdictionId.GDPR: JurisdictionProfile(
-        id=JurisdictionId.GDPR,
-        prompt_addendum=(
-            "Weigh the data-protection obligations that apply to users in "
-            "the European Union, such as consent to processing, access to "
-            "one's personal data, erasure, and data portability. Prefer "
-            "checks that let the user exercise or observe these rights."
-        ),
+# The planner-prompt addendum for each jurisdiction that has one.
+JURISDICTION_PROFILES: dict[JurisdictionId, str] = {
+    JurisdictionId.GDPR: (
+        "Weigh the data-protection obligations that apply to users in "
+        "the European Union, such as consent to processing, access to "
+        "one's personal data, erasure, and data portability. Prefer "
+        "checks that let the user exercise or observe these rights."
     ),
-    JurisdictionId.CCPA: JurisdictionProfile(
-        id=JurisdictionId.CCPA,
-        prompt_addendum=(
-            "Weigh the privacy rights of California consumers, such as "
-            "notice at collection, opting out of the sale or sharing of "
-            "personal information, and deletion requests. Prefer checks "
-            "that let the user exercise or observe these rights."
-        ),
+    JurisdictionId.CCPA: (
+        "Weigh the privacy rights of California consumers, such as "
+        "notice at collection, opting out of the sale or sharing of "
+        "personal information, and deletion requests. Prefer checks "
+        "that let the user exercise or observe these rights."
     ),
 }
-
-
-class PlanError(Exception):
-    """Planning failed for one term."""
-
-    def __init__(self, term_id: str, message: str):
-        self.term_id = term_id
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -126,7 +107,8 @@ def plan_term(
 
     A response with fewer than min_checks checks earns one follow-up request
     for more; whatever count results is returned, with a shortfall warning
-    rather than an error, since check count is a backend behavior.
+    rather than an error, since check count is a backend behavior. No usable
+    check at all is a malformed answer: BackendError("malformed_output").
     """
     if term.status not in SURVIVING_STATUSES:
         raise LifecycleError(
@@ -134,21 +116,15 @@ def plan_term(
             "only verified_supported or resourced terms are eligible"
         )
     passage = resolve_span(doc, term.source)
-    profile = JURISDICTION_PROFILES.get(scenario.jurisdiction)
     req = build_planner_request(
         term.statement,
         canonical_source_string(term.source),
         passage,
         scenario.description,
-        jurisdiction_addendum=profile.prompt_addendum if profile else None,
+        jurisdiction_addendum=JURISDICTION_PROFILES.get(scenario.jurisdiction),
         min_checks=min_checks,
     )
-    try:
-        resp = run_request(backend, req, cache_dir)
-    except BackendError as exc:
-        if exc.kind == "malformed_output":
-            raise PlanError(term.term_id, str(exc)) from exc
-        raise
+    resp = run_request(backend, req, cache_dir)
 
     warnings: list[str] = []
     checks = _valid_checks(resp.parsed[PLAN_CHECKS_KEY], warnings)
@@ -173,7 +149,7 @@ def plan_term(
                 f"only {len(checks)} checks produced; wanted at least {min_checks}"
             )
     if not checks:
-        raise PlanError(term.term_id, "backend produced no usable checks")
+        raise BackendError("malformed_output", "backend produced no usable checks")
     return AccountabilityPlan(
         term_id=term.term_id,
         checks=tuple(checks),
@@ -212,7 +188,7 @@ def plan_all(
                 term, doc, scenario, backend,
                 min_checks=min_checks, cache_dir=cache_dir,
             ), None
-        except (PlanError, BackendError) as exc:
+        except BackendError as exc:
             if not best_effort:
                 raise
             return None, str(exc)

@@ -27,7 +27,6 @@ from .verification import (
     DEFAULT_LOW_OVERLAP_THRESHOLD,
     LABEL_SUPPORTED,
     VerificationResult,
-    VerifyError,
     content_tokens,
     lexical_support_score,  # unused here; perfbench's tracer wraps this name
     stem_sets,
@@ -157,8 +156,10 @@ def resource_term(
     """Propose a replacement source span for the statement, or nothing.
 
     The backend path shows the full numbered document and asks for a single
-    term record whose source is the best span; a proposal that does not
-    parse, does not resolve, or is not exactly one record counts as absent.
+    term record whose source is the best span. A proposal that is not
+    exactly one record, has no source string, or cites a span that does not
+    parse or resolve counts as absent. An answer that still does not parse
+    after the format reminder raises BackendError("malformed_output").
     """
     if not use_llm:
         return find_best_window(term.statement, doc)
@@ -244,7 +245,7 @@ def remediate(
             context_lines=context_lines,
             cache_dir=cache_dir,
         )
-    except (VerifyError, BackendError) as exc:
+    except BackendError as exc:
         if not best_effort:
             raise
         return outcome(TrailEntry(proposed, None, f"verification failed: {exc}"))

@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 from .documents import SourceDocument, SourceRef, resolve_span
 
 # Greedy name match so document names containing colons still parse;
-# the final numeric group(s) are the span, in ASCII digits only.
-SOURCE_RE = re.compile(r"^(?P<name>.+):(?P<start>[0-9]+)(?:-(?P<end>[0-9]+))?$")
+# the final numeric group(s) are the span, in ASCII digits only. Matched
+# with fullmatch: nothing, not even a trailing newline, follows the span.
+SOURCE_RE = re.compile(r"(?P<name>.+):(?P<start>[0-9]+)(?:-(?P<end>[0-9]+))?")
 
 _WS_RE = re.compile(r"\s+")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -102,7 +103,7 @@ def resolve_party(raw_label: str, provider_name: str | None = None) -> PartyRole
 
 def parse_source_string(source: str) -> SourceRef:
     """Parse ``name:start`` or ``name:start-end`` into a SourceRef."""
-    m = SOURCE_RE.match(source)
+    m = SOURCE_RE.fullmatch(source)
     if m is None:
         raise SchemaError("source_format", f"unparseable source {source!r}")
     try:

@@ -36,14 +36,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9']+")
 _MIN_STEM_CHARS = 3
 
 
-class VerifyError(Exception):
-    """Verification failed for one term."""
-
-    def __init__(self, term_id: str, message: str):
-        self.term_id = term_id
-        super().__init__(message)
-
-
 @dataclass(frozen=True)
 class VerificationResult:
     term_id: str
@@ -180,12 +172,7 @@ def verify_term(
     req = build_verifier_request(
         term.statement, canonical_source_string(term.source), passage
     )
-    try:
-        resp = run_request(backend, req, cache_dir)
-    except BackendError as exc:
-        if exc.kind == "malformed_output":
-            raise VerifyError(term.term_id, str(exc)) from exc
-        raise
+    resp = run_request(backend, req, cache_dir)
     return VerificationResult(
         term_id=term.term_id,
         label=resp.parsed["verification"],
@@ -221,7 +208,7 @@ def verify_all(
                 context_lines=context_lines,
                 cache_dir=cache_dir,
             )
-        except (VerifyError, BackendError) as exc:
+        except BackendError as exc:
             if not best_effort:
                 raise
             _, score, flag = pre_check(term, doc, threshold)

@@ -144,6 +144,10 @@ def test_strategy_validation():
         ChunkStrategy(ChunkMode.PARAGRAPH, max_chunk_lines=0)
     with pytest.raises(ValueError):
         ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=1)
+    for mode in (ChunkMode.WHOLE_DOCUMENT, ChunkMode.SECTION_BY_SECTION,
+                 ChunkMode.PARAGRAPH):
+        with pytest.raises(ValueError, match="outside parallel_merge"):
+            ChunkStrategy(mode, parallel_fanout=3)
     round_tripped = from_json(
         ChunkStrategy, to_json(ChunkStrategy(ChunkMode.SECTION_BY_SECTION, 40, 1))
     )

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
+import terminators
 from helpers import (
     FIXTURES,
     GOLDEN,
@@ -14,6 +16,7 @@ from helpers import (
     RESPONSES,
     SCRIPTS,
 )
+from terminators import cli
 from terminators.cli import EXIT_BACKEND, EXIT_OK, EXIT_PIPELINE, main
 from terminators.pipeline import json_dumps, resume as resume_run
 
@@ -636,3 +639,104 @@ class TestExitCodes:
         ])
         assert code == EXIT_BACKEND
         assert "backend error (unmatched)" in capsys.readouterr().err
+
+
+NOT_JSON = "I would rather not answer in JSON."
+NO_CHECKS = json.dumps({"possible_accountability_checks": ["", "   "]})
+
+# Per phase: the run script, the matcher placed first with an answer the
+# phase cannot use (every retry with the format reminder matches it again),
+# and the run-directory file that records the failure under --best-effort.
+UNUSABLE_ANSWERS = {
+    "extraction": (HAPPY_RUN_ENTRIES, "108: Output may not always", NOT_JSON,
+                   "terms.json"),
+    "verification": (HAPPY_RUN_ENTRIES, "backed by the passage it cites",
+                     NOT_JSON, "verifications.json"),
+    "re-sourcing": (MISMATCH_RUN_ENTRIES, "Locate the single passage",
+                    NOT_JSON, "remediation.json"),
+    "planning": (HAPPY_RUN_ENTRIES, "You design accountability checks",
+                 NOT_JSON, "plans.json"),
+    "planning-no-checks": (HAPPY_RUN_ENTRIES,
+                           "You design accountability checks", NO_CHECKS,
+                           "plans.json"),
+}
+
+
+class TestUnusableAnswers:
+    """An answer a phase cannot use is a backend error in every phase."""
+
+    def run_with(self, tmp_path, phase, *extra):
+        entries, match, answer, _ = UNUSABLE_ANSWERS[phase]
+        answer_file = tmp_path / "answer.txt"
+        answer_file.write_text(answer, encoding="utf-8")
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            [{"match": match, "response_file": str(answer_file)}]
+            + [{"match": m, "response_file": str(RESPONSES / name)}
+               for m, name in entries]
+        ), encoding="utf-8")
+        out_root = tmp_path / "runs"
+        code = main([
+            "run", str(copy_excerpt(tmp_path)),
+            "--strategy", "paragraph",
+            "--first-line", "106",
+            "--backend", f"scripted:{script}",
+            "--scenario-file", str(SCENARIO_TXT),
+            "--out", str(out_root),
+            *extra,
+        ])
+        return code, out_root
+
+    @pytest.mark.parametrize("phase", UNUSABLE_ANSWERS)
+    def test_exits_three(self, tmp_path, capsys, phase):
+        code, _ = self.run_with(tmp_path, phase)
+        err = capsys.readouterr().err
+        assert code == EXIT_BACKEND
+        assert "terminators: backend error (malformed_output): " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("phase", UNUSABLE_ANSWERS)
+    def test_best_effort_records_the_failure(self, tmp_path, capsys, phase):
+        code, out_root = self.run_with(tmp_path, phase, "--best-effort")
+        capsys.readouterr()
+        assert code == EXIT_OK
+        (run_dir,) = out_root.iterdir()
+        _, _, answer, record = UNUSABLE_ANSWERS[phase]
+        needle = ("backend produced no usable checks" if answer == NO_CHECKS
+                  else "output after format reminder")
+        assert needle in (run_dir / record).read_text(encoding="utf-8")
+
+
+EXPORTED_ERRORS = sorted(
+    (obj for obj in vars(terminators).values()
+     if inspect.isclass(obj) and issubclass(obj, Exception)),
+    key=lambda cls: cls.__name__,
+)
+
+
+def make_error(cls):
+    try:
+        arity = len(inspect.signature(cls).parameters)
+    except ValueError:  # a plain Exception subclass
+        arity = 1
+    return cls(*[f"arg{i}" for i in range(arity)])
+
+
+def test_every_package_error_is_exported():
+    names = {cls.__name__ for cls in EXPORTED_ERRORS}
+    assert {"BackendError", "IngestError", "LifecycleError", "ResumeError",
+            "SchemaError", "SpanError"} <= names
+
+
+@pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda c: c.__name__)
+def test_exported_errors_exit_with_their_code(monkeypatch, capsys, cls):
+    def handler(args):
+        raise make_error(cls)
+
+    monkeypatch.setitem(cli._HANDLERS, "report", handler)
+    code = main(["report", "runs/x"])
+    err = capsys.readouterr().err
+    assert code == (EXIT_BACKEND if issubclass(cls, terminators.BackendError)
+                    else EXIT_PIPELINE)
+    assert err.startswith("terminators: ")
+    assert "Traceback" not in err

@@ -31,7 +31,6 @@ from terminators.chunking import ChunkMode, ChunkStrategy, chunk as chunk_docume
 from terminators.documents import render_numbered
 from terminators.terms import term_to_json
 from terminators.parsing import (
-    ExtractError,
     ExtractionConfig,
     extract_chunk,
     extract_document,
@@ -199,14 +198,14 @@ class TestCandidateHandling:
                 ScriptedBackend([]),
             )
 
-    def test_malformed_output_becomes_extract_error(self, excerpt_doc):
+    def test_malformed_output_is_a_backend_error(self, excerpt_doc):
         chunks = chunk_document(excerpt_doc, WHOLE)
         backend = ScriptedBackend(
             [ScriptEntry("106: When you use", "I would rather chat.")]
         )
-        with pytest.raises(ExtractError) as exc:
+        with pytest.raises(BackendError) as exc:
             extract_chunk(chunks[0], excerpt_doc, ExtractionConfig(WHOLE), backend)
-        assert exc.value.chunk_id == chunks[0].chunk_id
+        assert exc.value.kind == "malformed_output"
 
 
 class TestParallelMerge:

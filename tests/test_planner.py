@@ -18,7 +18,6 @@ from terminators.planning import (
     PLAN_DISCLAIMER,
     AccountabilityPlan,
     JurisdictionId,
-    PlanError,
     Scenario,
     plan_all,
     plan_from_json,
@@ -137,12 +136,8 @@ class TestPlanTerm:
 
 class TestJurisdiction:
     def test_profiles_present(self):
-        assert "European Union" in (
-            JURISDICTION_PROFILES[JurisdictionId.GDPR].prompt_addendum
-        )
-        assert "California" in (
-            JURISDICTION_PROFILES[JurisdictionId.CCPA].prompt_addendum
-        )
+        assert "European Union" in JURISDICTION_PROFILES[JurisdictionId.GDPR]
+        assert "California" in JURISDICTION_PROFILES[JurisdictionId.CCPA]
         assert JurisdictionId.NONE not in JURISDICTION_PROFILES
 
     def test_gdpr_scenario_steers_the_plan(self, excerpt_doc):
@@ -232,17 +227,18 @@ class TestCheckFiltering:
         backend = ScriptedBackend(
             [ScriptEntry("sole source of truth", checks_payload())]
         )
-        with pytest.raises(PlanError, match="no usable checks"):
+        with pytest.raises(BackendError, match="no usable checks") as exc:
             plan_term(term, excerpt_doc, STUDENT, backend)
+        assert exc.value.kind == "malformed_output"
 
-    def test_malformed_output_becomes_plan_error(self, excerpt_doc):
+    def test_malformed_output_is_a_backend_error(self, excerpt_doc):
         term = listing3_term(excerpt_doc)
         backend = ScriptedBackend(
             [ScriptEntry("sole source of truth", "checks? sure, lots of them")]
         )
-        with pytest.raises(PlanError) as exc:
+        with pytest.raises(BackendError) as exc:
             plan_term(term, excerpt_doc, STUDENT, backend)
-        assert exc.value.term_id == term.term_id
+        assert exc.value.kind == "malformed_output"
 
 
 class TestPlanAll:

@@ -250,11 +250,18 @@ class TestCompatibility:
         (TrailEntry,
          {"proposed": "nowhere", "verification": None, "note": ""},
          "proposed: .*unparseable source"),
+        (TrailEntry,
+         {"proposed": "a.txt:12\n", "verification": None, "note": ""},
+         "proposed: .*unparseable source"),
         (Scenario, {"description": "d", "jurisdiction": "mars"}, "jurisdiction"),
         (ChunkStrategy, {"mode": "paragraph", "max_chunk_lines": True},
          "expected int"),
+        (ChunkStrategy,
+         {"mode": "paragraph", "max_chunk_lines": 40, "parallel_fanout": 3},
+         "outside parallel_merge"),
     ], ids=["not-an-object", "missing-key", "wrong-type", "bad-citation",
-            "bad-enum", "bool-for-int"])
+            "citation-with-newline", "bad-enum", "bool-for-int",
+            "fanout-outside-parallel"])
     def test_malformed_records_raise_value_error(self, cls, data, message):
         with pytest.raises(ValueError, match=message):
             from_json(cls, data)

@@ -44,7 +44,8 @@ class TestSourceStrings:
         assert (ref.start_line, ref.end_line) == (3, 4)
 
     def test_unparseable(self):
-        for bad in ("no lines here", "a.txt:", "a.txt:x-y", ""):
+        for bad in ("no lines here", "a.txt:", "a.txt:x-y", "",
+                    "a.txt:12\n", "a.txt:3-4\n", "a.txt\n:12"):
             with pytest.raises(SchemaError) as exc:
                 parse_source_string(bad)
             assert exc.value.kind == "source_format"
@@ -89,7 +90,8 @@ class TestSourceStrings:
                 ),
                 st.sampled_from(["", "-"]),
                 st.text(alphabet="0123456789-", max_size=12),
-            ).map(lambda parts: "{}:{}{}{}".format(*parts)),
+                st.sampled_from(["", "\n"]),
+            ).map(lambda parts: "{}:{}{}{}{}".format(*parts)),
         )
     )
     def test_any_string_gives_a_ref_or_a_schema_error(self, source):
@@ -100,7 +102,7 @@ class TestSourceStrings:
         assert isinstance(ref, SourceRef)
         assert 1 <= ref.start_line <= ref.end_line
         span = source[len(ref.source_name) + 1:]
-        assert all(c in "0123456789" for c in span if c.isdigit())
+        assert set(span) <= set("0123456789-")
 
 
 class TestPartyRoles:

@@ -36,7 +36,6 @@ from terminators.verification import (
     LABEL_SUPPORTED,
     LABEL_UNVERIFIABLE,
     VerificationResult,
-    VerifyError,
     content_tokens,
     lexical_support_score,
     pre_check,
@@ -364,14 +363,14 @@ class TestVerifyTerm:
             "score still uses the exact cited span"
         )
 
-    def test_malformed_output_becomes_verify_error(self, excerpt_doc):
+    def test_malformed_output_is_a_backend_error(self, excerpt_doc):
         term = validate_term(listing4_records()[0], excerpt_doc, warnings=[])
         backend = ScriptedBackend(
             [ScriptEntry("backed by the passage it cites", "nope")]
         )
-        with pytest.raises(VerifyError) as exc:
+        with pytest.raises(BackendError) as exc:
             verify_term(term, excerpt_doc, backend)
-        assert exc.value.term_id == term.term_id
+        assert exc.value.kind == "malformed_output"
 
 
 class TestVerifyAll:
