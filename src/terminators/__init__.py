@@ -5,6 +5,7 @@ from .backends import (
     BackendError,
     BackendRequest,
     BackendResponse,
+    CachedBackend,
     LiveBackend,
     ScriptedBackend,
     ScriptEntry,

@@ -3,7 +3,8 @@
 Two implementations: a live chat-completion HTTP client, and a scripted
 backend that replays canned responses so every pipeline stage can run
 offline and deterministically. Structured-output extraction and response
-caching live here too, since both are properties of the backend boundary.
+caching (CachedBackend) live here too, since both are properties of the
+backend boundary.
 """
 
 from __future__ import annotations
@@ -212,6 +213,20 @@ class Backend:
         raise NotImplementedError
 
 
+class CachedBackend(Backend):
+    """A backend bound to the response cache in cache_dir: requests made
+    through parsing.run_request go by way of cached_complete. generate and
+    backend_id are the wrapped backend's."""
+
+    def __init__(self, backend: Backend, cache_dir):
+        self.backend = backend
+        self.cache_dir = cache_dir
+        self.backend_id = backend.backend_id
+
+    def generate(self, req: BackendRequest) -> BackendResponse:
+        return self.backend.generate(req)
+
+
 @dataclass(frozen=True)
 class ScriptEntry:
     match: str
@@ -269,16 +284,20 @@ class ScriptedBackend(Backend):
 
 def load_script(path) -> ScriptedBackend:
     """Load a script file: a JSON array of {match, response_file} entries,
-    response paths relative to the script file."""
+    both strings, response paths relative to the script file."""
     script_path = Path(path)
-    data = json.loads(script_path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(script_path.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{script_path}: JSON nested too deeply") from None
     if not isinstance(data, list):
         raise ValueError(f"{script_path}: script must be a JSON array")
     entries = []
     for i, item in enumerate(data):
-        if not isinstance(item, dict) or "match" not in item or "response_file" not in item:
+        if not (isinstance(item, dict) and isinstance(item.get("match"), str)
+                and isinstance(item.get("response_file"), str)):
             raise ValueError(
-                f"{script_path}: entry {i} must be an object with "
+                f"{script_path}: entry {i} must be an object with string "
                 "'match' and 'response_file'"
             )
         response_path = script_path.parent / item["response_file"]
@@ -443,6 +462,20 @@ def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
     )
 
 
+def json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path, making its directory, by way of a temporary file
+    named per process and thread, then os.replace: a reader sees a whole
+    file, and threads writing the same path do not collide."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def cached_complete(backend: Backend, req: BackendRequest,
                     cache_dir) -> BackendResponse:
     """complete() with a content-addressed response cache.
@@ -481,18 +514,11 @@ def cached_complete(backend: Backend, req: BackendRequest,
 
     resp = complete(backend, req)
     try:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp_path = cache_path.with_name(
-            f".{cache_path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        entry = {"response": {"raw_text": resp.raw_text, "usage": resp.usage,
-                              "latency_ms": resp.latency_ms,
-                              "backend_id": resp.backend_id}}
-        tmp_path.write_text(
-            json.dumps(entry, indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp_path, cache_path)
+        write_atomic(cache_path, json_dumps(
+            {"response": {"raw_text": resp.raw_text, "usage": resp.usage,
+                          "latency_ms": resp.latency_ms,
+                          "backend_id": resp.backend_id}}
+        ))
     except OSError as exc:
         log.warning("cache write failed for %s: %s", cache_path.name, exc)
     return resp

@@ -17,7 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-from .backends import Backend, BackendError, LiveBackend, load_script
+from .backends import (Backend, BackendError, CachedBackend, LiveBackend,
+                       load_script)
 from .chunking import ChunkMode, ChunkStrategy, DEFAULT_MAX_CHUNK_LINES
 from .documents import (
     FORMATS,
@@ -64,8 +65,6 @@ _STRATEGY_MODES = {
 
 DEFAULT_LIVE_MODEL = "gpt-4o"
 DEFAULT_LIVE_ENDPOINT = "https://api.openai.com/v1/chat/completions"
-
-log = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,6 +205,7 @@ def build_parser() -> _Parser:
 
 
 def _build_backend(args) -> Backend:
+    """The backend the flags name, bound to the cache they name, if any."""
     spec = args.backend
     if not spec:
         raise BackendError(
@@ -213,17 +213,16 @@ def _build_backend(args) -> Backend:
                       "--backend scripted:<script.json>"
         )
     if spec == "live":
-        return LiveBackend(args.model, args.endpoint)
-    if spec.startswith("scripted:"):
+        backend = LiveBackend(args.model, args.endpoint)
+    elif spec.startswith("scripted:"):
         path = spec[len("scripted:"):]
         if not path:
             raise BackendError("config", "scripted backend needs a script path")
-        return load_script(path)
-    raise BackendError("config", f"unknown backend spec {spec!r}")
-
-
-def _cache_dir(args):
-    return args.cache_dir or os.environ.get(CACHE_ENV) or None
+        backend = load_script(path)
+    else:
+        raise BackendError("config", f"unknown backend spec {spec!r}")
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    return CachedBackend(backend, cache_dir) if cache_dir else backend
 
 
 def _emit(args, text: str) -> None:
@@ -353,7 +352,7 @@ def _run_stage(args, step, doc: SourceDocument, record: dict | None = None):
                    doc=doc, phase="")
     if record is not None:
         restore(run, record)
-    record, _ = step(run, backend, _cache_dir(args))
+    record, _ = step(run, backend)
     return run, {"document": doc.to_json(), **record}
 
 
@@ -404,15 +403,14 @@ def _cmd_run(args) -> int:
     doc = _ingest_for(args, args.file)
     backend = _build_backend(args)
     run = run_pipeline(doc, _run_config(args, backend), backend,
-                       args.out or "runs", cache_dir=_cache_dir(args))
+                       args.out or "runs")
     sys.stdout.write(_run_summary(run))
     return EXIT_OK
 
 
 def _cmd_resume(args) -> int:
     backend = _build_backend(args)
-    run = resume_run(args.run_dir, backend, workers=args.workers,
-                     cache_dir=_cache_dir(args))
+    run = resume_run(args.run_dir, backend, workers=args.workers)
     sys.stdout.write(_run_summary(run))
     return EXIT_OK
 

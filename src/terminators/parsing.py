@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .backends import (
     Backend,
     BackendError,
+    CachedBackend,
     cached_complete,
     complete,
     install_wait_hook,
@@ -65,9 +66,10 @@ class ExtractionOutcome:
     failures: list[dict] = field(default_factory=list)
 
 
-def run_request(backend: Backend, req, cache_dir=None):
-    if cache_dir is not None:
-        return cached_complete(backend, req, cache_dir)
+def run_request(backend: Backend, req):
+    """complete(), by way of the cache for a CachedBackend."""
+    if isinstance(backend, CachedBackend):
+        return cached_complete(backend.backend, req, backend.cache_dir)
     return complete(backend, req)
 
 
@@ -135,7 +137,6 @@ def extract_chunk(
     cfg: ExtractionConfig,
     backend: Backend,
     *,
-    cache_dir=None,
     replica_note: str | None = None,
 ) -> ChunkExtraction:
     """Extract terms from one chunk.
@@ -155,7 +156,7 @@ def extract_chunk(
     if replica_note:
         numbered += "\n\n" + replica_note
     req = build_parser_request(doc.source_name, numbered, aspects=cfg.aspects)
-    resp = run_request(backend, req, cache_dir)
+    resp = run_request(backend, req)
 
     warnings: list[str] = []
     terms: list[Term] = []
@@ -205,7 +206,6 @@ def extract_document(
     *,
     workers: int = DEFAULT_WORKERS,
     best_effort: bool = False,
-    cache_dir=None,
 ) -> ExtractionOutcome:
     """Chunk the document, extract every chunk, merge.
 
@@ -227,9 +227,7 @@ def extract_document(
     def job(item):
         c, note = item
         try:
-            return extract_chunk(
-                c, doc, cfg, backend, cache_dir=cache_dir, replica_note=note
-            ), None
+            return extract_chunk(c, doc, cfg, backend, replica_note=note), None
         except BackendError as exc:
             if not best_effort:
                 raise

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .backends import Backend
+from .backends import Backend, CachedBackend, json_dumps, write_atomic
 from .documents import SourceDocument, fingerprint_text
 from .parsing import (
     DEFAULT_WORKERS,
@@ -71,14 +70,6 @@ class ResumeError(Exception):
         super().__init__(message)
 
 
-def json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
-
-
-def _phase_index(phase: str) -> int:
-    return PHASES.index(phase)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """The settings that can change a run's output, which are its identity,
@@ -121,11 +112,7 @@ class RunStore:
         self.write_text(name, json_dumps(obj))
 
     def write_text(self, name: str, text: str) -> None:
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        target = self.path(name)
-        tmp = target.with_name(f".{name}.{os.getpid()}.tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, target)
+        write_atomic(self.path(name), text)
 
     def read_json(self, name: str):
         try:
@@ -213,7 +200,7 @@ def start_run(doc: SourceDocument, config: RunConfig, out_root) -> AuditRun:
     return run
 
 
-def extract_step(run: AuditRun, backend: Backend, cache_dir=None):
+def extract_step(run: AuditRun, backend: Backend):
     """Extract the run's document into run.terms. This and the other steps
     return (the phase's record, its event summary)."""
     cfg = run.config
@@ -223,7 +210,6 @@ def extract_step(run: AuditRun, backend: Backend, cache_dir=None):
         backend,
         workers=cfg.workers,
         best_effort=cfg.best_effort,
-        cache_dir=cache_dir,
     )
     run.terms = outcome.terms
     run.coverage = outcome.coverage
@@ -238,7 +224,7 @@ def extract_step(run: AuditRun, backend: Backend, cache_dir=None):
     return record, f"{len(run.terms)} terms"
 
 
-def verify_step(run: AuditRun, backend: Backend, cache_dir=None):
+def verify_step(run: AuditRun, backend: Backend):
     """Verify run.terms and advance each term by its label."""
     cfg = run.config
     run.verifications = verify_all(
@@ -249,7 +235,6 @@ def verify_step(run: AuditRun, backend: Backend, cache_dir=None):
         context_lines=cfg.context_lines,
         workers=cfg.workers,
         best_effort=cfg.best_effort,
-        cache_dir=cache_dir,
     )
     run.terms = [
         advance(term, status_for_label(result.label))
@@ -263,7 +248,7 @@ def verify_step(run: AuditRun, backend: Backend, cache_dir=None):
     return record, f"{supported}/{len(run.verifications)} supported"
 
 
-def remediate_step(run: AuditRun, backend: Backend, cache_dir=None):
+def remediate_step(run: AuditRun, backend: Backend):
     """Re-source or discard every term that run.verifications did not
     support."""
     cfg = run.config
@@ -279,7 +264,6 @@ def remediate_step(run: AuditRun, backend: Backend, cache_dir=None):
             threshold=cfg.threshold,
             context_lines=cfg.context_lines,
             best_effort=cfg.best_effort,
-            cache_dir=cache_dir,
         )
 
     run.outcomes = map_ordered(
@@ -297,7 +281,7 @@ def remediate_step(run: AuditRun, backend: Backend, cache_dir=None):
     return record, f"{discarded} discarded"
 
 
-def plan_step(run: AuditRun, backend: Backend, cache_dir=None):
+def plan_step(run: AuditRun, backend: Backend):
     """Plan checks for the surviving run.terms under the configured
     scenario; without one, planning is skipped with a notice."""
     cfg = run.config
@@ -313,7 +297,6 @@ def plan_step(run: AuditRun, backend: Backend, cache_dir=None):
             min_checks=cfg.min_checks,
             workers=cfg.workers,
             best_effort=cfg.best_effort,
-            cache_dir=cache_dir,
         )
     statements = {t.term_id: t.statement for t in run.terms}
     record = {
@@ -336,11 +319,11 @@ _STEPS = (
 )
 
 
-def _execute(run: AuditRun, backend: Backend, cache_dir=None) -> AuditRun:
+def _execute(run: AuditRun, backend: Backend) -> AuditRun:
     for phase, artifact, step in _STEPS:
-        if _phase_index(run.phase) >= _phase_index(phase):
+        if PHASES.index(run.phase) >= PHASES.index(phase):
             continue
-        record, summary = step(run, backend, cache_dir)
+        record, summary = step(run, backend)
         run.store.write_json(artifact, record)
         run.phase = phase
         _save_run_header(run)
@@ -363,11 +346,13 @@ def run_pipeline(
     *,
     cache_dir=None,
 ) -> AuditRun:
-    """Execute every phase over an ingested document, persisting as it goes.
-    A phase failure leaves the run directory resumable at the last completed
-    phase."""
+    """Execute every phase over an ingested document, persisting as it goes,
+    with responses cached under cache_dir if given. A phase failure leaves
+    the run directory resumable at the last completed phase."""
+    if cache_dir is not None:
+        backend = CachedBackend(backend, cache_dir)
     run = start_run(doc, config, out_root)
-    return _execute(run, backend, cache_dir)
+    return _execute(run, backend)
 
 
 def restore(run: AuditRun, record: dict) -> None:
@@ -429,9 +414,9 @@ def load_run(run_dir) -> AuditRun:
             doc=doc,
             phase=header["phase"],
         )
-        reached = _phase_index(run.phase)
+        reached = PHASES.index(run.phase)
         for phase, artifact, _ in _STEPS:
-            if _phase_index(phase) <= reached:
+            if PHASES.index(phase) <= reached:
                 restore(run, store.read_json(artifact))
     except (KeyError, TypeError, ValueError) as exc:
         raise ResumeError(
@@ -445,7 +430,6 @@ def resume(
     backend: Backend,
     *,
     workers: int = DEFAULT_WORKERS,
-    cache_dir=None,
 ) -> AuditRun:
     """Continue a persisted run from its first incomplete phase on up to
     `workers` threads (a run directory does not record its concurrency).
@@ -455,7 +439,7 @@ def resume(
         return run
     run.config = replace(run.config, workers=workers)
     run.store.append_event(run.phase, "resumed")
-    return _execute(run, backend, cache_dir)
+    return _execute(run, backend)
 
 
 def emit_report(run: AuditRun, format: str) -> str:
@@ -464,7 +448,7 @@ def emit_report(run: AuditRun, format: str) -> str:
     markdown is a human summary."""
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}")
-    if _phase_index(run.phase) < _phase_index("extracted"):
+    if PHASES.index(run.phase) < PHASES.index("extracted"):
         raise ValueError("run has no extracted terms to report yet")
 
     surviving = run.surviving_terms

@@ -101,14 +101,15 @@ def plan_term(
     backend: Backend,
     *,
     min_checks: int = DEFAULT_MIN_CHECKS,
-    cache_dir=None,
 ) -> AccountabilityPlan:
     """Plan checks for one surviving term.
 
     A response with fewer than min_checks checks earns one follow-up request
     for more; whatever count results is returned, with a shortfall warning
-    rather than an error, since check count is a backend behavior. No usable
-    check at all is a malformed answer: BackendError("malformed_output").
+    rather than an error, since check count is a backend behavior. A
+    malformed follow-up answer only adds a warning; any other follow-up
+    failure propagates like one of the first request. No usable check at
+    all is a malformed answer: BackendError("malformed_output").
     """
     if term.status not in SURVIVING_STATUSES:
         raise LifecycleError(
@@ -124,7 +125,7 @@ def plan_term(
         jurisdiction_addendum=JURISDICTION_PROFILES.get(scenario.jurisdiction),
         min_checks=min_checks,
     )
-    resp = run_request(backend, req, cache_dir)
+    resp = run_request(backend, req)
 
     warnings: list[str] = []
     checks = _valid_checks(resp.parsed[PLAN_CHECKS_KEY], warnings)
@@ -138,11 +139,13 @@ def plan_term(
             ),
         )
         try:
-            retry = run_request(backend, followup, cache_dir)
+            retry = run_request(backend, followup)
             retry_checks = _valid_checks(retry.parsed[PLAN_CHECKS_KEY], warnings)
             if len(retry_checks) > len(checks):
                 checks = retry_checks
         except BackendError as exc:
+            if exc.kind != "malformed_output":
+                raise
             warnings.append(f"follow-up request for more checks failed: {exc}")
         if len(checks) < min_checks:
             warnings.append(
@@ -168,7 +171,6 @@ def plan_all(
     min_checks: int = DEFAULT_MIN_CHECKS,
     workers: int = DEFAULT_WORKERS,
     best_effort: bool = False,
-    cache_dir=None,
 ) -> tuple[list[AccountabilityPlan], list[str]]:
     """Plans for every eligible term in input order, plus skip notices for
     the ineligible ones."""
@@ -185,8 +187,7 @@ def plan_all(
     def job(term: Term):
         try:
             return plan_term(
-                term, doc, scenario, backend,
-                min_checks=min_checks, cache_dir=cache_dir,
+                term, doc, scenario, backend, min_checks=min_checks
             ), None
         except BackendError as exc:
             if not best_effort:

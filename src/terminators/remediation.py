@@ -151,7 +151,6 @@ def resource_term(
     backend: Backend | None,
     *,
     use_llm: bool = True,
-    cache_dir=None,
 ) -> SourceRef | None:
     """Propose a replacement source span for the statement, or nothing.
 
@@ -167,7 +166,7 @@ def resource_term(
     req = build_resource_request(
         doc.source_name, _numbered_document(doc), term.statement
     )
-    resp = run_request(backend, req, cache_dir)
+    resp = run_request(backend, req)
     records = resp.parsed
     if len(records) != 1:
         return None
@@ -193,7 +192,6 @@ def remediate(
     threshold: float = DEFAULT_LOW_OVERLAP_THRESHOLD,
     context_lines: int = 0,
     best_effort: bool = False,
-    cache_dir=None,
 ) -> RemediationOutcome:
     """Decide one term's fate given its verification.
 
@@ -225,9 +223,7 @@ def remediate(
         )
 
     try:
-        proposed = resource_term(
-            term, doc, backend, use_llm=use_llm_resource, cache_dir=cache_dir
-        )
+        proposed = resource_term(term, doc, backend, use_llm=use_llm_resource)
     except BackendError as exc:
         if not best_effort:
             raise
@@ -243,7 +239,6 @@ def remediate(
             backend,
             threshold=threshold,
             context_lines=context_lines,
-            cache_dir=cache_dir,
         )
     except BackendError as exc:
         if not best_effort:

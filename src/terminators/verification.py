@@ -143,7 +143,6 @@ def verify_term(
     *,
     threshold: float = DEFAULT_LOW_OVERLAP_THRESHOLD,
     context_lines: int = 0,
-    cache_dir=None,
 ) -> VerificationResult:
     """Judge one term against its cited span.
 
@@ -172,7 +171,7 @@ def verify_term(
     req = build_verifier_request(
         term.statement, canonical_source_string(term.source), passage
     )
-    resp = run_request(backend, req, cache_dir)
+    resp = run_request(backend, req)
     return VerificationResult(
         term_id=term.term_id,
         label=resp.parsed["verification"],
@@ -192,7 +191,6 @@ def verify_all(
     context_lines: int = 0,
     workers: int = DEFAULT_WORKERS,
     best_effort: bool = False,
-    cache_dir=None,
 ) -> list[VerificationResult]:
     """One result per term, in input order. Under best_effort a failing term
     becomes Unverifiable with the failure in its justification; otherwise the
@@ -206,7 +204,6 @@ def verify_all(
                 backend,
                 threshold=threshold,
                 context_lines=context_lines,
-                cache_dir=cache_dir,
             )
         except BackendError as exc:
             if not best_effort:

@@ -14,6 +14,7 @@ from terminators.backends import (
     SCHEMA_TERM_LIST,
     SCHEMA_VERIFICATION,
     Backend,
+    BackendError,
     BackendRequest,
     BackendResponse,
     ScriptEntry,
@@ -123,6 +124,14 @@ MISMATCH_RUN_ENTRIES = (
 )
 
 
+# The happy run with one plan answered short, so that term's planning
+# makes the follow-up request for more checks.
+SHORT_PLAN_RUN_ENTRIES = tuple(
+    (match, "plan_short.json" if match == "sole source of truth" else name)
+    for match, name in HAPPY_RUN_ENTRIES
+)
+
+
 def happy_backend() -> ScriptedBackend:
     return scripted(*HAPPY_RUN_ENTRIES)
 
@@ -184,6 +193,21 @@ def random_statement(rng: random.Random, doc: SourceDocument) -> str:
         picked.append(rng.choice(("felucca", "quixotic", "zeppelin", "ossuary")))
     rng.shuffle(picked)
     return " ".join(picked)
+
+
+class FailingFollowUp(Backend):
+    """Answers as inner does, except that the planner's follow-up request
+    for more checks fails with BackendError(kind)."""
+
+    def __init__(self, inner: Backend, kind: str = "transient"):
+        self.inner = inner
+        self.kind = kind
+        self.backend_id = inner.backend_id
+
+    def generate(self, req: BackendRequest) -> BackendResponse:
+        if "That list is too short" in req.user_prompt:
+            raise BackendError(self.kind, "the follow-up request failed")
+        return self.inner.generate(req)
 
 
 class SeededBackend(Backend):

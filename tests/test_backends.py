@@ -19,6 +19,7 @@ from terminators.backends import (
     SCHEMAS,
     BackendError,
     BackendRequest,
+    CachedBackend,
     LiveBackend,
     ScriptEntry,
     ScriptedBackend,
@@ -27,6 +28,7 @@ from terminators.backends import (
     extract_structured_value,
     load_script,
 )
+from terminators.parsing import run_request
 
 
 def make_request(**overrides) -> BackendRequest:
@@ -332,6 +334,44 @@ class TestLoadScript:
         bad.write_text('[{"match": "x"}]')
         with pytest.raises(ValueError, match="response_file"):
             load_script(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "JSON nested too deeply"),
+        ('[{"match": 5, "response_file": "r.json"}]', "string 'match'"),
+        ('[{"match": "x", "response_file": 5}]', "string 'match'"),
+    ], ids=["too-deep", "match-not-a-string", "response-file-not-a-string"])
+    def test_malformed_script_is_a_value_error(self, tmp_path, text, message):
+        bad = tmp_path / "script.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_script(bad)
+        assert str(bad) in str(exc.value)
+
+
+class TestCachedBackend:
+    def test_forwards_generate_and_backend_id(self, tmp_path):
+        inner = scripted(("water", "supported_verification.json"))
+        cached = CachedBackend(inner, tmp_path)
+        assert cached.backend_id == "scripted"
+        assert cached.generate(make_request()).parsed["verification"] == (
+            "Supported"
+        )
+        assert len(inner.calls) == 1
+        assert list(tmp_path.iterdir()) == [], "generate bypasses the cache"
+
+    def test_run_request_answers_from_the_cache(self, tmp_path):
+        inner = scripted(("water", "supported_verification.json"))
+        cached = CachedBackend(inner, tmp_path)
+        req = make_request()
+        first = run_request(cached, req)
+        second = run_request(cached, req)
+        assert len(inner.calls) == 1, "the second request is a hit"
+        assert second.raw_text == first.raw_text
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"{req.request_fingerprint}.json"
+        ]
+        run_request(inner, req)
+        assert len(inner.calls) == 2, "an unwrapped backend is not cached"
 
 
 class TestCachedComplete:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import shutil
 
 import pytest
 
@@ -477,6 +478,85 @@ class TestCache:
         assert list(flag_cache.glob("*.json"))
         assert not env_cache.exists()
 
+    def cached(self, tmp_path, argv, script):
+        """argv with the response cache and the given script file."""
+        return argv + ["--backend", f"scripted:{script}",
+                       "--cache-dir", str(tmp_path / "cache")]
+
+    def empty_script(self, tmp_path):
+        """A strict script with no entries: any request that reaches the
+        backend fails."""
+        return write_script(tmp_path / "empty_script.json", [])
+
+    @pytest.mark.parametrize("verb", ["verify", "remediate", "plan"])
+    def test_stage_verb_replays_without_backend(self, tmp_path, capsys, verb):
+        doc, s1, s2, s3, _ = TestStageChain().run_chain(tmp_path)
+        argv = {
+            "verify": ["verify", str(s1), str(doc)],
+            "remediate": ["remediate", str(s2), str(doc)],
+            "plan": ["plan", str(s3), "--scenario-file", str(SCENARIO_TXT)],
+        }[verb]
+        capsys.readouterr()
+        assert main(self.cached(
+            tmp_path, argv, SCRIPTS / "mismatch_run.json"
+        )) == EXIT_OK
+        cold = capsys.readouterr().out
+        assert list((tmp_path / "cache").glob("*.json"))
+        assert main(self.cached(
+            tmp_path, argv, self.empty_script(tmp_path)
+        )) == EXIT_OK
+        assert capsys.readouterr().out == cold
+
+    def run_argv(self, doc, out_root):
+        return [
+            "run", str(doc), "--strategy", "paragraph", "--first-line", "106",
+            "--scenario-file", str(SCENARIO_TXT), "--out", str(out_root),
+        ]
+
+    def assert_same_run_files(self, cold_dir, warm_dir):
+        names = sorted(p.name for p in cold_dir.iterdir())
+        assert names == sorted(p.name for p in warm_dir.iterdir())
+        for name in names:
+            if name != "events.jsonl":
+                assert (warm_dir / name).read_bytes() == (
+                    (cold_dir / name).read_bytes()
+                ), f"{name} differs between the cold and the warm run"
+
+    def test_run_replays_without_backend(self, tmp_path, capsys):
+        doc = copy_excerpt(tmp_path)
+        assert main(self.cached(
+            tmp_path, self.run_argv(doc, tmp_path / "cold"),
+            SCRIPTS / "mismatch_run.json",
+        )) == EXIT_OK
+        assert main(self.cached(
+            tmp_path, self.run_argv(doc, tmp_path / "warm"),
+            self.empty_script(tmp_path),
+        )) == EXIT_OK
+        capsys.readouterr()
+        (cold_dir,) = (tmp_path / "cold").iterdir()
+        (warm_dir,) = (tmp_path / "warm").iterdir()
+        self.assert_same_run_files(cold_dir, warm_dir)
+
+    def test_resumed_run_replays_without_backend(self, tmp_path, capsys):
+        """An interrupted run, resumed with the cache, fills it; resuming a
+        copy of the interrupted run with no backend replays the rest."""
+        doc = copy_excerpt(tmp_path)
+        partial = write_script(tmp_path / "partial.json", HAPPY_RUN_ENTRIES[:3])
+        assert main(self.cached(
+            tmp_path, self.run_argv(doc, tmp_path / "cold"), partial
+        )) == EXIT_BACKEND
+        (cold_dir,) = (tmp_path / "cold").iterdir()
+        warm_dir = tmp_path / "warm" / cold_dir.name
+        shutil.copytree(cold_dir, warm_dir)
+        assert main(self.cached(
+            tmp_path, ["resume", str(cold_dir)], SCRIPTS / "happy_run.json"
+        )) == EXIT_OK
+        assert main(self.cached(
+            tmp_path, ["resume", str(warm_dir)], self.empty_script(tmp_path)
+        )) == EXIT_OK
+        assert "(complete)" in capsys.readouterr().out
+        self.assert_same_run_files(cold_dir, warm_dir)
+
 
 class TestExitCodes:
     def test_usage_errors_exit_one(self, tmp_path, capsys):
@@ -578,6 +658,30 @@ class TestExitCodes:
         assert code == EXIT_PIPELINE
         err = capsys.readouterr().err
         assert "nested too deeply" in err
+        assert "Traceback" not in err
+
+    def test_too_deep_script_file_exits_two(self, tmp_path, capsys):
+        doc = copy_excerpt(tmp_path)
+        deep = tmp_path / "deep_script.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        code = main(extract_args(doc)[:-2] + ["--backend", f"scripted:{deep}"])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", [
+        {"match": 5, "response_file": "listing4_terms.json"},
+        {"match": "106:", "response_file": 5},
+    ], ids=["match-not-a-string", "response-file-not-a-string"])
+    def test_malformed_script_entry_exits_two(self, tmp_path, capsys, entry):
+        doc = copy_excerpt(tmp_path)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([entry]), encoding="utf-8")
+        code = main(extract_args(doc)[:-2] + ["--backend", f"scripted:{script}"])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "entry 0 must be an object with string 'match'" in err
         assert "Traceback" not in err
 
     def test_too_deep_scenario_file_exits_two(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ from terminators.backends import (
     BackendError,
     BackendRequest,
     BackendResponse,
+    CachedBackend,
     ScriptEntry,
     ScriptedBackend,
     announce_wait,
@@ -367,16 +368,16 @@ class TestMapOrdered:
                            SCHEMA_VERIFICATION)
             for i in range(12)
         ]
-        backend = Echo()
+        backend = CachedBackend(Echo(), tmp_path)
         for req in reqs[:3]:
-            run_request(backend, req, tmp_path)
+            run_request(backend, req)
         starts_at_each_call.clear()
         caller = threading.get_ident()
         seen = []
 
         def job(req):
             seen.append((req.user_prompt, threading.get_ident(), len(started)))
-            return run_request(backend, req, tmp_path).parsed["justification"]
+            return run_request(backend, req).parsed["justification"]
 
         out = map_ordered(job, reqs, workers=3)
         assert out == [req.user_prompt for req in reqs]

@@ -12,6 +12,8 @@ import pytest
 
 from helpers import (
     HAPPY_RUN_ENTRIES,
+    SHORT_PLAN_RUN_ENTRIES,
+    FailingFollowUp,
     MISMATCH_CITED_LINE,
     MISMATCH_STATEMENT,
     RAW_NAME,
@@ -229,6 +231,48 @@ class TestThreads:
                            cache_dir=tmp_path / "cache")
         assert run.phase == "complete"
         assert not backend.barrier.broken
+
+
+class TestFollowUpFailure:
+    """A planner follow-up that fails for any reason but a malformed answer
+    fails the term's planning like its first request would."""
+
+    def test_strict_run_stops_resumably(self, tmp_path):
+        failing = FailingFollowUp(scripted(*SHORT_PLAN_RUN_ENTRIES))
+        with pytest.raises(BackendError) as exc:
+            run_pipeline(ingest_excerpt(), happy_config(), failing,
+                         tmp_path / "broken")
+        assert exc.value.kind == "transient"
+        run_dir = tmp_path / "broken" / compute_run_id(
+            ingest_excerpt(), happy_config()
+        )
+        assert load_run(run_dir).phase == "remediated"
+
+        resumed = resume(run_dir, scripted(*SHORT_PLAN_RUN_ENTRIES))
+        assert resumed.phase == "complete"
+        clean = run_pipeline(ingest_excerpt(), happy_config(),
+                             scripted(*SHORT_PLAN_RUN_ENTRIES),
+                             tmp_path / "clean")
+        assert any("only 2 checks produced" in w
+                   for plan in clean.plans for w in plan.warnings)
+        for name in RUN_FILES:
+            assert (run_dir / name).read_bytes() == (
+                clean.store.path(name).read_bytes()
+            ), f"{name} differs after resume"
+
+    def test_best_effort_run_records_the_notice(self, tmp_path):
+        config = replace(happy_config(), best_effort=True)
+        failing = FailingFollowUp(scripted(*SHORT_PLAN_RUN_ENTRIES))
+        run = run_pipeline(ingest_excerpt(), config, failing, tmp_path)
+        assert run.phase == "complete"
+        assert len(run.plans) == 3
+        plans = json.loads(run.store.path("plans.json").read_text("utf-8"))
+        assert [n for n in plans["notices"] if "planning failed" in n] == [
+            f"term {t.term_id} skipped: planning failed: "
+            "the follow-up request failed"
+            for t in run.surviving_terms
+            if t.term_id not in {p.term_id for p in run.plans}
+        ]
 
 
 class TestResume:

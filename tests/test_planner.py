@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from helpers import CANNED_CHECKS, STUDENT_SCENARIO, response_text, scripted
+from helpers import (
+    CANNED_CHECKS,
+    STUDENT_SCENARIO,
+    FailingFollowUp,
+    response_text,
+    scripted,
+)
 from terminators.backends import (
     PLAN_CHECKS_KEY,
     BackendError,
@@ -191,6 +197,46 @@ class TestShortfall:
             "only 2 checks produced; wanted at least 3" in w
             for w in plan.warnings
         )
+
+    def test_malformed_follow_up_only_warns(self, excerpt_doc):
+        term = listing3_term(excerpt_doc)
+        backend = ScriptedBackend([
+            ScriptEntry("That list is too short", "more checks? no"),
+            ScriptEntry("sole source of truth", response_text("plan_short.json")),
+        ])
+        plan = plan_term(term, excerpt_doc, STUDENT, backend)
+        assert len(plan.checks) == 2
+        assert any(
+            "follow-up request for more checks failed" in w
+            for w in plan.warnings
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["transient", "auth", "request", "unmatched"]
+    )
+    def test_other_follow_up_failures_propagate(self, excerpt_doc, kind):
+        term = listing3_term(excerpt_doc)
+        backend = FailingFollowUp(
+            scripted(("sole source of truth", "plan_short.json")), kind
+        )
+        with pytest.raises(BackendError) as exc:
+            plan_term(term, excerpt_doc, STUDENT, backend)
+        assert exc.value.kind == kind
+
+    def test_best_effort_turns_a_failed_follow_up_into_a_notice(
+        self, excerpt_doc
+    ):
+        term = listing3_term(excerpt_doc)
+        backend = FailingFollowUp(
+            scripted(("sole source of truth", "plan_short.json"))
+        )
+        plans, notices = plan_all([term], excerpt_doc, STUDENT, backend,
+                                  best_effort=True)
+        assert plans == []
+        assert notices == [
+            f"term {term.term_id} skipped: planning failed: "
+            "the follow-up request failed"
+        ]
 
     def test_min_checks_is_configurable(self, excerpt_doc):
         term = listing3_term(excerpt_doc)

@@ -25,7 +25,12 @@ from helpers import (
     scripted,
 )
 from terminators import backends
-from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
+from terminators.backends import (
+    BackendError,
+    CachedBackend,
+    ScriptEntry,
+    ScriptedBackend,
+)
 from terminators.documents import SourceRef, resolve_span
 from terminators.records import from_json, to_json
 from terminators.terms import term_from_json, validate_term
@@ -291,12 +296,13 @@ class TestVerifyTerm:
 
         monkeypatch.setattr(backends, "hashlib",
                             SimpleNamespace(sha256=counting_sha256))
-        cold = verify_term(term, excerpt_doc, backend, cache_dir=tmp_path)
+        cached = CachedBackend(backend, tmp_path)
+        cold = verify_term(term, excerpt_doc, cached)
         # One digest per request, shared by the backend, the cache and the
         # verification record.
         assert calls == ["sha256"]
         calls.clear()
-        warm = verify_term(term, excerpt_doc, backend, cache_dir=tmp_path)
+        warm = verify_term(term, excerpt_doc, cached)
         assert calls == ["sha256"]
         assert len(backend.calls) == 1, "the second round is a cache hit"
         assert warm == cold
