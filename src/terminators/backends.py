@@ -12,11 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -80,6 +82,18 @@ class BackendRequest:
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
 
+    @classmethod
+    def sharing_tail(cls, role_prompt: str, head: str, tail: str,
+                     response_schema: str, **options) -> BackendRequest:
+        """The request whose user prompt is head + tail, where tail is a long
+        piece many requests end with (a whole numbered document): its
+        fingerprint escapes the tail once per tail, not once per request.
+        Equal to the request built with user_prompt=head + tail; the tail is
+        kept outside the fields, so replace() builds a plain request."""
+        req = cls(role_prompt, head + tail, response_schema, **options)
+        object.__setattr__(req, "_shared_tail", tail)
+        return req
+
     @cached_property
     def request_fingerprint(self) -> str:
         """Deterministic digest of the request content; cache key and script
@@ -88,15 +102,58 @@ class BackendRequest:
         new request.
 
         The digest is SHA-256 of the sorted-key JSON of every field,
-        non-ASCII characters written as themselves. Prompts that are ASCII
-        without U+007F encode to the same text with the faster ASCII
-        encoder, which differs from the other only in escaping U+007F and
-        everything above it."""
-        ascii_only = all(p.isascii() and "\x7f" not in p
-                         for p in (self.role_prompt, self.user_prompt))
-        payload = json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
-                             sort_keys=True, ensure_ascii=ascii_only)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        non-ASCII characters written as themselves. user_prompt sorts last,
+        so the JSON is fed to SHA-256 in pieces: the other fields (memoized),
+        the user prompt and, for a request built by sharing_tail, the tail
+        (memoized per tail)."""
+        digest = hashlib.sha256(_fields_json(
+            self.role_prompt, self.response_schema, self.temperature,
+            self.max_output_tokens, math.copysign(1.0, self.temperature),
+        ))
+        tail = self.__dict__.get("_shared_tail")
+        if tail is None:
+            digest.update(_json_string(self.user_prompt))
+        else:
+            head = self.user_prompt[:len(self.user_prompt) - len(tail)]
+            digest.update(_json_string(head)[:-1])
+            digest.update(_json_string_tail(tail))
+        digest.update(b"}")
+        return digest.hexdigest()
+
+
+def _json_string(text: str) -> bytes:
+    """text as a JSON string in UTF-8, as json.dumps(ensure_ascii=False)
+    writes it. Escaping is per character, so a string's JSON is its pieces'
+    JSON joined without the quotes between them. Text that is ASCII without
+    U+007F takes the faster ASCII encoder, which differs from the other only
+    in escaping U+007F and everything above it."""
+    if text.isascii() and "\x7f" not in text:
+        return encode_basestring_ascii(text).encode("ascii")
+    return encode_basestring(text).encode("utf-8")
+
+
+@lru_cache(maxsize=256, typed=True)
+def _fields_json(role_prompt, response_schema, temperature, max_output_tokens,
+                 sign) -> bytes:
+    """The start of a request's fingerprinted JSON: every field but
+    user_prompt, then user_prompt's key. typed keeps 0 and 0.0, or True and
+    1, apart: they are equal keys but encode differently; sign does the same
+    for -0.0 and 0.0."""
+    text = json.dumps(
+        {"role_prompt": role_prompt, "response_schema": response_schema,
+         "temperature": temperature, "max_output_tokens": max_output_tokens},
+        sort_keys=True, ensure_ascii=False,
+    )
+    return (text[:-1] + ', "user_prompt": ').encode("utf-8")
+
+
+@lru_cache(maxsize=1)
+def _json_string_tail(tail: str) -> bytes:
+    """A shared tail's JSON string without its opening quote, escaped once
+    per tail. One entry: the remediate phase sends one document's requests
+    in a row, and an entry per document would grow with every document a
+    process sees."""
+    return _json_string(tail)[1:]
 
 
 @dataclass
@@ -462,18 +519,29 @@ def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
     )
 
 
+def json_text(obj) -> str:
+    """obj as JSON indented by two spaces, non-ASCII characters written as
+    themselves: every run file and cache entry, without its final newline."""
+    return json.dumps(obj, indent=2, ensure_ascii=False)
+
+
 def json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    return json_text(obj) + "\n"
 
 
 def write_atomic(path: Path, text: str) -> None:
     """Write text to path, making its directory, by way of a temporary file
     named per process and thread, then os.replace: a reader sees a whole
-    file, and threads writing the same path do not collide."""
+    file, and threads writing the same path do not collide. A failed write
+    removes its temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cached_complete(backend: Backend, req: BackendRequest,
@@ -490,9 +558,11 @@ def cached_complete(backend: Backend, req: BackendRequest,
     read (nested too deeply to decode included), or whose stored text does
     not fit the request's schema, counts as a miss and is overwritten.
     """
-    cache_path = Path(cache_dir) / f"{req.request_fingerprint}.json"
+    name = f"{req.request_fingerprint}.json"
+    entry_path = os.path.join(cache_dir, name)
     try:
-        entry = json.loads(cache_path.read_text(encoding="utf-8"))
+        with open(entry_path, encoding="utf-8") as fh:
+            entry = json.loads(fh.read())
         stored = entry["response"]
         if not isinstance(stored["raw_text"], str):
             raise TypeError("stored raw_text is not a string")
@@ -506,19 +576,19 @@ def cached_complete(backend: Backend, req: BackendRequest,
         if resp.parsed is not None:
             return resp
         log.warning("cache entry %s does not fit schema %r: %s",
-                    cache_path.name, req.response_schema, resp.parse_error)
+                    name, req.response_schema, resp.parse_error)
     except FileNotFoundError:
         pass
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        log.warning("unreadable cache entry %s: %s", cache_path.name, exc)
+        log.warning("unreadable cache entry %s: %s", name, exc)
 
     resp = complete(backend, req)
     try:
-        write_atomic(cache_path, json_dumps(
+        write_atomic(Path(entry_path), json_dumps(
             {"response": {"raw_text": resp.raw_text, "usage": resp.usage,
                           "latency_ms": resp.latency_ms,
                           "backend_id": resp.backend_id}}
         ))
     except OSError as exc:
-        log.warning("cache write failed for %s: %s", cache_path.name, exc)
+        log.warning("cache write failed for %s: %s", name, exc)
     return resp

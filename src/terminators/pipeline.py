@@ -15,7 +15,13 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .backends import Backend, CachedBackend, json_dumps, write_atomic
+from .backends import (
+    Backend,
+    CachedBackend,
+    json_dumps,
+    json_text,
+    write_atomic,
+)
 from .documents import SourceDocument, fingerprint_text
 from .parsing import (
     DEFAULT_WORKERS,
@@ -154,6 +160,10 @@ class AuditRun:
     outcomes: list[RemediationOutcome] = field(default_factory=list)
     plans: list[AccountabilityPlan] = field(default_factory=list)
     notices: list[str] = field(default_factory=list)
+    # Each phase-record field's latest JSON text (json_text), which the audit
+    # report reuses: set from the run's state when it is loaded, and by
+    # _execute as each phase record is written.
+    encoded: dict[str, str] = field(default_factory=dict, repr=False)
 
     @property
     def surviving_terms(self) -> list[Term]:
@@ -200,6 +210,41 @@ def start_run(doc: SourceDocument, config: RunConfig, out_root) -> AuditRun:
     return run
 
 
+def _plans_json(run: AuditRun) -> list[dict]:
+    statements = {t.term_id: t.statement for t in run.terms}
+    return [plan_to_json(p, statement=statements.get(p.term_id))
+            for p in run.plans]
+
+
+# The JSON form of each run field a phase record holds; restore() decodes
+# the same keys.
+_RECORD_FIELDS = {
+    "terms": lambda run: [term_to_json(t) for t in run.terms],
+    "coverage": lambda run: run.coverage,
+    "warnings": lambda run: run.warnings,
+    "failures": lambda run: run.failures,
+    "verifications": lambda run: to_json(run.verifications),
+    "outcomes": lambda run: to_json(run.outcomes),
+    "plans": _plans_json,
+    "notices": lambda run: run.notices,
+}
+
+
+def _record(run: AuditRun, *keys: str) -> dict:
+    """The named run fields in their JSON form, in the order given."""
+    return {key: _RECORD_FIELDS[key](run) for key in keys}
+
+
+def _object_json(encoded: dict[str, str]) -> str:
+    """json_dumps of the object whose values encoded holds as json_text
+    texts. A value nested one level deeper is the same text with two spaces
+    after every newline; JSON text has no raw newline inside a string."""
+    items = (f"  {json.dumps(key, ensure_ascii=False)}: "
+             + text.replace("\n", "\n  ")
+             for key, text in encoded.items())
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def extract_step(run: AuditRun, backend: Backend):
     """Extract the run's document into run.terms. This and the other steps
     return (the phase's record, its event summary)."""
@@ -215,12 +260,7 @@ def extract_step(run: AuditRun, backend: Backend):
     run.coverage = outcome.coverage
     run.warnings = outcome.warnings
     run.failures = outcome.failures
-    record = {
-        "terms": [term_to_json(t) for t in run.terms],
-        "coverage": run.coverage,
-        "warnings": run.warnings,
-        "failures": run.failures,
-    }
+    record = _record(run, "terms", "coverage", "warnings", "failures")
     return record, f"{len(run.terms)} terms"
 
 
@@ -240,10 +280,7 @@ def verify_step(run: AuditRun, backend: Backend):
         advance(term, status_for_label(result.label))
         for term, result in zip(run.terms, run.verifications)
     ]
-    record = {
-        "verifications": to_json(run.verifications),
-        "terms": [term_to_json(t) for t in run.terms],
-    }
+    record = _record(run, "verifications", "terms")
     supported = sum(1 for v in run.verifications if v.label == "Supported")
     return record, f"{supported}/{len(run.verifications)} supported"
 
@@ -273,10 +310,7 @@ def remediate_step(run: AuditRun, backend: Backend):
         apply_outcome(term, outcome)
         for term, outcome in zip(run.terms, run.outcomes)
     ]
-    record = {
-        "outcomes": to_json(run.outcomes),
-        "terms": [term_to_json(t) for t in run.terms],
-    }
+    record = _record(run, "outcomes", "terms")
     discarded = sum(1 for o in run.outcomes if o.action == "discarded")
     return record, f"{discarded} discarded"
 
@@ -298,15 +332,7 @@ def plan_step(run: AuditRun, backend: Backend):
             workers=cfg.workers,
             best_effort=cfg.best_effort,
         )
-    statements = {t.term_id: t.statement for t in run.terms}
-    record = {
-        "disclaimer": PLAN_DISCLAIMER,
-        "plans": [
-            plan_to_json(p, statement=statements.get(p.term_id))
-            for p in run.plans
-        ],
-        "notices": run.notices,
-    }
+    record = {"disclaimer": PLAN_DISCLAIMER, **_record(run, "plans", "notices")}
     return record, f"{len(run.plans)} plans"
 
 
@@ -324,7 +350,9 @@ def _execute(run: AuditRun, backend: Backend) -> AuditRun:
         if PHASES.index(run.phase) >= PHASES.index(phase):
             continue
         record, summary = step(run, backend)
-        run.store.write_json(artifact, record)
+        encoded = {key: json_text(value) for key, value in record.items()}
+        run.store.write_text(artifact, _object_json(encoded))
+        run.encoded.update(encoded)
         run.phase = phase
         _save_run_header(run)
         run.store.append_event(phase, summary)
@@ -418,6 +446,8 @@ def load_run(run_dir) -> AuditRun:
         for phase, artifact, _ in _STEPS:
             if PHASES.index(phase) <= reached:
                 restore(run, store.read_json(artifact))
+        run.encoded = {key: json_text(value) for key, value
+                       in _record(run, *_RECORD_FIELDS).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ResumeError(
             "malformed_run", f"{store.run_dir}: malformed run: {exc}"
@@ -445,7 +475,9 @@ def resume(
 def emit_report(run: AuditRun, format: str) -> str:
     """Render a persisted run. audit_json is the full lifecycle record,
     paper_json is the compact three-field array of surviving terms, and
-    markdown is a human summary."""
+    markdown is a human summary. audit_json takes the sections it shares
+    with the phase files from run.encoded, as run_pipeline, resume and
+    load_run leave it."""
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}")
     if PHASES.index(run.phase) < PHASES.index("extracted"):
@@ -458,36 +490,32 @@ def emit_report(run: AuditRun, format: str) -> str:
         return json_dumps([term_to_json(t, extended=False) for t in surviving])
 
     if format == REPORT_AUDIT:
-        statements = {t.term_id: t.statement for t in run.terms}
-        return json_dumps(
-            {
-                "run_id": run.run_id,
-                "document": {
-                    "source_name": run.doc.source_name,
-                    "fingerprint": run.doc.fingerprint,
-                    "first_line": run.doc.first_line,
-                    "last_line": run.doc.last_line,
-                },
-                "config": to_json(run.config),
-                "counts": {
-                    "extracted": len(run.terms),
-                    "surviving": len(surviving),
-                    "discarded": len(discarded),
-                },
-                "terms": [term_to_json(t) for t in run.terms],
-                "verifications": to_json(run.verifications),
-                "remediation": to_json(run.outcomes),
-                "plans": [
-                    plan_to_json(p, statement=statements.get(p.term_id))
-                    for p in run.plans
-                ],
-                "coverage": run.coverage,
-                "warnings": run.warnings,
-                "failures": run.failures,
-                "notices": run.notices,
-                "disclaimer": PLAN_DISCLAIMER,
-            }
-        )
+        # The phase records' sections as their files hold them (run.encoded).
+        sections = run.encoded
+        return _object_json({
+            "run_id": json_text(run.run_id),
+            "document": json_text({
+                "source_name": run.doc.source_name,
+                "fingerprint": run.doc.fingerprint,
+                "first_line": run.doc.first_line,
+                "last_line": run.doc.last_line,
+            }),
+            "config": json_text(to_json(run.config)),
+            "counts": json_text({
+                "extracted": len(run.terms),
+                "surviving": len(surviving),
+                "discarded": len(discarded),
+            }),
+            "terms": sections["terms"],
+            "verifications": sections["verifications"],
+            "remediation": sections["outcomes"],
+            "plans": sections["plans"],
+            "coverage": sections["coverage"],
+            "warnings": sections["warnings"],
+            "failures": sections["failures"],
+            "notices": sections["notices"],
+            "disclaimer": json_text(PLAN_DISCLAIMER),
+        })
 
     checks_by_term = {p.term_id: len(p.checks) for p in run.plans}
 

@@ -126,15 +126,15 @@ def build_resource_request(
     *,
     max_output_tokens: int = 1024,
 ) -> BackendRequest:
-    user_prompt = (
+    # Every re-sourcing request for a document ends with the same numbered
+    # text, so its fingerprint escapes that text once.
+    return BackendRequest.sharing_tail(
+        RESOURCE_ROLE,
         f"Document name: {doc_name}\n\n"
         f'Statement:\n"{statement}"\n\n'
-        f"Document with line numbers:\n{numbered_text}"
-    )
-    return BackendRequest(
-        role_prompt=RESOURCE_ROLE,
-        user_prompt=user_prompt,
-        response_schema=SCHEMA_TERM_LIST,
+        "Document with line numbers:\n",
+        numbered_text,
+        SCHEMA_TERM_LIST,
         max_output_tokens=max_output_tokens,
     )
 

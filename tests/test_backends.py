@@ -41,6 +41,13 @@ def make_request(**overrides) -> BackendRequest:
     return BackendRequest(**fields)
 
 
+def oracle_fingerprint(req: BackendRequest) -> str:
+    """The fingerprint's definition: one dict copy and one encoder for every
+    prompt."""
+    payload = json.dumps(asdict(req), sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 # Prompts for the fingerprint oracle: all ASCII but U+007F (the fast JSON
 # encoder's path), ASCII with U+007F (the one ASCII character the two
 # encoders escape differently), and any text weighted towards C0 controls,
@@ -116,17 +123,53 @@ class TestBackendRequest:
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
     @given(PROMPTS, PROMPTS, st.sampled_from(SCHEMAS), st.floats(0.0, 1.0),
-           st.integers(1, 10**6))
+           st.integers(1, 10**6), st.data())
     def test_fingerprint_equals_the_asdict_oracle(
-        self, role_prompt, user_prompt, schema, temperature, max_output_tokens
+        self, role_prompt, user_prompt, schema, temperature, max_output_tokens,
+        data,
     ):
         req = BackendRequest(role_prompt, user_prompt, schema, temperature,
                              max_output_tokens)
-        # Oracle: one dict copy and one encoder for every prompt.
-        payload = json.dumps(asdict(req), sort_keys=True, ensure_ascii=False)
-        assert req.request_fingerprint == (
-            hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        expected = oracle_fingerprint(req)
+        assert req.request_fingerprint == expected
+        # The same request with its user prompt split into a head and a
+        # shared tail at any index; built twice, so the second one finds its
+        # tail already escaped.
+        split = data.draw(st.integers(0, len(user_prompt)))
+        head, tail = user_prompt[:split], user_prompt[split:]
+        for _ in range(2):
+            shared = BackendRequest.sharing_tail(
+                role_prompt, head, tail, schema, temperature=temperature,
+                max_output_tokens=max_output_tokens,
+            )
+            assert shared == req
+            assert shared.request_fingerprint == expected
+
+    @pytest.mark.parametrize("first, second", [
+        ({"temperature": 0.0}, {"temperature": 0}),
+        ({"temperature": 0.0}, {"temperature": -0.0}),
+        ({"max_output_tokens": 1}, {"max_output_tokens": True}),
+    ])
+    def test_equal_values_that_encode_apart_keep_their_digests(
+        self, first, second
+    ):
+        # Equal, and equally hashed, field values whose JSON differs: a memo
+        # keyed on the values alone would hand the second the first's digest.
+        digests = set()
+        for overrides in (first, second, first):
+            req = make_request(**overrides)
+            assert req.request_fingerprint == oracle_fingerprint(req)
+            digests.add(req.request_fingerprint)
+        assert len(digests) == 2
+
+    def test_replace_drops_the_shared_tail(self):
+        req = BackendRequest.sharing_tail(
+            "role", "head ", "tail", SCHEMA_VERIFICATION
         )
+        retry = replace(req, user_prompt=req.user_prompt + " reminder")
+        assert retry == make_request(role_prompt="role",
+                                     user_prompt="head tail reminder")
+        assert retry.request_fingerprint == oracle_fingerprint(retry)
 
 
 class TestExtractStructuredValue:
@@ -509,6 +552,21 @@ class TestCachedComplete:
         assert f"unreadable cache entry {req.request_fingerprint}.json" in (
             caplog.text
         )
+
+    def test_failed_write_warns_and_leaves_no_temporary_file(
+        self, tmp_path, caplog
+    ):
+        backend = scripted(("water", "supported_verification.json"))
+        req = make_request()
+        entry = f"{req.request_fingerprint}.json"
+        (tmp_path / entry).mkdir()
+        for _ in range(2):
+            with caplog.at_level(logging.WARNING,
+                                 logger="terminators.backends"):
+                resp = cached_complete(backend, req, tmp_path)
+            assert resp.parsed["verification"] == "Supported"
+        assert f"cache write failed for {entry}" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == [entry]
 
     def test_unwritable_cache_dir_degrades(self, tmp_path):
         blocker = tmp_path / "cache"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import shutil
 import threading
 from dataclasses import replace
 from datetime import datetime
@@ -17,6 +18,7 @@ from helpers import (
     MISMATCH_CITED_LINE,
     MISMATCH_STATEMENT,
     RAW_NAME,
+    SCRIPTS,
     STUDENT_SCENARIO,
     happy_backend,
     ingest_excerpt,
@@ -30,18 +32,22 @@ from terminators.backends import (
     BackendError,
     ScriptEntry,
     ScriptedBackend,
+    load_script,
 )
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.cli import main as cli_main
 from terminators.parsing import ExtractionConfig
 from terminators.pipeline import (
+    PHASES,
     REPORT_AUDIT,
     REPORT_MARKDOWN,
     REPORT_PAPER,
     ResumeError,
     RunConfig,
+    RunStore,
     compute_run_id,
     emit_report,
+    json_dumps,
     load_run,
     resume,
     run_pipeline,
@@ -273,6 +279,84 @@ class TestFollowUpFailure:
             for t in run.surviving_terms
             if t.term_id not in {p.term_id for p in run.plans}
         ]
+
+
+class TestEncoding:
+    """Phase files and report.audit.json are assembled from per-section
+    encodings; each JSON file must still read exactly as json_dumps writes
+    its content."""
+
+    PHASE_FILES = ("terms.json", "verifications.json", "remediation.json",
+                   "plans.json")
+    REPORTS = ("report.audit.json", "report.paper.json", "report.md")
+
+    def assert_canonical(self, run_dir):
+        for path in run_dir.glob("*.json"):
+            text = path.read_text(encoding="utf-8")
+            assert text == json_dumps(json.loads(text)), path.name
+
+    def rewind(self, run_dir, copy, phase):
+        """A copy of a complete run directory stopped at phase."""
+        shutil.copytree(run_dir, copy)
+        reached = PHASES.index(phase)
+        for name in self.PHASE_FILES[reached:] + self.REPORTS:
+            (copy / name).unlink()
+        header = json.loads((copy / "run.json").read_text(encoding="utf-8"))
+        header["phase"] = phase
+        (copy / "run.json").write_text(json_dumps(header), encoding="utf-8")
+        return copy
+
+    @pytest.mark.parametrize(
+        "script", sorted(p.name for p in SCRIPTS.glob("*.json"))
+    )
+    def test_run_files_are_canonical_json(self, tmp_path, script):
+        for mode in (ChunkMode.PARAGRAPH, ChunkMode.WHOLE_DOCUMENT):
+            config = replace(
+                happy_config(),
+                extraction=ExtractionConfig(ChunkStrategy(mode)),
+            )
+            out = tmp_path / mode.value
+            try:
+                run = run_pipeline(ingest_excerpt(), config,
+                                   load_script(SCRIPTS / script), out)
+            except BackendError:
+                (run_dir,) = out.iterdir()
+                self.assert_canonical(run_dir)
+                continue
+            run_dir = run.store.run_dir
+            self.assert_canonical(run_dir)
+            audit = (run_dir / "report.audit.json").read_text(encoding="utf-8")
+            assert emit_report(load_run(run_dir), REPORT_AUDIT) == audit
+            for phase in PHASES[:-1]:
+                copy = self.rewind(run_dir, tmp_path / f"{mode.value}-{phase}",
+                                   phase)
+                if phase != "ingested":
+                    loaded = emit_report(load_run(copy), REPORT_AUDIT)
+                    assert loaded == json_dumps(json.loads(loaded)), phase
+                resume(copy, load_script(SCRIPTS / script))
+                self.assert_canonical(copy)
+                for name in self.PHASE_FILES + self.REPORTS:
+                    assert (copy / name).read_bytes() == (
+                        run_dir / name
+                    ).read_bytes(), (phase, name)
+
+
+class TestRunStore:
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, blocked):
+        store = RunStore(tmp_path)
+        if blocked:
+            # os.replace fails: a directory holds the file's name.
+            (tmp_path / "terms.json").mkdir()
+            text, error = "[]\n", IsADirectoryError
+        else:
+            # The write itself fails, after the temporary file is made.
+            text, error = "\ud800", UnicodeEncodeError
+        with pytest.raises(error):
+            store.write_text("terms.json", text)
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["terms.json"] if blocked else []
+        )
 
 
 class TestResume:
