@@ -70,6 +70,12 @@ class SourceDocument:
     lines: tuple[tuple[int, str], ...]
     fingerprint: str
 
+    def __hash__(self) -> int:
+        # The fingerprint stands for the text, so equal documents hash equal
+        # and a hash costs the same at any length (memo lookups key on
+        # documents). Equality still compares every field, lines included.
+        return hash(self.fingerprint)
+
     @property
     def first_line(self) -> int:
         return self.lines[0][0]

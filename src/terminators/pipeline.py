@@ -43,6 +43,7 @@ from .remediation import (
     RemediationOutcome,
     apply_outcome,
     remediate,
+    shown_whole_document,
     status_for_label,
     advance,
 )
@@ -312,7 +313,10 @@ def remediate_step(run: AuditRun, backend: Backend):
     ]
     record = _record(run, "outcomes", "terms")
     discarded = sum(1 for o in run.outcomes if o.action == "discarded")
-    return record, f"{discarded} discarded"
+    whole = sum(
+        shown_whole_document(o, run.doc) for o in run.outcomes
+    ) if cfg.use_llm_resource else 0
+    return record, f"{discarded} discarded, {whole} shown the whole document"
 
 
 def plan_step(run: AuditRun, backend: Backend):

@@ -1,10 +1,11 @@
 """Re-sourcing for terms whose citations did not hold up.
 
-Any term not labeled Supported gets one proposal for a better source span,
-made either by a parser-role backend call over the full document or by a
-deterministic lexical search. A new span that verifies Supported re-sources
-the term; anything else discards it. Both proposers are deterministic, so a
-second proposal would only repeat the first.
+Any term not labeled Supported gets a proposal for a better source span,
+made either by parser-role backend calls or by a deterministic lexical
+search over the whole document. The backend is first shown the cited
+neighbourhood, and the whole document only when that gives no usable new
+span. A new span that verifies Supported re-sources the term; anything else
+discards it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .backends import Backend, BackendError
+from .chunking import DEFAULT_MAX_CHUNK_LINES
 from .documents import SourceDocument, SourceRef, SpanError, render_numbered, resolve_span
 from .parsing import run_request
 from .prompts import build_resource_request
@@ -34,6 +36,11 @@ from .verification import (
 )
 
 DEFAULT_MAX_SPAN_LINES = 6
+
+# Lines shown on each side of the cited span by the first re-sourcing
+# request: half an extraction chunk, so the agent sees about one chunk,
+# roughly what the parser saw when it made the citation.
+WINDOW_MARGIN_LINES = DEFAULT_MAX_CHUNK_LINES // 2
 
 ACTION_KEPT = "kept_supported"
 ACTION_RESOURCED = "resourced"
@@ -99,9 +106,21 @@ def _line_index(doc: SourceDocument) -> tuple[tuple[frozenset, frozenset], ...]:
 
 @lru_cache(maxsize=1)
 def _numbered_document(doc: SourceDocument) -> str:
-    """The whole numbered document every re-sourcing request shows, rendered
-    once per document; one entry, as in _line_index."""
+    """The whole numbered document every whole-document re-sourcing request
+    shows, rendered once per document; one entry, as in _line_index."""
     return render_numbered(doc)
+
+
+def resource_window(doc: SourceDocument, cited: SourceRef) -> tuple[int, int] | None:
+    """(first, last) line the first re-sourcing request shows for a term
+    citing `cited`: the span widened by WINDOW_MARGIN_LINES on each side,
+    clipped to the document. None when that is the whole document, or when
+    the citation lies too far outside the document to leave any line."""
+    first = max(doc.first_line, cited.start_line - WINDOW_MARGIN_LINES)
+    last = min(doc.last_line, cited.end_line + WINDOW_MARGIN_LINES)
+    if first > last or (first, last) == (doc.first_line, doc.last_line):
+        return None
+    return first, last
 
 
 def find_best_window(
@@ -151,20 +170,26 @@ def resource_term(
     backend: Backend | None,
     *,
     use_llm: bool = True,
+    lines: tuple[int, int] | None = None,
 ) -> SourceRef | None:
     """Propose a replacement source span for the statement, or nothing.
 
-    The backend path shows the full numbered document and asks for a single
-    term record whose source is the best span. A proposal that is not
-    exactly one record, has no source string, or cites a span that does not
-    parse or resolve counts as absent. An answer that still does not parse
-    after the format reminder raises BackendError("malformed_output").
+    The backend path shows the numbered lines first..last of `lines`, or
+    the whole numbered document when None, and asks for a single term record
+    whose source is the best span. A proposal that is not exactly one
+    record, has no source string, or cites a span that does not parse or
+    resolve in the document counts as absent. An answer that still does not
+    parse after the format reminder raises BackendError("malformed_output").
     """
     if not use_llm:
         return find_best_window(term.statement, doc)
 
+    if lines is None:
+        numbered = _numbered_document(doc)
+    else:
+        numbered = render_numbered(doc, start_line=lines[0], end_line=lines[1])
     req = build_resource_request(
-        doc.source_name, _numbered_document(doc), term.statement
+        doc.source_name, numbered, term.statement, shared=lines is None
     )
     resp = run_request(backend, req)
     records = resp.parsed
@@ -182,6 +207,24 @@ def resource_term(
     return ref
 
 
+def _unusable(proposed: SourceRef | None, cited: SourceRef) -> str:
+    """Why a proposal is discarded unverified, or "" when it is a new span."""
+    if proposed is None:
+        return "no span proposed"
+    if proposed == cited:
+        return "proposed an already tried span"
+    return ""
+
+
+def shown_whole_document(outcome: RemediationOutcome, doc: SourceDocument) -> bool:
+    """Whether re-sourcing on the backend path sent this term's agent the
+    whole document: its window was the whole document, or the window's
+    proposal was set aside."""
+    return outcome.action != ACTION_KEPT and (
+        len(outcome.trail) > 1 or resource_window(doc, outcome.old_source) is None
+    )
+
+
 def remediate(
     term: Term,
     result: VerificationResult,
@@ -195,10 +238,14 @@ def remediate(
 ) -> RemediationOutcome:
     """Decide one term's fate given its verification.
 
-    Supported terms pass through untouched. Anything else gets one proposal:
+    Supported terms pass through untouched. Anything else gets a proposal:
     no span, or the span the term already cites, discards it unverified;
     a new span is verified and re-sources the term on Supported, otherwise
-    the term is discarded. The trail records the proposal and its verdict.
+    the term is discarded. On the backend path the first request shows the
+    resource_window around the citation; when its proposal is no span or
+    the cited one, it is set aside and a second request shows the whole
+    document. The trail records a set-aside proposal, then the proposal
+    decided on and its verdict.
     """
     if result.term_id != term.term_id:
         raise ValueError(
@@ -213,25 +260,35 @@ def remediate(
             trail=(),
         )
 
+    set_aside: tuple[TrailEntry, ...] = ()
+
     def outcome(entry: TrailEntry, new_source: SourceRef | None = None):
         return RemediationOutcome(
             term_id=term.term_id,
             action=ACTION_RESOURCED if new_source else ACTION_DISCARDED,
             old_source=term.source,
             new_source=new_source,
-            trail=(entry,),
+            trail=set_aside + (entry,),
         )
 
+    window = resource_window(doc, term.source) if use_llm_resource else None
     try:
-        proposed = resource_term(term, doc, backend, use_llm=use_llm_resource)
+        proposed = resource_term(
+            term, doc, backend, use_llm=use_llm_resource, lines=window
+        )
+        unusable = _unusable(proposed, term.source)
+        if window is not None and unusable:
+            first, last = window
+            note = f"{unusable} from lines {first}-{last}"
+            set_aside = (TrailEntry(proposed, None, note),)
+            proposed = resource_term(term, doc, backend)
+            unusable = _unusable(proposed, term.source)
     except BackendError as exc:
         if not best_effort:
             raise
         return outcome(TrailEntry(None, None, f"re-sourcing failed: {exc}"))
-    if proposed is None:
-        return outcome(TrailEntry(None, None, "no span proposed"))
-    if proposed == term.source:
-        return outcome(TrailEntry(proposed, None, "proposed an already tried span"))
+    if unusable:
+        return outcome(TrailEntry(proposed, None, unusable))
     try:
         verdict = verify_term(
             replace(term, source=proposed),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import threading
 from pathlib import Path
 
@@ -275,6 +276,79 @@ class SeededBackend(Backend):
         raw = json.dumps(value)
         return BackendResponse(
             raw_text=raw,
+            parsed=value,
+            parse_error=None,
+            usage={"input_tokens": 0, "output_tokens": 0},
+            latency_ms=0.0,
+            backend_id=self.backend_id,
+        )
+
+
+_NUMBERED_LINE_RE = re.compile(r"^(\d+):(?: (.*))?$", re.MULTILINE)
+
+
+def shown_lines(prompt: str) -> dict[int, str]:
+    """The numbered lines a prompt shows, as {number: text}."""
+    return {
+        int(m.group(1)): m.group(2) or ""
+        for m in _NUMBERED_LINE_RE.finditer(prompt)
+    }
+
+
+def cite_the_statement(statement: str, shown: dict[int, str]) -> int | None:
+    """The shown line whose text is the statement, if any."""
+    return next((n for n, text in shown.items() if text == statement), None)
+
+
+class LineTextBackend(Backend):
+    """Answers from the line texts a request shows, never from its line
+    numbers, and keeps every request in order.
+
+    The parser returns each shown line starting with "Clause" as a term,
+    cited at its own line plus offsets.get(text, 0). The verifier answers
+    Supported iff the statement is a line of the passage. The re-sourcing
+    agent cites the line resource(statement, shown lines) picks, or answers
+    [] when it picks None. The planner gives three fixed checks."""
+
+    backend_id = "line-text-test"
+
+    def __init__(self, *, offsets=None, resource=cite_the_statement):
+        self.offsets = offsets or {}
+        self.resource = resource
+        self.requests: list[BackendRequest] = []
+        self._lock = threading.Lock()
+
+    def resource_requests(self) -> list[BackendRequest]:
+        return [r for r in self.requests
+                if r.response_schema == SCHEMA_TERM_LIST
+                and "Locate the single passage" in r.role_prompt]
+
+    def generate(self, req: BackendRequest) -> BackendResponse:
+        with self._lock:
+            self.requests.append(req)
+        prompt = req.user_prompt
+        if req.response_schema == SCHEMA_VERIFICATION:
+            statement = prompt.split('"', 2)[1]
+            passage = prompt.split("Passage:\n", 1)[1]
+            label = ("Supported" if statement in passage.split("\n")
+                     else "Unverifiable")
+            value = {"verification": label, "justification": f"Judged {label}."}
+        elif req.response_schema == SCHEMA_PLAN:
+            value = {PLAN_CHECKS_KEY: [f"Check {i}." for i in range(3)]}
+        else:
+            name = prompt.split("\n", 1)[0].removeprefix("Document name: ")
+            shown = shown_lines(prompt)
+            if "Locate the single passage" in req.role_prompt:
+                statement = prompt.split('"', 2)[1]
+                line = self.resource(statement, shown)
+                cited = [] if line is None else [(statement, line)]
+            else:
+                cited = [(text, n + self.offsets.get(text, 0))
+                         for n, text in shown.items() if text.startswith("Clause")]
+            value = [{"term": text, "source": f"{name}:{line}",
+                      "applicable_to": ["user"]} for text, line in cited]
+        return BackendResponse(
+            raw_text=json.dumps(value),
             parsed=value,
             parse_error=None,
             usage={"input_tokens": 0, "output_tokens": 0},

@@ -203,6 +203,23 @@ def test_line_text_out_of_range():
         doc.line_text(118)
 
 
+def test_documents_hash_on_their_fingerprint():
+    doc = ingest(b"alpha\nbeta\n", "a.txt")
+    clone = SourceDocument.from_json(doc.to_json())
+    assert clone is not doc and clone == doc and hash(clone) == hash(doc)
+    # The hash reads no line, so it costs the same at any length: a
+    # document whose lines could not be hashed still hashes.
+    unhashable_lines = SourceDocument(
+        doc.doc_id, doc.source_name, ((1, ["alpha"]),), doc.fingerprint
+    )
+    assert hash(unhashable_lines) == hash(doc)
+    # Equality still compares the lines: the same text numbered from 501
+    # hashes equal but is another document.
+    shifted = ingest(b"alpha\nbeta\n", "a.txt", first_line=501)
+    assert hash(shifted) == hash(doc) and shifted != doc
+    assert {doc: "from 1", shifted: "from 501"}[shifted] == "from 501"
+
+
 def test_document_json_round_trip():
     doc = ingest_excerpt()
     clone = SourceDocument.from_json(doc.to_json())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import shutil
 import threading
 from dataclasses import replace
@@ -15,12 +16,14 @@ from helpers import (
     HAPPY_RUN_ENTRIES,
     SHORT_PLAN_RUN_ENTRIES,
     FailingFollowUp,
+    LineTextBackend,
     MISMATCH_CITED_LINE,
     MISMATCH_STATEMENT,
     RAW_NAME,
     SCRIPTS,
     STUDENT_SCENARIO,
     happy_backend,
+    ingest_doc_text,
     ingest_excerpt,
     ingest_raw,
     mismatch_backend,
@@ -588,6 +591,110 @@ class TestResourcedThroughPipeline:
         run = self.run(tmp_path)
         assert run.plans == []
         assert run.notices == ["no scenario provided; planning skipped"]
+
+
+def remediated_event(run) -> str:
+    events = [
+        json.loads(line)
+        for line in run.store.path("events.jsonl").read_text(
+            encoding="utf-8"
+        ).splitlines()
+    ]
+    return next(e["event"] for e in events if e["phase"] == "remediated")
+
+
+class TestRemediatedEvent:
+    def test_counts_terms_shown_the_whole_document(self, tmp_path):
+        # The excerpt is shorter than a re-sourcing window, so its one
+        # unsupported term's request shows the whole document.
+        run = run_pipeline(
+            ingest_excerpt(), happy_config(), mismatch_backend(), tmp_path
+        )
+        assert remediated_event(run) == "1 discarded, 1 shown the whole document"
+
+    def test_lexical_re_sourcing_shows_the_agent_nothing(self, tmp_path):
+        config = replace(happy_config(), use_llm_resource=False)
+        run = run_pipeline(
+            ingest_excerpt(), config, mismatch_backend(), tmp_path
+        )
+        assert remediated_event(run) == "1 discarded, 0 shown the whole document"
+
+
+SHIFT_NAME = "Long.txt"
+SHIFT = 500
+# Clause line -> the parser's citation offset: exact, near misses (two of
+# them near an end, so their windows are clipped) and one far mis-citation
+# whose window misses the clause, so the whole document is shown.
+SHIFT_CLAUSES = {10: 1, 60: 80, 120: 0, 200: 2, 236: -3}
+_CITATION_RE = re.compile(rf"{re.escape(SHIFT_NAME)}:(\d+)(?:-(\d+))?")
+
+
+def shift_citations(text: str, offset: int) -> str:
+    return _CITATION_RE.sub(
+        lambda m: f"{SHIFT_NAME}:" + "-".join(
+            str(int(n) + offset) for n in m.groups() if n is not None
+        ),
+        text,
+    )
+
+
+def citations(value, path=()):
+    """(path, citation) for every citation string in a JSON value."""
+    if isinstance(value, dict):
+        return [c for key, v in value.items() for c in citations(v, path + (key,))]
+    if isinstance(value, list):
+        return [c for i, v in enumerate(value) for c in citations(v, path + (i,))]
+    if isinstance(value, str) and _CITATION_RE.fullmatch(value):
+        return [(path, value)]
+    return []
+
+
+class TestFirstLineShift:
+    """The same document numbered from 1 and from 1 + SHIFT: every request
+    shows the same texts with numbers SHIFT higher, and every citation the
+    run writes moves by exactly SHIFT."""
+
+    def run(self, out_root, first_line):
+        lines = [f"Filler {i} about general matters." for i in range(240)]
+        offsets = {}
+        for k, (line, offset) in enumerate(SHIFT_CLAUSES.items()):
+            lines[line - 1] = f"Clause {k}: users may ask for item {k} by mail."
+            offsets[lines[line - 1]] = offset
+        doc = ingest_doc_text(
+            "\n".join(lines) + "\n", SHIFT_NAME, first_line=first_line
+        )
+        backend = LineTextBackend(offsets=offsets)
+        config = replace(happy_config(), workers=1)
+        return run_pipeline(doc, config, backend, out_root), backend
+
+    def test_requests_and_citations_move_by_the_offset(self, tmp_path):
+        base, base_backend = self.run(tmp_path / "base", 1)
+        moved, moved_backend = self.run(tmp_path / "moved", 1 + SHIFT)
+
+        def shifted(prompt):
+            prompt = re.sub(r"^(\d+):", lambda m: f"{int(m.group(1)) + SHIFT}:",
+                            prompt, flags=re.MULTILINE)
+            return shift_citations(prompt, SHIFT)
+
+        assert len(base_backend.requests) == len(moved_backend.requests)
+        for a, b in zip(base_backend.requests, moved_backend.requests):
+            assert b.role_prompt == a.role_prompt
+            assert b.user_prompt == shifted(a.user_prompt)
+        # Four windows, then the far mis-citation's whole document.
+        assert len(base_backend.resource_requests()) == 5
+
+        for name in ("terms.json", "remediation.json"):
+            a = json.loads(base.store.path(name).read_text(encoding="utf-8"))
+            b = json.loads(moved.store.path(name).read_text(encoding="utf-8"))
+            assert citations(b) == [
+                (path, shift_citations(c, SHIFT)) for path, c in citations(a)
+            ], name
+        # Terms in citation order: lines 11, 120, 140 (the far one), 202, 233.
+        assert [o.action for o in base.outcomes] == [
+            "resourced", "kept_supported", "resourced", "resourced", "resourced",
+        ]
+        assert [len(o.trail) for o in base.outcomes] == [1, 0, 2, 1, 1]
+        assert remediated_event(base) == "0 discarded, 1 shown the whole document"
 
 
 class TestReports:

@@ -12,15 +12,22 @@ from helpers import (
     MISMATCH_CITED_LINE,
     MISMATCH_STATEMENT,
     RAW_NAME,
+    LineTextBackend,
     ingest_doc_text,
     random_document,
     random_statement,
     response_text,
     scripted,
+    shown_lines,
 )
-from terminators import remediation
+from terminators import backends, remediation
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
-from terminators.documents import SourceRef, render_numbered, resolve_span
+from terminators.documents import (
+    SourceRef,
+    parse_numbered,
+    render_numbered,
+    resolve_span,
+)
 from terminators.prompts import build_resource_request
 from terminators.records import from_json, to_json
 from terminators.remediation import (
@@ -28,7 +35,9 @@ from terminators.remediation import (
     ACTION_KEPT,
     ACTION_RESOURCED,
     TRANSITIONS,
+    WINDOW_MARGIN_LINES,
     RemediationOutcome,
+    TrailEntry,
     advance,
     apply_outcome,
     find_best_window,
@@ -45,6 +54,7 @@ from terminators.terms import (
 from terminators.verification import (
     LABEL_SUPPORTED,
     LABEL_UNVERIFIABLE,
+    VerificationResult,
     _stopwords,
     lexical_support_score,
     verify_term,
@@ -322,6 +332,14 @@ class TestRemediate:
             for term in terms
         ]
 
+    def test_memo_renders_each_numbering_of_the_same_text(self):
+        one = ingest_doc_text("alpha\nbeta\n")
+        shifted = ingest_doc_text("alpha\nbeta\n", first_line=501)
+        assert hash(one) == hash(shifted)
+        assert remediation._numbered_document(one) == "1: alpha\n2: beta"
+        assert remediation._numbered_document(shifted) == "501: alpha\n502: beta"
+        assert remediation._numbered_document(one) == "1: alpha\n2: beta"
+
     def test_repeated_proposal_stops_the_loop(self, raw_doc):
         # A proposal of the span already cited is discarded without verifying.
         cited = mismatch_term(raw_doc)
@@ -382,6 +400,185 @@ class TestRemediate:
         assert outcome.action == ACTION_DISCARDED
         assert outcome.trail[0].note.startswith("verification failed:")
         assert outcome.trail[0].proposed.start_line == 30
+
+
+LONG_NAME = "Long.txt"
+CLAUSE = "Clause: users may export their data at any time."
+
+
+def long_doc(lines=200, clause_line=100, first_line=1):
+    """A document of distinct filler lines with CLAUSE on clause_line."""
+    texts = [f"Filler {i} about general matters." for i in range(lines)]
+    texts[clause_line - first_line] = CLAUSE
+    return ingest_doc_text("\n".join(texts) + "\n", LONG_NAME, first_line)
+
+
+def clause_term(doc, cited_line):
+    return validate_term(
+        {"term": CLAUSE, "source": f"{LONG_NAME}:{cited_line}",
+         "applicable_to": ["user"]},
+        doc,
+        warnings=[],
+    )
+
+
+def unverified(term):
+    return VerificationResult(
+        term_id=term.term_id, label=LABEL_UNVERIFIABLE, justification="",
+        lexical_score=0.0, pre_check_flag="low_overlap",
+        verifier_prompt_fingerprint=None,
+    )
+
+
+def remediate_cited(doc, cited_line, backend, **options):
+    """Remediate CLAUSE cited at cited_line, which did not verify."""
+    term = clause_term(doc, cited_line)
+    return term, remediate(term, unverified(term), doc, backend, **options)
+
+
+def shown_range(req):
+    """(first, last) line number a re-sourcing request shows."""
+    shown = parse_numbered(req.user_prompt.split("Document with line numbers:\n", 1)[1])
+    return shown[0][0], shown[-1][0]
+
+
+class TestWindowThenDocument:
+    """The first re-sourcing request shows the cited span widened by
+    WINDOW_MARGIN_LINES; the whole document follows only when that gives no
+    span or the cited one."""
+
+    def whole_document_request(self, doc):
+        return build_resource_request(LONG_NAME, render_numbered(doc), CLAUSE)
+
+    def test_near_miss_is_resourced_from_the_window(self):
+        doc = long_doc(clause_line=100)
+        backend = LineTextBackend()
+        _, outcome = remediate_cited(doc, 103, backend)
+        (req,) = backend.resource_requests()
+        assert WINDOW_MARGIN_LINES == 30
+        assert shown_range(req) == (73, 133)
+        assert req.request_fingerprint == build_resource_request(
+            LONG_NAME, render_numbered(doc, start_line=73, end_line=133), CLAUSE
+        ).request_fingerprint
+        assert outcome.action == ACTION_RESOURCED
+        assert outcome.new_source == SourceRef(LONG_NAME, 100, 100)
+        assert len(outcome.trail) == 1
+
+    def test_far_miscitation_falls_back_to_the_whole_document(self):
+        doc = long_doc(clause_line=20)
+        backend = LineTextBackend()
+        term, outcome = remediate_cited(doc, 150, backend)
+        window, whole = backend.resource_requests()
+        assert shown_range(window) == (120, 180)
+        assert (whole.request_fingerprint
+                == self.whole_document_request(doc).request_fingerprint)
+        assert outcome.action == ACTION_RESOURCED
+        assert outcome.new_source == SourceRef(LONG_NAME, 20, 20)
+        set_aside, decided = outcome.trail
+        assert set_aside == TrailEntry(
+            None, None, "no span proposed from lines 120-180"
+        )
+        assert decided.proposed == outcome.new_source
+        assert decided.verification.label == LABEL_SUPPORTED
+
+    def test_proposing_the_cited_span_falls_back(self):
+        doc = long_doc(clause_line=20)
+
+        def cited_unless_true_line_shown(statement, shown):
+            return 20 if 20 in shown else 150
+
+        backend = LineTextBackend(resource=cited_unless_true_line_shown)
+        term, outcome = remediate_cited(doc, 150, backend)
+        window, whole = backend.resource_requests()
+        assert (whole.request_fingerprint
+                == self.whole_document_request(doc).request_fingerprint)
+        assert outcome.trail[0] == TrailEntry(
+            term.source, None, "proposed an already tried span from lines 120-180"
+        )
+        assert outcome.action == ACTION_RESOURCED
+        assert outcome.new_source == SourceRef(LONG_NAME, 20, 20)
+
+    def test_wrong_new_span_is_verified_and_discarded(self):
+        doc = long_doc(clause_line=20)
+        backend = LineTextBackend(resource=lambda statement, shown: 160)
+        _, outcome = remediate_cited(doc, 150, backend)
+        assert len(backend.resource_requests()) == 1
+        assert len(backend.requests) == 2
+        assert outcome.action == ACTION_DISCARDED
+        (entry,) = outcome.trail
+        assert entry.proposed == SourceRef(LONG_NAME, 160, 160)
+        assert entry.verification.label == LABEL_UNVERIFIABLE
+
+    @pytest.mark.parametrize(
+        "first_line, clause_line, cited_line, shown",
+        [
+            (1, 3, 5, (1, 35)),
+            (1, 199, 197, (167, 200)),
+            (501, 503, 505, (501, 535)),
+            (501, 699, 697, (667, 700)),
+        ],
+        ids=["first-line", "last-line", "first-line-offset", "last-line-offset"],
+    )
+    def test_window_is_clipped_to_the_document(
+        self, first_line, clause_line, cited_line, shown
+    ):
+        doc = long_doc(clause_line=clause_line, first_line=first_line)
+        backend = LineTextBackend()
+        _, outcome = remediate_cited(doc, cited_line, backend)
+        (req,) = backend.resource_requests()
+        assert shown_range(req) == shown
+        assert outcome.new_source.start_line == clause_line
+
+    @pytest.mark.parametrize("cited_line", [1, 16, 31])
+    def test_document_shorter_than_the_window_gets_one_request(self, cited_line):
+        # Every line of a document of WINDOW_MARGIN_LINES + 1 lines is
+        # within WINDOW_MARGIN_LINES of both ends, so every window covers it.
+        doc = long_doc(lines=31, clause_line=30)
+        backend = LineTextBackend(resource=lambda statement, shown: None)
+        _, outcome = remediate_cited(doc, cited_line, backend)
+        (req,) = backend.resource_requests()
+        assert (req.request_fingerprint
+                == self.whole_document_request(doc).request_fingerprint)
+        assert outcome.action == ACTION_DISCARDED
+        assert [e.note for e in outcome.trail] == ["no span proposed"]
+
+    def test_citation_outside_the_document_shows_it_whole(self):
+        doc = long_doc(clause_line=20)
+        far = replace(clause_term(doc, 20), source=SourceRef(LONG_NAME, 400, 400))
+        backend = LineTextBackend()
+        outcome = remediate(far, unverified(far), doc, backend)
+        (req,) = backend.resource_requests()
+        assert (req.request_fingerprint
+                == self.whole_document_request(doc).request_fingerprint)
+        assert outcome.new_source == SourceRef(LONG_NAME, 20, 20)
+
+    def test_fallback_failure_keeps_the_set_aside_entry(self):
+        doc = long_doc(clause_line=20)
+
+        class FailingWholeDocument(LineTextBackend):
+            def generate(self, req):
+                if len(shown_lines(req.user_prompt)) == doc.line_count:
+                    raise BackendError("transient", "no answer")
+                return super().generate(req)
+
+        _, outcome = remediate_cited(
+            doc, 150, FailingWholeDocument(), best_effort=True
+        )
+        assert [e.note for e in outcome.trail] == [
+            "no span proposed from lines 120-180",
+            "re-sourcing failed: no answer",
+        ]
+
+    def test_window_requests_keep_the_escaped_document_memo(self):
+        doc = long_doc(clause_line=100)
+        self.whole_document_request(doc).request_fingerprint
+        backend = LineTextBackend()
+        remediate_cited(doc, 103, backend)
+        (window,) = backend.resource_requests()
+        window.request_fingerprint  # as a cache or a scripted backend would
+        hits = backends._json_string_tail.cache_info().hits
+        self.whole_document_request(doc).request_fingerprint
+        assert backends._json_string_tail.cache_info().hits == hits + 1
 
 
 class TestApplyOutcome:
