@@ -82,18 +82,6 @@ class BackendRequest:
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
 
-    @classmethod
-    def sharing_tail(cls, role_prompt: str, head: str, tail: str,
-                     response_schema: str, **options) -> BackendRequest:
-        """The request whose user prompt is head + tail, where tail is a long
-        piece many requests end with (a whole numbered document): its
-        fingerprint escapes the tail once per tail, not once per request.
-        Equal to the request built with user_prompt=head + tail; the tail is
-        kept outside the fields, so replace() builds a plain request."""
-        req = cls(role_prompt, head + tail, response_schema, **options)
-        object.__setattr__(req, "_shared_tail", tail)
-        return req
-
     @cached_property
     def request_fingerprint(self) -> str:
         """Deterministic digest of the request content; cache key and script
@@ -104,29 +92,21 @@ class BackendRequest:
         The digest is SHA-256 of the sorted-key JSON of every field,
         non-ASCII characters written as themselves. user_prompt sorts last,
         so the JSON is fed to SHA-256 in pieces: the other fields (memoized),
-        the user prompt and, for a request built by sharing_tail, the tail
-        (memoized per tail)."""
+        then the user prompt."""
         digest = hashlib.sha256(_fields_json(
             self.role_prompt, self.response_schema, self.temperature,
             self.max_output_tokens, math.copysign(1.0, self.temperature),
         ))
-        tail = self.__dict__.get("_shared_tail")
-        if tail is None:
-            digest.update(_json_string(self.user_prompt))
-        else:
-            head = self.user_prompt[:len(self.user_prompt) - len(tail)]
-            digest.update(_json_string(head)[:-1])
-            digest.update(_json_string_tail(tail))
+        digest.update(_json_string(self.user_prompt))
         digest.update(b"}")
         return digest.hexdigest()
 
 
 def _json_string(text: str) -> bytes:
     """text as a JSON string in UTF-8, as json.dumps(ensure_ascii=False)
-    writes it. Escaping is per character, so a string's JSON is its pieces'
-    JSON joined without the quotes between them. Text that is ASCII without
-    U+007F takes the faster ASCII encoder, which differs from the other only
-    in escaping U+007F and everything above it."""
+    writes it. Text that is ASCII without U+007F takes the faster ASCII
+    encoder, which differs from the other only in escaping U+007F and
+    everything above it."""
     if text.isascii() and "\x7f" not in text:
         return encode_basestring_ascii(text).encode("ascii")
     return encode_basestring(text).encode("utf-8")
@@ -145,15 +125,6 @@ def _fields_json(role_prompt, response_schema, temperature, max_output_tokens,
         sort_keys=True, ensure_ascii=False,
     )
     return (text[:-1] + ', "user_prompt": ').encode("utf-8")
-
-
-@lru_cache(maxsize=1)
-def _json_string_tail(tail: str) -> bytes:
-    """A shared tail's JSON string without its opening quote, escaped once
-    per tail. One entry: the remediate phase sends one document's requests
-    in a row, and an entry per document would grow with every document a
-    process sees."""
-    return _json_string(tail)[1:]
 
 
 @dataclass
@@ -462,6 +433,8 @@ class LiveBackend(Backend):
             try:
                 data = resp.json()
                 raw_text = data["choices"][0]["message"]["content"]
+                if not isinstance(raw_text, str):
+                    raise TypeError(f"content is {type(raw_text).__name__}")
             except (ValueError, LookupError, TypeError) as exc:
                 raise BackendError(
                     "request", f"unexpected response body shape: {exc}"

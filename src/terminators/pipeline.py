@@ -38,7 +38,7 @@ from .planning import (
     plan_from_json,
     plan_to_json,
 )
-from .records import from_json, to_json
+from .records import fingerprint, from_json, to_json
 from .remediation import (
     RemediationOutcome,
     apply_outcome,
@@ -95,8 +95,7 @@ class RunConfig:
 
     @property
     def fingerprint(self) -> str:
-        payload = json.dumps(to_json(self), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        return fingerprint(self)
 
 
 class RunStore:

@@ -9,15 +9,13 @@ that steers attention toward regional privacy obligations.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from dataclasses import dataclass, replace
 
 from .backends import PLAN_CHECKS_KEY, Backend, BackendError
 from .documents import SourceDocument, resolve_span
 from .parsing import DEFAULT_WORKERS, map_ordered, run_request
 from .prompts import build_planner_request
-from .records import to_json
+from .records import fingerprint
 from .terms import SURVIVING_STATUSES, LifecycleError, Term, canonical_source_string
 
 DEFAULT_MIN_CHECKS = 3
@@ -65,8 +63,7 @@ class Scenario:
 
     @property
     def fingerprint(self) -> str:
-        payload = json.dumps(to_json(self), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        return fingerprint(self)
 
 
 @dataclass

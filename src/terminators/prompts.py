@@ -124,27 +124,15 @@ def build_resource_request(
     numbered_text: str,
     statement: str,
     *,
-    shared: bool = True,
     max_output_tokens: int = 1024,
 ) -> BackendRequest:
-    # Every whole-document re-sourcing request for a document ends with the
-    # same numbered text (shared), so its fingerprint escapes that text once.
-    # A window around one citation is shown once; memoizing its escaping
-    # would only evict the document's.
-    head = (
+    user_prompt = (
         f"Document name: {doc_name}\n\n"
         f'Statement:\n"{statement}"\n\n'
-        "Document with line numbers:\n"
+        f"Document with line numbers:\n{numbered_text}"
     )
-    if not shared:
-        return BackendRequest(
-            RESOURCE_ROLE, head + numbered_text, SCHEMA_TERM_LIST,
-            max_output_tokens=max_output_tokens,
-        )
-    return BackendRequest.sharing_tail(
-        RESOURCE_ROLE, head, numbered_text, SCHEMA_TERM_LIST,
-        max_output_tokens=max_output_tokens,
-    )
+    return BackendRequest(RESOURCE_ROLE, user_prompt, SCHEMA_TERM_LIST,
+                          max_output_tokens=max_output_tokens)
 
 
 def build_planner_request(

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
+import json
 import types
 import typing
 from functools import cache
@@ -54,6 +56,12 @@ def to_json(value):
         name: item if type(item := getattr(value, name)) in _PLAIN else to_json(item)
         for name, _, _ in _fields(type(value))
     }
+
+
+def fingerprint(record) -> str:
+    """12 hex characters of SHA-256 over the record's sorted-key JSON."""
+    payload = json.dumps(to_json(record), sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 def from_json(cls, data):

@@ -188,9 +188,7 @@ def resource_term(
         numbered = _numbered_document(doc)
     else:
         numbered = render_numbered(doc, start_line=lines[0], end_line=lines[1])
-    req = build_resource_request(
-        doc.source_name, numbered, term.statement, shared=lines is None
-    )
+    req = build_resource_request(doc.source_name, numbered, term.statement)
     resp = run_request(backend, req)
     records = resp.parsed
     if len(records) != 1:

@@ -123,27 +123,13 @@ class TestBackendRequest:
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
     @given(PROMPTS, PROMPTS, st.sampled_from(SCHEMAS), st.floats(0.0, 1.0),
-           st.integers(1, 10**6), st.data())
+           st.integers(1, 10**6))
     def test_fingerprint_equals_the_asdict_oracle(
         self, role_prompt, user_prompt, schema, temperature, max_output_tokens,
-        data,
     ):
         req = BackendRequest(role_prompt, user_prompt, schema, temperature,
                              max_output_tokens)
-        expected = oracle_fingerprint(req)
-        assert req.request_fingerprint == expected
-        # The same request with its user prompt split into a head and a
-        # shared tail at any index; built twice, so the second one finds its
-        # tail already escaped.
-        split = data.draw(st.integers(0, len(user_prompt)))
-        head, tail = user_prompt[:split], user_prompt[split:]
-        for _ in range(2):
-            shared = BackendRequest.sharing_tail(
-                role_prompt, head, tail, schema, temperature=temperature,
-                max_output_tokens=max_output_tokens,
-            )
-            assert shared == req
-            assert shared.request_fingerprint == expected
+        assert req.request_fingerprint == oracle_fingerprint(req)
 
     @pytest.mark.parametrize("first, second", [
         ({"temperature": 0.0}, {"temperature": 0}),
@@ -161,15 +147,6 @@ class TestBackendRequest:
             assert req.request_fingerprint == oracle_fingerprint(req)
             digests.add(req.request_fingerprint)
         assert len(digests) == 2
-
-    def test_replace_drops_the_shared_tail(self):
-        req = BackendRequest.sharing_tail(
-            "role", "head ", "tail", SCHEMA_VERIFICATION
-        )
-        retry = replace(req, user_prompt=req.user_prompt + " reminder")
-        assert retry == make_request(role_prompt="role",
-                                     user_prompt="head tail reminder")
-        assert retry.request_fingerprint == oracle_fingerprint(retry)
 
 
 class TestExtractStructuredValue:
@@ -699,6 +676,33 @@ class TestLiveBackend:
         with pytest.raises(BackendError) as exc:
             self.make().generate(make_request())
         assert exc.value.kind == "request"
+
+    @pytest.mark.parametrize("body", [
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": None}}],
+         "usage": {"input_tokens": 10, "output_tokens": 0}},
+        {"choices": [{"message": {"content": [{"type": "text", "text": "{}"}]}}],
+         "usage": {"input_tokens": 10, "output_tokens": 5}},
+        {"choices": []},
+    ], ids=["null-content", "null-content-with-usage", "content-parts",
+            "no-choices"])
+    def test_content_that_is_not_text_is_a_request_error(self, monkeypatch,
+                                                         body):
+        # A refusal or content filter can answer 200 with null content, and
+        # some endpoints send a list of content parts: neither is retried.
+        monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")
+        calls = []
+
+        def fake_post(*args, **kwargs):
+            calls.append(1)
+            return _FakeResponse(200, body)
+
+        monkeypatch.setattr("requests.post", fake_post)
+        with pytest.raises(BackendError) as exc:
+            self.make().generate(make_request())
+        assert exc.value.kind == "request"
+        assert str(exc.value).startswith("unexpected response body shape: ")
+        assert len(calls) == 1
 
     def test_credential_never_logged_or_fingerprinted(self, monkeypatch, caplog):
         secret = "sk-secret-98765"

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import (
+    EXCERPT_NAME,
     MISMATCH_CITED_LINE,
     MISMATCH_STATEMENT,
     RAW_NAME,
@@ -20,7 +21,7 @@ from helpers import (
     scripted,
     shown_lines,
 )
-from terminators import backends, remediation
+from terminators import remediation
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.documents import (
     SourceRef,
@@ -235,6 +236,26 @@ class TestResourceTerm:
             [ScriptEntry("Locate the single passage", payload)]
         )
         assert resource_term(term, raw_doc, backend) is None
+
+    @pytest.mark.parametrize("lines, digest", [
+        (None,
+         "6d4e197a66ee1b8f887a7f05f3cc374454e55d7c42ec291b8341718c48565797"),
+        ((108, 111),
+         "2d75f64f99b989d6c37bb727ae156ecc8cd61d9517537ec21cd339624960e016"),
+    ], ids=["whole-document", "window"])
+    def test_request_digests_never_change(self, excerpt_doc, lines, digest):
+        # Cache entries written by earlier versions are named by these
+        # digests, so they must never change.
+        if lines is None:
+            numbered = render_numbered(excerpt_doc)
+        else:
+            numbered = render_numbered(excerpt_doc, start_line=lines[0],
+                                       end_line=lines[1])
+        req = build_resource_request(
+            EXCERPT_NAME, numbered,
+            "You must evaluate Output for accuracy before using or sharing it.",
+        )
+        assert req.request_fingerprint == digest
 
 
 class TestRemediate:
@@ -568,17 +589,6 @@ class TestWindowThenDocument:
             "no span proposed from lines 120-180",
             "re-sourcing failed: no answer",
         ]
-
-    def test_window_requests_keep_the_escaped_document_memo(self):
-        doc = long_doc(clause_line=100)
-        self.whole_document_request(doc).request_fingerprint
-        backend = LineTextBackend()
-        remediate_cited(doc, 103, backend)
-        (window,) = backend.resource_requests()
-        window.request_fingerprint  # as a cache or a scripted backend would
-        hits = backends._json_string_tail.cache_info().hits
-        self.whole_document_request(doc).request_fingerprint
-        assert backends._json_string_tail.cache_info().hits == hits + 1
 
 
 class TestApplyOutcome:
