@@ -314,10 +314,7 @@ def load_script(path) -> ScriptedBackend:
     """Load a script file: a JSON array of {match, response_file} entries,
     both strings, response paths relative to the script file."""
     script_path = Path(path)
-    try:
-        data = json.loads(script_path.read_text(encoding="utf-8"))
-    except RecursionError:
-        raise ValueError(f"{script_path}: JSON nested too deeply") from None
+    data = read_json(script_path)
     if not isinstance(data, list):
         raise ValueError(f"{script_path}: script must be a JSON array")
     entries = []
@@ -500,6 +497,21 @@ def json_text(obj) -> str:
 
 def json_dumps(obj) -> str:
     return json_text(obj) + "\n"
+
+
+def read_json(path, name=None):
+    """The JSON value in the file at path: every stored file is read back
+    here. Text that is not JSON raises a json.JSONDecodeError that keeps the
+    text as .doc, JSON nested too deeply a ValueError, each message starting
+    with name (default: path)."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{name or path}: not JSON: {exc.msg}",
+                                   text, exc.pos) from None
+    except RecursionError:
+        raise ValueError(f"{name or path}: JSON nested too deeply") from None
 
 
 def write_atomic(path: Path, text: str) -> None:

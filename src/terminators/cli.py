@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .backends import (Backend, BackendError, CachedBackend, LiveBackend,
-                       load_script)
+                       load_script, read_json, write_atomic)
 from .chunking import ChunkMode, ChunkStrategy, DEFAULT_MAX_CHUNK_LINES
 from .documents import (
     FORMATS,
@@ -227,8 +227,7 @@ def _build_backend(args) -> Backend:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_atomic(Path(args.out), text)
     else:
         sys.stdout.write(text)
 
@@ -240,14 +239,9 @@ def _ingest_for(args, path: str) -> SourceDocument:
 def _load_stage_file(path: str, needs: tuple[str, ...],
                      doc_file: str | None = None):
     """(embedded document, whole record) of an earlier verb's output, which
-    must hold the keys in needs. With doc_file, the document on disk must
-    match the embedded one."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not JSON: {exc}") from exc
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+    must hold the keys in needs and a document that passes from_json's
+    checks. With doc_file, the document on disk must match it too."""
+    data = read_json(path)
     if not isinstance(data, dict) or "document" not in data:
         raise ValueError(
             f"{path}: not a stage file (missing embedded document); "
@@ -259,10 +253,7 @@ def _load_stage_file(path: str, needs: tuple[str, ...],
                 f"{path}: no {key}; pass the output of an earlier verb "
                 "that writes them"
             )
-    try:
-        doc = SourceDocument.from_json(data["document"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed embedded document: {exc!r}") from exc
+    doc = SourceDocument.from_json(data["document"], path)
     if doc_file is not None:
         on_disk = ingest_path(doc_file, first_line=doc.first_line)
         if on_disk.fingerprint != doc.fingerprint:
@@ -291,26 +282,20 @@ def _extraction_config(args) -> ExtractionConfig:
 def _load_scenario(args) -> Scenario | None:
     if not args.scenario_file:
         return None
-    text = Path(args.scenario_file).read_text(encoding="utf-8")
     jurisdiction = None
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        description = text.strip()
-    except RecursionError:
-        raise ValueError(
-            f"{args.scenario_file}: scenario JSON nested too deeply"
-        ) from None
+        data = read_json(args.scenario_file)
+    except json.JSONDecodeError as exc:
+        data = exc.doc.strip()  # plain text
+    if isinstance(data, dict):
+        description = data.get("description", "")
+        jurisdiction = data.get("jurisdiction")
+    elif isinstance(data, str):
+        description = data
     else:
-        if isinstance(data, dict):
-            description = data.get("description", "")
-            jurisdiction = data.get("jurisdiction")
-        elif isinstance(data, str):
-            description = data
-        else:
-            raise ValueError(
-                f"{args.scenario_file}: scenario JSON must be an object or string"
-            )
+        raise ValueError(
+            f"{args.scenario_file}: scenario JSON must be an object or string"
+        )
     if args.jurisdiction:
         jurisdiction = args.jurisdiction
     return Scenario(

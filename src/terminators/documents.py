@@ -111,16 +111,32 @@ class SourceDocument:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SourceDocument":
-        lines = tuple((int(n), str(t)) for n, t in data["lines"])
+    def from_json(cls, data: dict, origin="stored document") -> "SourceDocument":
+        """Decode to_json's form, checking what ingest guarantees: [int, str]
+        line pairs counting up from first_line, the fingerprint of their
+        text, and a doc_id of its first 12 digits. A document that breaks
+        any of it raises IngestError("document_changed") naming origin."""
+        try:
+            first = data["first_line"]
+            lines = tuple((n, t) for n, t in data["lines"])
+            doc = cls(data["doc_id"], str(data["source_name"]), lines,
+                      data["fingerprint"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError("document_changed",
+                              f"{origin}: malformed document: {exc!r}") from exc
         if not lines:
-            raise ValueError("stored document has no lines")
-        return cls(
-            doc_id=str(data["doc_id"]),
-            source_name=str(data["source_name"]),
-            lines=lines,
-            fingerprint=str(data["fingerprint"]),
-        )
+            problem = "stored document has no lines"
+        elif type(first) is not int or any(
+                type(n) is not int or type(t) is not str or n != first + i
+                for i, (n, t) in enumerate(lines)):
+            problem = "stored lines are not [int, str] pairs counting up from first_line"
+        elif doc.fingerprint != fingerprint_text(doc.text()):
+            problem = "stored lines no longer match the fingerprint"
+        elif doc.doc_id != doc.fingerprint[:12]:
+            problem = "doc_id is not the fingerprint's first 12 digits"
+        else:
+            return doc
+        raise IngestError("document_changed", f"{origin}: {problem}")
 
 
 class _TextExtractor(HTMLParser):

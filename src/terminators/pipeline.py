@@ -20,9 +20,10 @@ from .backends import (
     CachedBackend,
     json_dumps,
     json_text,
+    read_json,
     write_atomic,
 )
-from .documents import SourceDocument, fingerprint_text
+from .documents import IngestError, SourceDocument
 from .parsing import (
     DEFAULT_WORKERS,
     ExtractionConfig,
@@ -121,10 +122,7 @@ class RunStore:
         write_atomic(self.path(name), text)
 
     def read_json(self, name: str):
-        try:
-            return json.loads(self.path(name).read_text(encoding="utf-8"))
-        except RecursionError:
-            raise ValueError(f"{name}: JSON nested too deeply") from None
+        return read_json(self.path(name), name)
 
     def reset_events(self) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -216,23 +214,27 @@ def _plans_json(run: AuditRun) -> list[dict]:
             for p in run.plans]
 
 
-# The JSON form of each run field a phase record holds; restore() decodes
-# the same keys.
+# Each run field a phase record holds: (its JSON form, the decoder of one
+# stored entry, or None for an entry kept as it is stored).
 _RECORD_FIELDS = {
-    "terms": lambda run: [term_to_json(t) for t in run.terms],
-    "coverage": lambda run: run.coverage,
-    "warnings": lambda run: run.warnings,
-    "failures": lambda run: run.failures,
-    "verifications": lambda run: to_json(run.verifications),
-    "outcomes": lambda run: to_json(run.outcomes),
-    "plans": _plans_json,
-    "notices": lambda run: run.notices,
+    "terms": (lambda run: [term_to_json(t) for t in run.terms],
+              lambda run, r: term_from_json(
+                  r, provider_name=run.config.extraction.provider_name)),
+    "coverage": (lambda run: run.coverage, None),
+    "warnings": (lambda run: run.warnings, None),
+    "failures": (lambda run: run.failures, None),
+    "verifications": (lambda run: to_json(run.verifications),
+                      lambda run, r: from_json(VerificationResult, r)),
+    "outcomes": (lambda run: to_json(run.outcomes),
+                 lambda run, r: from_json(RemediationOutcome, r)),
+    "plans": (_plans_json, lambda run, r: plan_from_json(r)),
+    "notices": (lambda run: run.notices, None),
 }
 
 
 def _record(run: AuditRun, *keys: str) -> dict:
     """The named run fields in their JSON form, in the order given."""
-    return {key: _RECORD_FIELDS[key](run) for key in keys}
+    return {key: _RECORD_FIELDS[key][0](run) for key in keys}
 
 
 def _object_json(encoded: dict[str, str]) -> str:
@@ -391,20 +393,9 @@ def restore(run: AuditRun, record: dict) -> None:
     the record's keys that names a run field (a stage file's "document" and
     a plans record's "disclaimer" do not). A missing key leaves its field as
     it is. Raises ValueError when the record does not decode."""
-    provider = run.config.extraction.provider_name
-    decoders = {
-        "terms": lambda r: term_from_json(r, provider_name=provider),
-        "coverage": None,
-        "warnings": None,
-        "failures": None,
-        "verifications": lambda r: from_json(VerificationResult, r),
-        "outcomes": lambda r: from_json(RemediationOutcome, r),
-        "plans": plan_from_json,
-        "notices": None,
-    }
     if not isinstance(record, dict):
         raise ValueError("a phase record must be a JSON object")
-    for key, decode in decoders.items():
+    for key, (_, decode) in _RECORD_FIELDS.items():
         if key not in record:
             continue
         values = record[key]
@@ -412,7 +403,7 @@ def restore(run: AuditRun, record: dict) -> None:
             raise ValueError(f"{key!r} must be a list")
         if decode is not None:
             try:
-                values = [decode(r) for r in values]
+                values = [decode(run, r) for r in values]
             except (KeyError, TypeError, AttributeError, SchemaError) as exc:
                 raise ValueError(f"malformed {key!r} entry: {exc!r}") from exc
         setattr(run, key, values)
@@ -426,18 +417,11 @@ def load_run(run_dir) -> AuditRun:
         raise ResumeError("missing_run", f"no run.json under {store.run_dir}")
     try:
         header = store.read_json("run.json")
-        doc = SourceDocument.from_json(store.read_json("document.json"))
-        if fingerprint_text(doc.text()) != doc.fingerprint:
-            raise ResumeError(
-                "document_changed",
-                f"stored document under {store.run_dir} no longer matches its "
-                "fingerprint",
-            )
+        doc = SourceDocument.from_json(store.read_json("document.json"),
+                                       store.path("document.json"))
         if header["doc_fingerprint"] != doc.fingerprint:
-            raise ResumeError(
-                "document_changed",
-                "run header fingerprint does not match the stored document",
-            )
+            raise ResumeError("document_changed", "run header fingerprint "
+                              "does not match the stored document")
         run = AuditRun(
             run_id=header["run_id"],
             store=store,
@@ -451,6 +435,8 @@ def load_run(run_dir) -> AuditRun:
                 restore(run, store.read_json(artifact))
         run.encoded = {key: json_text(value) for key, value
                        in _record(run, *_RECORD_FIELDS).items()}
+    except IngestError as exc:
+        raise ResumeError(exc.kind, str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ResumeError(
             "malformed_run", f"{store.run_dir}: malformed run: {exc}"

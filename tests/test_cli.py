@@ -660,6 +660,72 @@ class TestExitCodes:
         assert "nested too deeply" in err
         assert "Traceback" not in err
 
+    def edited_stage_file(self, tmp_path, edit):
+        """An extract stage file after edit(record), which changes the
+        embedded document but leaves its fingerprint field as it was."""
+        doc = copy_excerpt(tmp_path)
+        stage = tmp_path / "stage1.json"
+        assert main(extract_args(doc) + ["--out", str(stage)]) == EXIT_OK
+        record = json.loads(stage.read_text(encoding="utf-8"))
+        edit(record)
+        stage.write_text(json.dumps(record), encoding="utf-8")
+        return doc, stage
+
+    def stage_verb(self, verb, stage, doc):
+        argv = [verb, str(stage)]
+        argv += (["--scenario-file", str(SCENARIO_TXT)] if verb == "plan"
+                 else [str(doc)])
+        return main(argv + ["--backend", backend_arg("mismatch_run.json")])
+
+    @pytest.mark.parametrize("verb", ["verify", "plan"])
+    def test_edited_embedded_line_exits_two(self, tmp_path, capsys, verb):
+        def edit(record):
+            record["document"]["lines"][2][1] = "Output is always accurate."
+
+        doc, stage = self.edited_stage_file(tmp_path, edit)
+        assert self.stage_verb(verb, stage, doc) == EXIT_PIPELINE
+        captured = capsys.readouterr()
+        assert f"{stage}: stored lines no longer match the fingerprint" in (
+            captured.err
+        )
+        assert "Output is always accurate." not in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("verb", ["verify", "plan"])
+    def test_renumbered_embedded_lines_exit_two(self, tmp_path, capsys, verb):
+        """Numbered 106, 108, 110, ... the document seems to reach line 128,
+        so a term citing line 125, past its twelve lines, would index past
+        their end."""
+        def edit(record):
+            for i, line in enumerate(record["document"]["lines"]):
+                line[0] = 106 + 2 * i
+            record["terms"][0]["source"] = "OpenAI_ToS.txt:125-125"
+
+        doc, stage = self.edited_stage_file(tmp_path, edit)
+        assert self.stage_verb(verb, stage, doc) == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert (f"{stage}: stored lines are not [int, str] pairs counting up "
+                "from first_line") in err
+        assert "Traceback" not in err
+
+    def test_script_file_not_json_names_it(self, tmp_path, capsys):
+        doc = copy_excerpt(tmp_path)
+        script = tmp_path / "script.json"
+        script.write_text("match everything", encoding="utf-8")
+        code = main(extract_args(doc)[:-2] + ["--backend", f"scripted:{script}"])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert f"{script}: not JSON: Expecting value" in err
+        assert "Traceback" not in err
+
+    def test_run_file_not_json_names_it(self, tmp_path, capsys):
+        run_dir, _ = TestRunResumeReport().completed_run(tmp_path, capsys)
+        (run_dir / "terms.json").write_text("{terms", encoding="utf-8")
+        assert main(["report", str(run_dir)]) == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "malformed run: terms.json: not JSON: Expecting" in err
+        assert "Traceback" not in err
+
     def test_too_deep_script_file_exits_two(self, tmp_path, capsys):
         doc = copy_excerpt(tmp_path)
         deep = tmp_path / "deep_script.json"
@@ -695,7 +761,7 @@ class TestExitCodes:
         ])
         assert code == EXIT_PIPELINE
         err = capsys.readouterr().err
-        assert "scenario JSON nested too deeply" in err
+        assert f"{deep}: JSON nested too deeply" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("artifact", ["run.json", "verifications.json"])

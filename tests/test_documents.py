@@ -252,6 +252,60 @@ def test_any_bytes_ingest_or_raise_and_round_trip(raw, format_hint, first_line):
     assert fingerprint_text(clone.text()) == clone.fingerprint
 
 
+def _other_hex(digits: str) -> str:
+    """digits with its last hex digit changed."""
+    return digits[:-1] + ("1" if digits[-1] == "0" else "0")
+
+
+# Each single change to a stored document that from_json refuses, given
+# the stored JSON, a line index, a nonzero shift and a shape index.
+_DOCUMENT_MUTATIONS = {
+    "line text": lambda d, i, k, s: d["lines"][i].__setitem__(
+        1, d["lines"][i][1] + "x"),
+    "line number": lambda d, i, k, s: d["lines"][i].__setitem__(
+        0, d["lines"][i][0] + k),
+    "first_line": lambda d, i, k, s: d.update(first_line=d["first_line"] + k),
+    "doc_id": lambda d, i, k, s: d.update(doc_id=_other_hex(d["doc_id"])),
+    "fingerprint": lambda d, i, k, s: d.update(
+        fingerprint=_other_hex(d["fingerprint"])),
+    "line not a pair": lambda d, i, k, s: d["lines"].__setitem__(i, [
+        d["lines"][i][:1],
+        d["lines"][i] + [""],
+        d["lines"][i][1],
+        None,
+        {"number": d["lines"][i][0], "text": d["lines"][i][1]},
+    ][s]),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.text(st.characters(codec="utf-8", exclude_characters="\r\n\ufeff"),
+                max_size=12),
+        min_size=1, max_size=20,
+    ).filter(lambda lines: any(line.strip() for line in lines)),
+    st.integers(1, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from([-2, -1, 1, 2, 7]),
+    st.integers(0, 4),
+)
+def test_stored_documents_round_trip_and_refuse_any_single_edit(
+    lines, first_line, index, shift, shape
+):
+    doc = ingest("\n".join(lines).encode("utf-8"), "doc.txt",
+                 first_line=first_line)
+    stored = json.dumps(doc.to_json(), ensure_ascii=False)
+    assert SourceDocument.from_json(json.loads(stored)) == doc
+    for name, mutate in _DOCUMENT_MUTATIONS.items():
+        mutated = json.loads(stored)
+        mutate(mutated, index % doc.line_count, shift, shape)
+        with pytest.raises(IngestError) as exc:
+            SourceDocument.from_json(mutated, "stage.json")
+        assert exc.value.kind == "document_changed", name
+        assert str(exc.value).startswith("stage.json: "), name
+
+
 def test_excerpt_numbering_matches_fixture():
     doc = ingest_excerpt()
     assert doc.first_line == EXCERPT_FIRST_LINE
