@@ -57,8 +57,6 @@ from .remediation import (
 )
 from .terms import (
     LifecycleError,
-    PartyRole,
-    Role,
     SchemaError,
     Term,
     TermStatus,

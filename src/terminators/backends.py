@@ -503,8 +503,12 @@ def read_json(path, name=None):
     """The JSON value in the file at path: every stored file is read back
     here. Text that is not JSON raises a json.JSONDecodeError that keeps the
     text as .doc, JSON nested too deeply a ValueError, each message starting
-    with name (default: path)."""
-    text = Path(path).read_text(encoding="utf-8")
+    with name (default: path), as does a ValueError for bytes that are not
+    UTF-8."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{name or path}: not UTF-8: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -38,6 +38,7 @@ from .pipeline import (
     extract_step,
     json_dumps,
     load_run,
+    paper_json,
     plan_step,
     remediate_step,
     restore,
@@ -46,7 +47,7 @@ from .pipeline import (
     verify_step,
 )
 from .planning import DEFAULT_MIN_CHECKS, JurisdictionId, Scenario
-from .terms import LifecycleError, SchemaError, term_to_json
+from .terms import LifecycleError, SchemaError
 from .verification import DEFAULT_LOW_OVERLAP_THRESHOLD
 
 EXIT_OK = 0
@@ -117,7 +118,7 @@ def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
                         default=DEFAULT_MAX_CHUNK_LINES, metavar="N")
     parser.add_argument("--parallel-fanout", type=int, default=2, metavar="N")
     parser.add_argument("--provider-name", metavar="NAME",
-                        help="service provider name, for party labeling")
+                        help="service provider name, a known party label")
     parser.add_argument("--first-line", type=int, default=1, metavar="N",
                         help="number the first line N instead of 1")
     parser.add_argument("--doc-format", choices=FORMATS,
@@ -344,7 +345,7 @@ def _run_stage(args, step, doc: SourceDocument, record: dict | None = None):
 def _cmd_extract(args) -> int:
     run, stage = _run_stage(args, extract_step, _ingest_for(args, args.file))
     if args.paper_format:
-        stage = [term_to_json(t, extended=False) for t in run.terms]
+        stage = paper_json(run.terms)
     _emit(args, json_dumps(stage))
     return EXIT_OK
 

@@ -36,7 +36,6 @@ from .planning import (
     AccountabilityPlan,
     Scenario,
     plan_all,
-    plan_from_json,
     plan_to_json,
 )
 from .records import fingerprint, from_json, to_json
@@ -48,14 +47,7 @@ from .remediation import (
     status_for_label,
     advance,
 )
-from .terms import (
-    SURVIVING_STATUSES,
-    SchemaError,
-    Term,
-    TermStatus,
-    term_from_json,
-    term_to_json,
-)
+from .terms import SURVIVING_STATUSES, Term, TermStatus
 from .verification import (
     DEFAULT_LOW_OVERLAP_THRESHOLD,
     VerificationResult,
@@ -208,33 +200,39 @@ def start_run(doc: SourceDocument, config: RunConfig, out_root) -> AuditRun:
     return run
 
 
-def _plans_json(run: AuditRun) -> list[dict]:
-    statements = {t.term_id: t.statement for t in run.terms}
-    return [plan_to_json(p, statement=statements.get(p.term_id))
-            for p in run.plans]
-
-
-# Each run field a phase record holds: (its JSON form, the decoder of one
-# stored entry, or None for an entry kept as it is stored).
+# Each run field a phase record holds, and the record class of one stored
+# entry (None: an entry is kept as it is stored).
 _RECORD_FIELDS = {
-    "terms": (lambda run: [term_to_json(t) for t in run.terms],
-              lambda run, r: term_from_json(
-                  r, provider_name=run.config.extraction.provider_name)),
-    "coverage": (lambda run: run.coverage, None),
-    "warnings": (lambda run: run.warnings, None),
-    "failures": (lambda run: run.failures, None),
-    "verifications": (lambda run: to_json(run.verifications),
-                      lambda run, r: from_json(VerificationResult, r)),
-    "outcomes": (lambda run: to_json(run.outcomes),
-                 lambda run, r: from_json(RemediationOutcome, r)),
-    "plans": (_plans_json, lambda run, r: plan_from_json(r)),
-    "notices": (lambda run: run.notices, None),
+    "terms": Term,
+    "coverage": None,
+    "warnings": None,
+    "failures": None,
+    "verifications": VerificationResult,
+    "outcomes": RemediationOutcome,
+    "plans": AccountabilityPlan,
+    "notices": None,
 }
+
+
+def _field_json(run: AuditRun, key: str):
+    """A run field in its JSON form; each plan carries its term's statement."""
+    if key == "plans":
+        statements = {t.term_id: t.statement for t in run.terms}
+        return [plan_to_json(p, statement=statements.get(p.term_id))
+                for p in run.plans]
+    value = getattr(run, key)
+    return value if _RECORD_FIELDS[key] is None else to_json(value)
 
 
 def _record(run: AuditRun, *keys: str) -> dict:
     """The named run fields in their JSON form, in the order given."""
-    return {key: _RECORD_FIELDS[key][0](run) for key in keys}
+    return {key: _field_json(run, key) for key in keys}
+
+
+def paper_json(terms: list[Term]) -> list[dict]:
+    """The paper's three-field records (term, source, applicable_to): the
+    first three keys of each term's record."""
+    return [dict(list(to_json(t).items())[:3]) for t in terms]
 
 
 def _object_json(encoded: dict[str, str]) -> str:
@@ -395,17 +393,17 @@ def restore(run: AuditRun, record: dict) -> None:
     it is. Raises ValueError when the record does not decode."""
     if not isinstance(record, dict):
         raise ValueError("a phase record must be a JSON object")
-    for key, (_, decode) in _RECORD_FIELDS.items():
+    for key, cls in _RECORD_FIELDS.items():
         if key not in record:
             continue
         values = record[key]
         if not isinstance(values, list):
             raise ValueError(f"{key!r} must be a list")
-        if decode is not None:
+        if cls is not None:
             try:
-                values = [decode(run, r) for r in values]
-            except (KeyError, TypeError, AttributeError, SchemaError) as exc:
-                raise ValueError(f"malformed {key!r} entry: {exc!r}") from exc
+                values = [from_json(cls, r) for r in values]
+            except ValueError as exc:
+                raise ValueError(f"malformed {key!r} entry: {exc}") from exc
         setattr(run, key, values)
 
 
@@ -476,7 +474,7 @@ def emit_report(run: AuditRun, format: str) -> str:
     discarded = run.discarded_terms
 
     if format == REPORT_PAPER:
-        return json_dumps([term_to_json(t, extended=False) for t in surviving])
+        return json_dumps(paper_json(surviving))
 
     if format == REPORT_AUDIT:
         # The phase records' sections as their files hold them (run.encoded).

@@ -9,13 +9,13 @@ that steers attention toward regional privacy obligations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .backends import PLAN_CHECKS_KEY, Backend, BackendError
 from .documents import SourceDocument, resolve_span
 from .parsing import DEFAULT_WORKERS, map_ordered, run_request
 from .prompts import build_planner_request
-from .records import fingerprint
+from .records import fingerprint, to_json
 from .terms import SURVIVING_STATUSES, LifecycleError, Term, canonical_source_string
 
 DEFAULT_MIN_CHECKS = 3
@@ -69,7 +69,7 @@ class Scenario:
 @dataclass
 class AccountabilityPlan:
     term_id: str
-    checks: tuple[str, ...]
+    checks: tuple[str, ...] = field(metadata={"key": PLAN_CHECKS_KEY})
     scenario_fingerprint: str
     jurisdiction_used: JurisdictionId
     warnings: tuple[str, ...] = ()
@@ -201,21 +201,10 @@ def plan_all(
 
 
 def plan_to_json(plan: AccountabilityPlan, *, statement: str | None = None) -> dict:
-    record = {"term_id": plan.term_id}
+    """The plan's record, with the term's statement after its term_id when
+    given."""
+    record = to_json(plan)
     if statement is not None:
-        record["term"] = statement
-    record[PLAN_CHECKS_KEY] = list(plan.checks)
-    record["scenario_fingerprint"] = plan.scenario_fingerprint
-    record["jurisdiction_used"] = plan.jurisdiction_used.value
-    record["warnings"] = list(plan.warnings)
+        # record's keys follow in order; its term_id keeps the first place.
+        record = {"term_id": plan.term_id, "term": statement, **record}
     return record
-
-
-def plan_from_json(record: dict) -> AccountabilityPlan:
-    return AccountabilityPlan(
-        term_id=record["term_id"],
-        checks=tuple(record[PLAN_CHECKS_KEY]),
-        scenario_fingerprint=record["scenario_fingerprint"],
-        jurisdiction_used=JurisdictionId(record["jurisdiction_used"]),
-        warnings=tuple(record.get("warnings", ())),
-    )

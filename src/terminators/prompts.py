@@ -79,7 +79,6 @@ def build_parser_request(
     numbered_text: str,
     *,
     aspects: tuple[str, ...] | None = None,
-    max_output_tokens: int = 2048,
 ) -> BackendRequest:
     parts = [f"Document name: {doc_name}", ""]
     if aspects:
@@ -95,7 +94,7 @@ def build_parser_request(
         role_prompt=PARSER_ROLE,
         user_prompt="\n".join(parts),
         response_schema=SCHEMA_TERM_LIST,
-        max_output_tokens=max_output_tokens,
+        max_output_tokens=2048,
     )
 
 
@@ -103,8 +102,6 @@ def build_verifier_request(
     statement: str,
     source_citation: str,
     passage: str,
-    *,
-    max_output_tokens: int = 512,
 ) -> BackendRequest:
     user_prompt = (
         f'Statement:\n"{statement}"\n\n'
@@ -115,7 +112,7 @@ def build_verifier_request(
         role_prompt=VERIFIER_ROLE,
         user_prompt=user_prompt,
         response_schema=SCHEMA_VERIFICATION,
-        max_output_tokens=max_output_tokens,
+        max_output_tokens=512,
     )
 
 
@@ -123,8 +120,6 @@ def build_resource_request(
     doc_name: str,
     numbered_text: str,
     statement: str,
-    *,
-    max_output_tokens: int = 1024,
 ) -> BackendRequest:
     user_prompt = (
         f"Document name: {doc_name}\n\n"
@@ -132,7 +127,7 @@ def build_resource_request(
         f"Document with line numbers:\n{numbered_text}"
     )
     return BackendRequest(RESOURCE_ROLE, user_prompt, SCHEMA_TERM_LIST,
-                          max_output_tokens=max_output_tokens)
+                          max_output_tokens=1024)
 
 
 def build_planner_request(
@@ -143,7 +138,6 @@ def build_planner_request(
     *,
     jurisdiction_addendum: str | None = None,
     min_checks: int = 3,
-    max_output_tokens: int = 1024,
 ) -> BackendRequest:
     parts = [
         f'Term:\n"{statement}"',
@@ -159,5 +153,5 @@ def build_planner_request(
         role_prompt=PLANNER_ROLE,
         user_prompt="\n".join(parts),
         response_schema=SCHEMA_PLAN,
-        max_output_tokens=max_output_tokens,
+        max_output_tokens=1024,
     )

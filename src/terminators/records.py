@@ -1,6 +1,7 @@
 """How record dataclasses map to JSON and back.
 
-A record is written as an object of its fields in declaration order. A
+A record is written as an object of its fields in declaration order, each
+under its name or the key its ``field(metadata={"key": ...})`` gives. A
 SourceRef becomes its citation string (``name:start-end``), an enum its
 value, and a tuple or list a list; fields declared ``compare=False`` are
 not part of a record's identity and are left out. Reading decodes each
@@ -8,8 +9,8 @@ value through its field's type: a missing key takes the field's default and
 an unknown key is ignored, so records written before a field was added or
 dropped still load.
 
-Term, plan and document records keep hand-written codecs, because their
-layout is not their fields.
+Only the document keeps a hand-written codec, because its layout is not its
+fields and reading it back checks its fingerprint.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ _PLAIN = frozenset({str, int, float, bool, type(None)})
 
 
 @cache
-def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
-    """(name, resolved type, required) for each field a record holds."""
+def _fields(cls) -> tuple[tuple[str, str, object, bool], ...]:
+    """(name, JSON key, resolved type, required) for each field a record
+    holds."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        (f.name, hints[f.name],
+        (f.name, f.metadata.get("key", f.name), hints[f.name],
          f.default is dataclasses.MISSING
          and f.default_factory is dataclasses.MISSING)
         for f in dataclasses.fields(cls)
@@ -53,8 +55,8 @@ def to_json(value):
         return [to_json(item) for item in value]
     # Most field values are plain: test them here rather than in a call.
     return {
-        name: item if type(item := getattr(value, name)) in _PLAIN else to_json(item)
-        for name, _, _ in _fields(type(value))
+        key: item if type(item := getattr(value, name)) in _PLAIN else to_json(item)
+        for name, key, _, _ in _fields(type(value))
     }
 
 
@@ -73,14 +75,14 @@ def from_json(cls, data):
             f"{cls.__name__}: expected an object, got {type(data).__name__}"
         )
     values = {}
-    for name, tp, required in _fields(cls):
-        if name in data:
+    for name, key, tp, required in _fields(cls):
+        if key in data:
             try:
-                values[name] = _decode(tp, data[name])
+                values[name] = _decode(tp, data[key])
             except ValueError as exc:
-                raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+                raise ValueError(f"{cls.__name__}.{key}: {exc}") from None
         elif required:
-            raise ValueError(f"{cls.__name__}: missing key {name!r}")
+            raise ValueError(f"{cls.__name__}: missing key {key!r}")
     return cls(**values)
 
 

@@ -1,4 +1,4 @@
-"""Term records, party roles, lifecycle states, and candidate validation.
+"""Term records, party labels, lifecycle states, and candidate validation.
 
 A term is one atomic obligation or grant with a verbatim-resolvable source
 span and the parties it applies to. Terms move through a fixed lifecycle:
@@ -12,9 +12,9 @@ import enum
 import hashlib
 import re
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .documents import SourceDocument, SourceRef, resolve_span
+from .documents import SourceDocument, SourceRef, SpanError, resolve_span
 
 # Greedy name match so document names containing colons still parse;
 # the final numeric group(s) are the span, in ASCII digits only. Matched
@@ -40,13 +40,7 @@ class TermStatus(enum.Enum):
 SURVIVING_STATUSES = (TermStatus.VERIFIED_SUPPORTED, TermStatus.RESOURCED)
 
 
-class Role(enum.Enum):
-    USER = "user"
-    PROVIDER = "provider"
-    THIRD_PARTY = "third_party"
-
-
-# Lowercased labels that map onto canonical roles regardless of the
+# Lowercased labels that name the user or the provider whatever the
 # provider's actual name.
 _USER_ALIASES = {"user", "users", "you", "customer", "customers", "member",
                  "members", "subscriber", "subscribers"}
@@ -67,38 +61,29 @@ class LifecycleError(Exception):
 
 
 @dataclass(frozen=True)
-class PartyRole:
-    role: Role
-    raw_label: str
-
-
-@dataclass(frozen=True)
 class Term:
-    term_id: str
-    statement: str
+    """A term in record order: the paper's three fields (the statement is
+    stored as "term"), then its identity, aspect and lifecycle state."""
+
+    statement: str = field(metadata={"key": "term"})
     source: SourceRef
-    applicable_to: tuple[PartyRole, ...]
-    aspect: str | None = None
-    status: TermStatus = TermStatus.EXTRACTED
+    applicable_to: tuple[str, ...]
+    term_id: str
+    aspect: str | None = field(default=None, kw_only=True)
+    status: TermStatus = field(kw_only=True)
 
 
-def resolve_party(raw_label: str, provider_name: str | None = None) -> PartyRole:
-    """Map a model-produced party label onto a canonical role.
-
-    The provider's own name (matched case-insensitively, with possessive
-    forms) resolves to provider; everything unrecognized is third_party.
-    """
-    label = raw_label.strip()
-    low = label.lower()
-    if low in _USER_ALIASES:
-        return PartyRole(Role.USER, label)
-    if low in _PROVIDER_ALIASES:
-        return PartyRole(Role.PROVIDER, label)
+def known_party(label: str, provider_name: str | None = None) -> bool:
+    """Whether a model-produced party label names the user or the provider:
+    an alias of either, or the provider's own name or its possessive,
+    matched case-insensitively."""
+    low = label.strip().lower()
+    if low in _USER_ALIASES or low in _PROVIDER_ALIASES:
+        return True
     if provider_name:
         pn = provider_name.lower()
-        if low == pn or low == pn + "'s" or low == pn + "s":
-            return PartyRole(Role.PROVIDER, label)
-    return PartyRole(Role.THIRD_PARTY, label)
+        return low in (pn, pn + "'s", pn + "s")
+    return False
 
 
 def parse_source_string(source: str) -> SourceRef:
@@ -140,7 +125,8 @@ def validate_term(
 
     Checks field presence and types, statement length, source citation format,
     and that the cited span actually resolves in the document. Party labels
-    are normalized; unknown labels survive as third_party with a warning.
+    are kept stripped; a label known_party does not recognize is kept too,
+    with a warning.
     """
     if not isinstance(candidate, dict):
         raise SchemaError("field", f"term record is {type(candidate).__name__}, not object")
@@ -162,7 +148,7 @@ def validate_term(
     ref = parse_source_string(source.strip())
     try:
         resolve_span(doc, ref)
-    except Exception as exc:
+    except SpanError as exc:
         raise SchemaError("source_range", f"{source!r}: {exc}") from exc
 
     labels = candidate["applicable_to"]
@@ -172,18 +158,16 @@ def validate_term(
     for label in labels:
         if not isinstance(label, str) or not label.strip():
             raise SchemaError("field", "party labels must be non-empty strings")
-        party = resolve_party(label, provider_name)
-        if party.role is Role.THIRD_PARTY and warnings is not None:
-            low = label.strip().lower()
-            if provider_name is None or low != provider_name.lower():
-                warnings.append(f"unrecognized party label {label.strip()!r}")
-        parties.append(party)
+        label = label.strip()
+        if warnings is not None and not known_party(label, provider_name):
+            warnings.append(f"unrecognized party label {label!r}")
+        parties.append(label)
 
     return Term(
-        term_id=term_identity(doc, statement, ref, aspect),
         statement=statement,
         source=ref,
         applicable_to=tuple(parties),
+        term_id=term_identity(doc, statement, ref, aspect),
         aspect=aspect,
         status=TermStatus.EXTRACTED,
     )
@@ -216,14 +200,9 @@ def dedupe_terms(terms: list[Term]) -> list[Term]:
             group,
             key=lambda t: (t.source.span_lines, t.source.start_line),
         )
-        parties: list[PartyRole] = []
-        seen: set[tuple[Role, str]] = set()
-        for term in group:
-            for party in term.applicable_to:
-                pkey = (party.role, party.raw_label)
-                if pkey not in seen:
-                    seen.add(pkey)
-                    parties.append(party)
+        parties = dict.fromkeys(
+            label for term in group for label in term.applicable_to
+        )
         merged.append(replace(keeper, applicable_to=tuple(parties)))
 
     merged.sort(
@@ -234,35 +213,3 @@ def dedupe_terms(terms: list[Term]) -> list[Term]:
         )
     )
     return merged
-
-
-def term_to_json(term: Term, *, extended: bool = True) -> dict:
-    """Serialize a term. The compact form carries exactly the three fields the
-    extractor emits; the extended form appends identity, aspect, and status."""
-    record = {
-        "term": term.statement,
-        "source": canonical_source_string(term.source),
-        "applicable_to": [p.raw_label for p in term.applicable_to],
-    }
-    if extended:
-        record["term_id"] = term.term_id
-        record["aspect"] = term.aspect
-        record["status"] = term.status.value
-    return record
-
-
-def term_from_json(record: dict, *, provider_name: str | None = None) -> Term:
-    """Rebuild a Term from its extended serialized form. Pass the same
-    provider_name used at extraction time so roles resolve identically."""
-    ref = parse_source_string(record["source"])
-    parties = tuple(
-        resolve_party(label, provider_name) for label in record["applicable_to"]
-    )
-    return Term(
-        term_id=record["term_id"],
-        statement=record["term"],
-        source=ref,
-        applicable_to=parties,
-        aspect=record.get("aspect"),
-        status=TermStatus(record["status"]),
-    )

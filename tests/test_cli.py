@@ -598,9 +598,20 @@ class TestExitCodes:
          lambda r: r["verifications"].pop(), "shorter"),
         ("plan", "outcomes",
          lambda r: r["terms"][0].pop("status"), "malformed 'terms' entry"),
+        ("verify", "terms", lambda r: r["terms"][0].update(term=5),
+         "malformed 'terms' entry: Term.term: expected str"),
+        ("verify", "terms",
+         lambda r: r["terms"][0].update(applicable_to="User"),
+         "malformed 'terms' entry: Term.applicable_to: expected a list"),
+        ("verify", "terms", lambda r: r["terms"][0].update(term_id=7),
+         "malformed 'terms' entry: Term.term_id: expected str"),
+        ("verify", "terms", lambda r: r["terms"][0].update(aspect=["x"]),
+         "malformed 'terms' entry: Term.aspect: expected str"),
     ], ids=["no-terms-key", "document-without-lines",
             "verification-without-label",
-            "fewer-verifications-than-terms", "term-without-status"])
+            "fewer-verifications-than-terms", "term-without-status",
+            "statement-not-a-string", "parties-not-a-list",
+            "term-id-not-a-string", "aspect-not-a-string"])
     def test_malformed_stage_file_exits_two(
         self, tmp_path, capsys, verb, key, corrupt, message
     ):
@@ -631,11 +642,15 @@ class TestExitCodes:
          "unparseable source"),
         ("plans.json", lambda r: r["plans"][0].pop("scenario_fingerprint"),
          "malformed 'plans' entry"),
+        ("plans.json",
+         lambda r: r["plans"][0].update(possible_accountability_checks="x"),
+         "malformed 'plans' entry: AccountabilityPlan."
+         "possible_accountability_checks: expected a list"),
         ("run.json", lambda r: r.pop("config"), "malformed run: 'config'"),
         ("run.json", lambda r: r.update(phase="halfway"), "malformed run"),
     ], ids=["verification-without-label", "score-not-a-number",
             "term-without-source", "bad-citation", "plan-without-fingerprint",
-            "header-without-config", "unknown-phase"])
+            "checks-not-a-list", "header-without-config", "unknown-phase"])
     def test_malformed_run_directory_exits_two(
         self, tmp_path, capsys, artifact, corrupt, message
     ):
@@ -724,6 +739,23 @@ class TestExitCodes:
         assert main(["report", str(run_dir)]) == EXIT_PIPELINE
         err = capsys.readouterr().err
         assert "malformed run: terms.json: not JSON: Expecting" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["verify", "extract"])
+    def test_file_not_utf8_names_it(self, tmp_path, capsys, verb):
+        """A stage file (verify) or a script file (extract) that is not
+        UTF-8."""
+        doc = copy_excerpt(tmp_path)
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe[\x00]\x00")
+        if verb == "verify":
+            argv = ["verify", str(path), str(doc),
+                    "--backend", backend_arg("verify_supported.json")]
+        else:
+            argv = extract_args(doc)[:-2] + ["--backend", f"scripted:{path}"]
+        assert main(argv) == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8: " in err
         assert "Traceback" not in err
 
     def test_too_deep_script_file_exits_two(self, tmp_path, capsys):

@@ -30,7 +30,6 @@ from terminators.backends import (
 )
 from terminators.chunking import ChunkMode, ChunkStrategy, chunk as chunk_document
 from terminators.documents import render_numbered
-from terminators.terms import term_to_json
 from terminators.parsing import (
     ExtractionConfig,
     extract_chunk,
@@ -91,7 +90,7 @@ class TestWholeDocument(object):
         assert "sole source of truth" in first.statement
         assert (first.source.start_line, first.source.end_line) == (108, 109)
         assert (second.source.start_line, second.source.end_line) == (112, 114)
-        assert [p.raw_label for p in first.applicable_to] == ["user"]
+        assert first.applicable_to == ("user",)
         assert outcome.failures == []
 
     def test_single_chunk_coverage(self, excerpt_doc):
@@ -272,7 +271,7 @@ class TestDeterminism:
             script_backend("paragraph"),
             workers=workers,
         )
-        return [term_to_json(t) for t in outcome.terms]
+        return to_json(outcome.terms)
 
     def test_repeat_runs_and_worker_counts_agree(self, excerpt_doc):
         first = self.outcome_json(excerpt_doc, workers=4)

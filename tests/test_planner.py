@@ -26,7 +26,6 @@ from terminators.planning import (
     JurisdictionId,
     Scenario,
     plan_all,
-    plan_from_json,
     plan_term,
     plan_to_json,
 )
@@ -97,7 +96,7 @@ class TestPlanTerm:
         record = plan_to_json(plan, statement=term.statement)
         assert record["possible_accountability_checks"] == list(CANNED_CHECKS)
         assert record["term"] == term.statement
-        assert plan_from_json(record) == plan
+        assert from_json(AccountabilityPlan, record) == plan
 
     def test_prompt_carries_scenario_and_passage(self, excerpt_doc):
         term = listing3_term(excerpt_doc)
@@ -346,4 +345,4 @@ class TestDisclaimer:
         )
         record = plan_to_json(plan)
         del record["warnings"]
-        assert plan_from_json(record) == plan
+        assert from_json(AccountabilityPlan, record) == plan

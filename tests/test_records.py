@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import ingest_excerpt
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.documents import SourceRef
 from terminators.parsing import ExtractionConfig
 from terminators.pipeline import RunConfig
-from terminators.planning import JurisdictionId, Scenario
+from terminators.planning import AccountabilityPlan, JurisdictionId, Scenario
 from terminators.records import from_json, to_json
 from terminators.remediation import (
     ACTION_DISCARDED,
@@ -22,6 +24,7 @@ from terminators.remediation import (
     RemediationOutcome,
     TrailEntry,
 )
+from terminators.terms import Term, TermStatus, validate_term
 from terminators.verification import (
     FLAG_LOW_OVERLAP,
     FLAG_PASS,
@@ -104,16 +107,52 @@ def random_run_config(rng: random.Random) -> RunConfig:
     )
 
 
+EXCERPT = ingest_excerpt()
+
+
+def random_term(rng: random.Random) -> Term:
+    """A term as validate_term makes it, in any lifecycle state."""
+    first = rng.randint(EXCERPT.first_line, EXCERPT.last_line)
+    last = min(first + rng.choice((0, 0, 1, 3)), EXCERPT.last_line)
+    term = validate_term(
+        {
+            "term": rng.choice(("Users must not rely on Output.",
+                                "« cité » | x\n y", "Fees: 5 €")),
+            "source": f"{EXCERPT.source_name}:{first}-{last}",
+            "applicable_to": rng.sample(
+                ["user", " You ", "OpenAI", "Acme Corp", "élève"],
+                rng.randint(1, 3)),
+        },
+        EXCERPT,
+        provider_name=rng.choice((None, "OpenAI")),
+        aspect=rng.choice((None, "privacy", "")),
+    )
+    return replace(term, status=rng.choice(list(TermStatus)))
+
+
+def random_plan(rng: random.Random) -> AccountabilityPlan:
+    return AccountabilityPlan(
+        term_id=f"{rng.randrange(16 ** 12):012x}",
+        checks=tuple(rng.sample(("Check one.", "« deux » | x", "3\nlines"),
+                                rng.randint(1, 3))),
+        scenario_fingerprint=f"{rng.randrange(16 ** 12):012x}",
+        jurisdiction_used=rng.choice(list(JurisdictionId)),
+        warnings=rng.choice(((), ("dropped empty check at index 0",))),
+    )
+
+
 RECORD_MAKERS = [
     (VerificationResult, random_verification),
     (RemediationOutcome, random_outcome),
     (RunConfig, random_run_config),
+    (Term, random_term),
+    (AccountabilityPlan, random_plan),
 ]
+RECORD_IDS = ["verification", "outcome", "run-config", "term", "plan"]
 
 
 class TestRoundTripSweep:
-    @pytest.mark.parametrize("cls, make", RECORD_MAKERS,
-                             ids=["verification", "outcome", "run-config"])
+    @pytest.mark.parametrize("cls, make", RECORD_MAKERS, ids=RECORD_IDS)
     def test_round_trip(self, cls, make):
         rng = random.Random(f"records|{cls.__name__}")
         for _ in range(SWEEP_CASES):
@@ -298,8 +337,7 @@ def damaged(draw, make):
 
 
 class TestFuzz:
-    @pytest.mark.parametrize("cls, make", RECORD_MAKERS,
-                             ids=["verification", "outcome", "run-config"])
+    @pytest.mark.parametrize("cls, make", RECORD_MAKERS, ids=RECORD_IDS)
     def test_any_json_gives_a_record_or_a_value_error(self, cls, make):
         @settings(derandomize=True, database=None, max_examples=100,
                   deadline=None)

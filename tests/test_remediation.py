@@ -48,8 +48,8 @@ from terminators.remediation import (
 )
 from terminators.terms import (
     LifecycleError,
+    Term,
     TermStatus,
-    term_from_json,
     validate_term,
 )
 from terminators.verification import (
@@ -97,7 +97,8 @@ class TestLifecycle:
     ALL = tuple(TermStatus)
 
     def term_with_status(self, status):
-        return term_from_json(
+        return from_json(
+            Term,
             {
                 "term_id": "t-lifecycle",
                 "term": "Statement.",

@@ -1,4 +1,4 @@
-"""Term records: candidate validation, party roles, dedupe, serialization."""
+"""Term records: candidate validation, party labels, dedupe, serialization."""
 
 from __future__ import annotations
 
@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ingest_excerpt, ingest_raw
+from terminators import terms
 from terminators.documents import SourceRef
+from terminators.pipeline import paper_json
+from terminators.records import from_json, to_json
 from terminators.terms import (
-    Role,
     SchemaError,
     Term,
     TermStatus,
     canonical_source_string,
     dedupe_terms,
+    known_party,
     parse_source_string,
-    resolve_party,
-    term_from_json,
     term_identity,
-    term_to_json,
     validate_term,
 )
 
@@ -105,24 +105,29 @@ class TestSourceStrings:
         assert set(span) <= set("0123456789-")
 
 
-class TestPartyRoles:
-    def test_user_aliases(self):
-        for label in ("user", "Users", "you", "CUSTOMERS", "subscriber"):
-            assert resolve_party(label).role is Role.USER
+class TestKnownParty:
+    @pytest.mark.parametrize("label", [
+        "user", "Users", "you", "CUSTOMERS", "subscriber", " member ",
+        "we", "Provider", "the company", "Services",
+    ])
+    def test_aliases(self, label):
+        assert known_party(label)
+        assert known_party(label, "OpenAI")
 
-    def test_provider_aliases(self):
-        for label in ("we", "Provider", "the company", "Services"):
-            assert resolve_party(label).role is Role.PROVIDER
+    @pytest.mark.parametrize("label", ["OpenAI", "openai's", "OPENAIS"])
+    def test_provider_name_and_possessive(self, label):
+        assert known_party(label, "OpenAI")
+        assert not known_party(label)
 
-    def test_provider_name_match(self):
-        assert resolve_party("OpenAI", "OpenAI").role is Role.PROVIDER
-        assert resolve_party("openai's", "OpenAI").role is Role.PROVIDER
-        assert resolve_party("OpenAI").role is Role.THIRD_PARTY
-
-    def test_unknown_label(self):
-        party = resolve_party("Acme Corp")
-        assert party.role is Role.THIRD_PARTY
-        assert party.raw_label == "Acme Corp"
+    @pytest.mark.parametrize("label", ["Acme Corp", "OpenAI Inc", "advertisers"])
+    def test_unknown_label_warns_and_keeps_its_text(self, label):
+        assert not known_party(label, "OpenAI")
+        warnings: list[str] = []
+        term = validate_term(make_candidate(applicable_to=[f" {label} "]),
+                             ingest_excerpt(), provider_name="OpenAI",
+                             warnings=warnings)
+        assert term.applicable_to == (label,)
+        assert warnings == [f"unrecognized party label {label!r}"]
 
 
 class TestValidateTerm:
@@ -131,7 +136,7 @@ class TestValidateTerm:
         term = validate_term(make_candidate(), doc)
         assert term.status is TermStatus.EXTRACTED
         assert term.source == SourceRef("OpenAI_ToS.txt", 108, 109)
-        assert term.applicable_to[0].role is Role.USER
+        assert term.applicable_to == ("user",)
         assert term.term_id == term_identity(
             doc, term.statement, term.source, None
         )
@@ -181,6 +186,14 @@ class TestValidateTerm:
             validate_term(make_candidate(source="Other.txt:108"), doc)
         assert exc.value.kind == "source_range"
 
+    def test_only_span_errors_become_schema_errors(self, monkeypatch):
+        def broken(doc, ref):
+            raise RuntimeError("not a span error")
+
+        monkeypatch.setattr(terms, "resolve_span", broken)
+        with pytest.raises(RuntimeError, match="not a span error"):
+            validate_term(make_candidate(), ingest_excerpt())
+
     def test_applicable_to_must_be_non_empty_list(self):
         doc = ingest_excerpt()
         for bad in ([], "user", [""], [42]):
@@ -194,7 +207,7 @@ class TestValidateTerm:
         term = validate_term(
             make_candidate(applicable_to=["OpenAI"]), doc, warnings=warnings
         )
-        assert term.applicable_to[0].role is Role.THIRD_PARTY
+        assert term.applicable_to == ("OpenAI",)
         assert warnings and "OpenAI" in warnings[0]
 
     def test_provider_name_resolves_without_warning(self):
@@ -206,7 +219,7 @@ class TestValidateTerm:
             provider_name="OpenAI",
             warnings=warnings,
         )
-        assert term.applicable_to[0].role is Role.PROVIDER
+        assert term.applicable_to == ("OpenAI",)
         assert warnings == []
 
     def test_aspect_stamped_and_in_identity(self):
@@ -264,7 +277,7 @@ class TestDedupe:
         a = self.build("Users must not rely on Output.", 108, 109, labels=("user",))
         b = self.build("Users must not rely on Output.", 108, 109, labels=("you", "user"))
         merged = dedupe_terms([a, b])
-        assert [p.raw_label for p in merged[0].applicable_to] == ["user", "you"]
+        assert merged[0].applicable_to == ("user", "you")
 
     def test_different_aspects_do_not_merge(self):
         a = self.build("Users must not rely on Output.", 108, 109)
@@ -282,7 +295,7 @@ class TestDedupe:
 class TestTermJson:
     def test_compact_form_field_order(self):
         term = validate_term(make_candidate(), ingest_excerpt())
-        record = term_to_json(term, extended=False)
+        (record,) = paper_json([term])
         assert list(record) == ["term", "source", "applicable_to"]
         assert record["source"] == "OpenAI_ToS.txt:108-109"
         assert record["applicable_to"] == ["user"]
@@ -294,18 +307,17 @@ class TestTermJson:
             provider_name="OpenAI",
             aspect="accuracy",
         )
-        record = term_to_json(term)
+        record = to_json(term)
         assert list(record) == [
             "term", "source", "applicable_to", "term_id", "aspect", "status",
         ]
-        clone = term_from_json(record, provider_name="OpenAI")
-        assert clone == term
+        assert from_json(Term, record) == term
 
     def test_single_line_source_has_no_dash(self):
         term = validate_term(
             make_candidate(source="OpenAI_ToS.txt:115"), ingest_excerpt()
         )
-        assert term_to_json(term)["source"] == "OpenAI_ToS.txt:115"
+        assert to_json(term)["source"] == "OpenAI_ToS.txt:115"
 
 
 def test_term_is_frozen():

@@ -33,7 +33,7 @@ from terminators.backends import (
 )
 from terminators.documents import SourceRef, resolve_span
 from terminators.records import from_json, to_json
-from terminators.terms import term_from_json, validate_term
+from terminators.terms import Term, validate_term
 from terminators.verification import (
     FLAG_LOW_OVERLAP,
     FLAG_PASS,
@@ -221,7 +221,7 @@ def make_term(statement: str, source: str, _doc=None, **extra):
         "status": "extracted",
     }
     record.update(extra)
-    return term_from_json(record)
+    return from_json(Term, record)
 
 
 class TestPreCheck:
