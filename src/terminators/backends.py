@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -172,8 +173,17 @@ def extract_structured_value(raw_text: str, schema: str):
 
     Scans for every top-level JSON object/array in the text (which makes
     code fences and surrounding prose harmless), keeps those matching the
-    schema shape, and requires exactly one survivor.
+    schema shape, and requires exactly one survivor. Text that is one
+    schema-shaped array or object, the usual answer, is decoded in one call:
+    the scan would find that value and nothing else.
     """
+    try:
+        value = json.loads(raw_text)
+    except (ValueError, RecursionError):
+        pass
+    else:
+        if _schema_shape_ok(value, schema) is None:
+            return value
     decoder = json.JSONDecoder()
     candidates = []
     pos = 0
@@ -489,10 +499,66 @@ def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
     )
 
 
+# Floats whose repr is not JSON, as json.dumps writes them.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# json.dumps with an indent runs in C from Python 3.13 on, in pure Python
+# before; below 3.13, json_text builds the same text with _value_json.
+_STDLIB_INDENT_IN_C = sys.version_info >= (3, 13)
+
+
+def _key_json(key) -> str:
+    """A key that is not a str, as json.dumps writes it."""
+    if not isinstance(key, (int, float)) and key is not None:
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return encode_basestring(_value_json(key, ""))
+
+
+def _value_json(value, newline: str) -> str:
+    """value as json.dumps(value, indent=2, ensure_ascii=False) writes it,
+    newline (a newline and the current indent) starting each line after its
+    first. Each list or object is one join, and a str item, key or value
+    goes straight to the C escaper instead of through another call here."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [encode_basestring(item) if type(item) is str
+                 else _value_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [(encode_basestring(key) if type(key) is str else _key_json(key))
+                 + ": " + (encode_basestring(item) if type(item) is str
+                           else _value_json(item, inner))
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
 def json_text(obj) -> str:
     """obj as JSON indented by two spaces, non-ASCII characters written as
-    themselves: every run file and cache entry, without its final newline."""
-    return json.dumps(obj, indent=2, ensure_ascii=False)
+    themselves: every run file, stage output and cache entry, without its
+    final newline."""
+    if _STDLIB_INDENT_IN_C:
+        return json.dumps(obj, indent=2, ensure_ascii=False)
+    return _value_json(obj, "\n")
 
 
 def json_dumps(obj) -> str:
@@ -550,8 +616,8 @@ def cached_complete(backend: Backend, req: BackendRequest,
     name = f"{req.request_fingerprint}.json"
     entry_path = os.path.join(cache_dir, name)
     try:
-        with open(entry_path, encoding="utf-8") as fh:
-            entry = json.loads(fh.read())
+        with open(entry_path, "rb") as fh:
+            entry = json.loads(fh.read().decode("utf-8"))
         stored = entry["response"]
         if not isinstance(stored["raw_text"], str):
             raise TypeError("stored raw_text is not a string")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -125,8 +126,21 @@ def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
                         help="input format (default: by file extension)")
 
 
+def _finite_float(text: str) -> float:
+    """A --threshold value: a score compared with `<`, which NaN would
+    never pass, and written to run files, where JSON has no NaN or
+    infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_verify_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threshold", type=float,
+    parser.add_argument("--threshold", type=_finite_float,
                         default=DEFAULT_LOW_OVERLAP_THRESHOLD, metavar="X",
                         help="lexical score below which a term is flagged")
     parser.add_argument("--context-lines", type=int, default=0, metavar="N",

@@ -51,9 +51,9 @@ def to_json(value):
         return canonical_source_string(value)
     if isinstance(value, enum.Enum):
         return value.value
+    # Most items and field values are plain: test them here, not in a call.
     if isinstance(value, (tuple, list)):
-        return [to_json(item) for item in value]
-    # Most field values are plain: test them here rather than in a call.
+        return [item if type(item) in _PLAIN else to_json(item) for item in value]
     return {
         key: item if type(item := getattr(value, name)) in _PLAIN else to_json(item)
         for name, key, _, _ in _fields(type(value))

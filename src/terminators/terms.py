@@ -21,8 +21,7 @@ from .documents import SourceDocument, SourceRef, SpanError, resolve_span
 # with fullmatch: nothing, not even a trailing newline, follows the span.
 SOURCE_RE = re.compile(r"(?P<name>.+):(?P<start>[0-9]+)(?:-(?P<end>[0-9]+))?")
 
-_WS_RE = re.compile(r"\s+")
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_PUNCTUATION = string.punctuation.encode("ascii")
 
 MAX_STATEMENT_CHARS = 2000
 
@@ -138,7 +137,7 @@ def validate_term(
     if not isinstance(statement, str) or not statement.strip():
         raise SchemaError("field", "field 'term' must be a non-empty string")
     # Models occasionally wrap statements; a statement is one logical line.
-    statement = _WS_RE.sub(" ", statement).strip()
+    statement = " ".join(statement.split())
     if len(statement) > MAX_STATEMENT_CHARS:
         raise SchemaError("field", f"statement over {MAX_STATEMENT_CHARS} chars")
 
@@ -174,7 +173,12 @@ def validate_term(
 
 
 def _normalized_statement(statement: str) -> str:
-    return _WS_RE.sub(" ", statement.translate(_PUNCT_TABLE).lower()).strip()
+    """The statement lowercased, ASCII punctuation deleted and whitespace
+    runs collapsed to one space: the key duplicates share. Punctuation is
+    deleted from the UTF-8 bytes, where an ASCII byte is always its own
+    character; surrogatepass carries lone surrogates through."""
+    text = statement.encode("utf-8", "surrogatepass").translate(None, _PUNCTUATION)
+    return " ".join(text.decode("utf-8", "surrogatepass").lower().split())
 
 
 def dedupe_terms(terms: list[Term]) -> list[Term]:
@@ -182,20 +186,16 @@ def dedupe_terms(terms: list[Term]) -> list[Term]:
 
     Terms whose normalized statements match are one term: the narrowest span
     wins (ties: earliest start), applicable_to is unioned preserving first-seen
-    order, and the result is sorted by source position.
+    order, and the result is sorted by source position, then normalized
+    statement.
     """
     groups: dict[tuple[str, str | None], list[Term]] = {}
-    order: list[tuple[str, str | None]] = []
     for term in terms:
         key = (_normalized_statement(term.statement), term.aspect)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(term)
+        groups.setdefault(key, []).append(term)
 
-    merged: list[Term] = []
-    for key in order:
-        group = groups[key]
+    merged: list[tuple[str, Term]] = []
+    for (normalized, _), group in groups.items():
         keeper = min(
             group,
             key=lambda t: (t.source.span_lines, t.source.start_line),
@@ -203,13 +203,13 @@ def dedupe_terms(terms: list[Term]) -> list[Term]:
         parties = dict.fromkeys(
             label for term in group for label in term.applicable_to
         )
-        merged.append(replace(keeper, applicable_to=tuple(parties)))
+        merged.append((normalized, replace(keeper, applicable_to=tuple(parties))))
 
     merged.sort(
-        key=lambda t: (
-            t.source.start_line,
-            t.source.end_line,
-            _normalized_statement(t.statement),
+        key=lambda item: (
+            item[1].source.start_line,
+            item[1].source.end_line,
+            item[0],
         )
     )
-    return merged
+    return [term for _, term in merged]

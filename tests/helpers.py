@@ -82,6 +82,12 @@ def record_thread_starts(monkeypatch) -> list:
     return started
 
 
+def stdlib_json(value) -> str:
+    """The reference for every JSON file the program writes: the stdlib
+    encoder's indent-2 text, non-ASCII as itself, with a final newline."""
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
 def response_text(name: str) -> str:
     return (RESPONSES / name).read_text(encoding="utf-8")
 

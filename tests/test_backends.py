@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import logging
+import math
+import sys
 from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import response_text, scripted, SCRIPTS
+from helpers import response_text, scripted, stdlib_json, SCRIPTS
+from terminators import backends
 from terminators.backends import (
     DEFAULT_REFUSAL,
     SCHEMA_PLAN,
@@ -25,7 +29,9 @@ from terminators.backends import (
     ScriptedBackend,
     cached_complete,
     complete,
+    _schema_shape_ok,
     extract_structured_value,
+    json_text,
     load_script,
 )
 from terminators.parsing import run_request
@@ -236,6 +242,194 @@ class TestExtractStructuredValue:
         except ValueError:
             return
         assert isinstance(value, (list, dict))
+
+
+def scan_oracle(raw_text: str, schema: str):
+    """extract_structured_value as a scan only: every top-level JSON value
+    in the text, of which exactly one must fit the schema."""
+    decoder = json.JSONDecoder()
+    candidates = []
+    pos = 0
+    while True:
+        starts = [i for i in (raw_text.find("{", pos), raw_text.find("[", pos))
+                  if i != -1]
+        if not starts:
+            break
+        idx = min(starts)
+        try:
+            value, end = decoder.raw_decode(raw_text, idx)
+        except json.JSONDecodeError:
+            pos = idx + 1
+            continue
+        except RecursionError:
+            raise ValueError(
+                f"JSON value at offset {idx} is nested too deeply"
+            ) from None
+        candidates.append(value)
+        pos = end
+    matches = [v for v in candidates if _schema_shape_ok(v, schema) is None]
+    if not matches:
+        if candidates:
+            raise ValueError(_schema_shape_ok(candidates[0], schema))
+        raise ValueError(f"no JSON value of schema {schema!r} found in output")
+    if len(matches) > 1:
+        raise ValueError(f"multiple {schema!r} values found in output")
+    return matches[0]
+
+
+def outcome(fn, *args):
+    """("value", repr of what fn returned) or ("error", its ValueError's
+    message). repr keeps NaN, -0.0 and int against float comparable."""
+    try:
+        return "value", repr(fn(*args))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(st.characters(exclude_categories=()), max_size=12))
+# Values a model might answer with: anything JSON, and the three schemas'
+# shapes, well formed or nearly.
+ANSWERS = st.one_of(
+    st.recursive(
+        JSON_SCALARS,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=8), children, max_size=3),
+        max_leaves=8,
+    ),
+    st.lists(st.fixed_dictionaries({
+        "term": st.text(max_size=12), "source": st.just("a.txt:1"),
+        "applicable_to": st.lists(st.sampled_from(["user", "we"]), max_size=2),
+    }), max_size=3),
+    st.fixed_dictionaries({
+        "verification": st.sampled_from(["Supported", "Contradicted",
+                                         "Unverifiable", "Probably"]),
+        "justification": st.text(max_size=12) | st.none(),
+    }),
+    st.fixed_dictionaries({
+        "possible_accountability_checks":
+            st.lists(st.text(max_size=8) | st.integers(), max_size=3),
+    }),
+)
+AROUND = st.sampled_from(["", " \n\t", "Here it is:\n", "```json\n", "\n```",
+                          "\ufeff", " Thanks!", "{", "]", "\u00a0"])
+
+
+class TestExtractMatchesTheScan:
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(AROUND, ANSWERS, st.sampled_from([None, 2]), AROUND,
+           st.none() | ANSWERS, st.sampled_from(SCHEMAS))
+    def test_value_or_message_equals_the_scan(self, before, answer, indent,
+                                               after, second, schema):
+        raw = before + json.dumps(answer, indent=indent, ensure_ascii=False)
+        raw += after
+        if second is not None:
+            raw += "\n" + json.dumps(second, ensure_ascii=False)
+        assert outcome(extract_structured_value, raw, schema) == outcome(
+            scan_oracle, raw, schema
+        )
+
+    @pytest.mark.parametrize("raw", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"a": ' * 100_000 + "1" + "}" * 100_000,
+    ], ids=["array", "object"])
+    def test_too_deep_whole_json_is_nested_too_deeply(self, raw):
+        # Whole values, which json.loads tries first; unclosed openers are
+        # TestExtractStructuredValue's.
+        with pytest.raises(RecursionError):
+            json.loads(raw)
+        expected = outcome(scan_oracle, raw, SCHEMA_TERM_LIST)
+        assert "nested too deeply" in expected[1]
+        assert outcome(extract_structured_value, raw,
+                       SCHEMA_TERM_LIST) == expected
+
+
+def load_backends_as(monkeypatch, version: tuple):
+    """A fresh copy of the backends module, imported as if by the given
+    Python version."""
+    monkeypatch.setattr(sys, "version_info", version)
+    spec = importlib.util.spec_from_file_location(
+        f"backends_{version[0]}_{version[1]}", backends.__file__
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks its module up while the module runs.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Everything json.dumps writes: str keys (and the other key types it
+# converts), lists and tuples; strings with non-ASCII characters, lone
+# surrogates, controls and quotes; ints of any size, bools, None; floats
+# with -0.0, NaN and both infinities.
+WRITER_KEYS = st.text(st.characters(exclude_categories=()), max_size=8)
+WRITER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 2 ** 70])
+    | st.text(st.characters(exclude_categories=()), max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(
+        WRITER_KEYS | st.integers() | st.floats() | st.booleans() | st.none(),
+        children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    """json_text is json.dumps(value, indent=2, ensure_ascii=False): built
+    with joins below Python 3.13, the stdlib call from 3.13 on."""
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(WRITER_VALUES)
+    def test_equals_the_stdlib_encoder(self, value):
+        reference = json.dumps(value, indent=2, ensure_ascii=False)
+        assert backends._value_json(value, "\n") == reference
+        assert json_text(value) == reference
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, b"bytes", 1j, object(), [1, {"a": frozenset()}],
+        {("a",): 1}, {"a": {b"k": 1}},
+    ], ids=["set", "bytes", "complex", "object", "nested-set",
+            "tuple-key", "bytes-key"])
+    def test_other_types_are_type_errors(self, value):
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(value, indent=2, ensure_ascii=False)
+        with pytest.raises(TypeError) as ours:
+            backends._value_json(value, "\n")
+        assert str(ours.value) == str(stdlib.value)
+
+    @pytest.mark.parametrize("version, joined", [
+        ((3, 10, 13, "final", 0), True),
+        ((3, 12, 1, "final", 0), True),
+        ((3, 13, 0, "final", 0), False),
+        ((3, 14, 0, "final", 0), False),
+    ])
+    def test_the_python_version_picks_the_writer_at_import(
+        self, monkeypatch, version, joined
+    ):
+        module = load_backends_as(monkeypatch, version)
+        calls = []
+        original = module._value_json
+        monkeypatch.setattr(module, "_value_json",
+                            lambda *args: calls.append(args) or original(*args))
+        value = {"terms": [{"term": "Café \ud800", "n": -0.0}], "x": (math.inf,)}
+        assert module.json_text(value) == json.dumps(value, indent=2,
+                                                     ensure_ascii=False)
+        assert bool(calls) == joined
+
+    def test_cache_entries_read_as_the_stdlib_writes_them(self, tmp_path):
+        req = make_request(user_prompt="Statement: café \u2028 is \"wet\".")
+        cached_complete(
+            scripted(("wet", "supported_verification.json")), req, tmp_path
+        )
+        (entry,) = tmp_path.glob("*.json")
+        text = entry.read_text(encoding="utf-8")
+        assert text == stdlib_json(json.loads(text))
 
 
 class TestScriptedBackend:

@@ -16,10 +16,11 @@ from helpers import (
     MISMATCH_RUN_ENTRIES,
     RESPONSES,
     SCRIPTS,
+    stdlib_json,
 )
 from terminators import cli
 from terminators.cli import EXIT_BACKEND, EXIT_OK, EXIT_PIPELINE, main
-from terminators.pipeline import json_dumps, resume as resume_run
+from terminators.pipeline import resume as resume_run
 
 SCENARIO_TXT = FIXTURES / "student_scenario.txt"
 SCENARIO_JSON = FIXTURES / "student_scenario.json"
@@ -215,9 +216,11 @@ class TestStagesMatchRun:
         (run_dir,) = (tmp_path / "runs").iterdir()
         for name in ("terms.json", "verifications.json", "remediation.json",
                      "plans.json"):
-            stage = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            stage = json.loads(text)
+            assert text == stdlib_json(stage), name
             assert stage.pop("document")["fingerprint"]
-            assert json_dumps(stage) == (run_dir / name).read_text(
+            assert stdlib_json(stage) == (run_dir / name).read_text(
                 encoding="utf-8"
             ), name
 
@@ -446,6 +449,15 @@ class TestLexicalResourcing:
         )
 
 
+def assert_entries_canonical(cache):
+    """Every cache entry reads as the stdlib's indent-2 encoder writes it."""
+    entries = list(cache.glob("*.json"))
+    assert entries, "cache must be populated"
+    for entry in entries:
+        text = entry.read_text(encoding="utf-8")
+        assert text == stdlib_json(json.loads(text)), entry.name
+
+
 class TestCache:
     def test_env_cache_replays_without_backend(
         self, tmp_path, capsys, monkeypatch
@@ -455,7 +467,7 @@ class TestCache:
         monkeypatch.setenv("TERMINATORS_CACHE", str(cache))
         assert main(extract_args(doc)) == EXIT_OK
         first = capsys.readouterr().out
-        assert list(cache.glob("*.json")), "cache must be populated"
+        assert_entries_canonical(cache)
 
         empty = tmp_path / "empty_script.json"
         empty.write_text("[]", encoding="utf-8")
@@ -501,7 +513,7 @@ class TestCache:
             tmp_path, argv, SCRIPTS / "mismatch_run.json"
         )) == EXIT_OK
         cold = capsys.readouterr().out
-        assert list((tmp_path / "cache").glob("*.json"))
+        assert_entries_canonical(tmp_path / "cache")
         assert main(self.cached(
             tmp_path, argv, self.empty_script(tmp_path)
         )) == EXIT_OK
@@ -533,6 +545,7 @@ class TestCache:
             self.empty_script(tmp_path),
         )) == EXIT_OK
         capsys.readouterr()
+        assert_entries_canonical(tmp_path / "cache")
         (cold_dir,) = (tmp_path / "cold").iterdir()
         (warm_dir,) = (tmp_path / "warm").iterdir()
         self.assert_same_run_files(cold_dir, warm_dir)
@@ -573,6 +586,20 @@ class TestExitCodes:
             main(["run", "tos.md", "--doc-format", "markdown"])
         assert exc.value.code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("verb", ["run", "verify", "remediate"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_a_usage_error(self, verb, value, capsys):
+        # NaN would turn the low-overlap flag off (no score is below it),
+        # and none of the three is JSON to write into run.json.
+        files = {"run": ["tos.txt"], "verify": ["terms.json", "tos.txt"],
+                 "remediate": ["verified.json", "tos.txt"]}[verb]
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *files, f"--threshold={value}"])
+        assert exc.value.code == 1
+        assert f"--threshold: not a finite number: '{value}'" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("argv", [
         ["report", "runs/x", "--workers", "2"],

@@ -29,6 +29,7 @@ from helpers import (
     mismatch_backend,
     record_thread_starts,
     scripted,
+    stdlib_json,
 )
 from terminators.backends import (
     Backend,
@@ -50,7 +51,6 @@ from terminators.pipeline import (
     RunStore,
     compute_run_id,
     emit_report,
-    json_dumps,
     load_run,
     resume,
     run_pipeline,
@@ -286,8 +286,8 @@ class TestFollowUpFailure:
 
 class TestEncoding:
     """Phase files and report.audit.json are assembled from per-section
-    encodings; each JSON file must still read exactly as json_dumps writes
-    its content."""
+    encodings; each JSON file must still read exactly as the stdlib's
+    indent-2 encoder writes its content (stdlib_json)."""
 
     PHASE_FILES = ("terms.json", "verifications.json", "remediation.json",
                    "plans.json")
@@ -296,7 +296,7 @@ class TestEncoding:
     def assert_canonical(self, run_dir):
         for path in run_dir.glob("*.json"):
             text = path.read_text(encoding="utf-8")
-            assert text == json_dumps(json.loads(text)), path.name
+            assert text == stdlib_json(json.loads(text)), path.name
 
     def rewind(self, run_dir, copy, phase):
         """A copy of a complete run directory stopped at phase."""
@@ -306,7 +306,7 @@ class TestEncoding:
             (copy / name).unlink()
         header = json.loads((copy / "run.json").read_text(encoding="utf-8"))
         header["phase"] = phase
-        (copy / "run.json").write_text(json_dumps(header), encoding="utf-8")
+        (copy / "run.json").write_text(stdlib_json(header), encoding="utf-8")
         return copy
 
     @pytest.mark.parametrize(
@@ -335,7 +335,7 @@ class TestEncoding:
                                    phase)
                 if phase != "ingested":
                     loaded = emit_report(load_run(copy), REPORT_AUDIT)
-                    assert loaded == json_dumps(json.loads(loaded)), phase
+                    assert loaded == stdlib_json(json.loads(loaded)), phase
                 resume(copy, load_script(SCRIPTS / script))
                 self.assert_canonical(copy)
                 for name in self.PHASE_FILES + self.REPORTS:

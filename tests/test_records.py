@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ingest_excerpt
+from terminators import records
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.documents import SourceRef
 from terminators.parsing import ExtractionConfig
@@ -256,6 +257,27 @@ class TestLayout:
                 "jurisdiction": "gdpr",
             },
         })
+
+
+def test_plain_items_and_field_values_are_not_encoded_by_a_call(monkeypatch):
+    """Lists and records test each item for a plain type in place: a term
+    calls to_json again only for its citation, its parties tuple and its
+    status, never for a party label."""
+    term = validate_term(
+        {"term": "Users must not rely on Output.",
+         "source": "OpenAI_ToS.txt:108-109",
+         "applicable_to": ["user", "you", "members"]},
+        ingest_excerpt(),
+    )
+    calls = []
+    original = records.to_json
+    monkeypatch.setattr(records, "to_json",
+                        lambda value: calls.append(value) or original(value))
+    expected = {"term": term.statement, "source": "OpenAI_ToS.txt:108-109",
+                "applicable_to": ["user", "you", "members"],
+                "term_id": term.term_id, "aspect": None, "status": "extracted"}
+    assert records.to_json(term) == expected
+    assert calls == [term, term.source, term.applicable_to, term.status]
 
 
 class TestCompatibility:

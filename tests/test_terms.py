@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import string
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -290,6 +293,48 @@ class TestDedupe:
         middle = self.build("You must evaluate Output.", 110, 111)
         merged = dedupe_terms([late, early, middle])
         assert [t.source.start_line for t in merged] == [108, 110, 115]
+
+    def test_same_span_orders_by_normalized_statement(self):
+        zebra = self.build("Zebra rule.", 108, 109)
+        apple = self.build("apple rule.", 108, 109)
+        merged = dedupe_terms([zebra, apple])
+        assert [t.statement for t in merged] == ["apple rule.", "Zebra rule."]
+
+
+# The normalizer as a regex and a str.translate table: the reference for
+# terms._normalized_statement and validate_term's whitespace collapse.
+WS_RE = re.compile(r"\s+")
+PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+
+# Any text, lone surrogates included, weighted towards ASCII punctuation,
+# case pairs and Unicode whitespace.
+STATEMENTS = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from(list(string.punctuation) + list("AaİıẞΣς")),
+        st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+                         "\xa0", "\u1680", "\u2000", "\u2028", "\u3000"]),
+    ),
+    max_size=40,
+)
+
+
+class TestNormalizedStatement:
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(STATEMENTS)
+    def test_equals_the_regex_and_table(self, statement):
+        reference = WS_RE.sub(
+            " ", statement.translate(PUNCT_TABLE).lower()
+        ).strip()
+        assert terms._normalized_statement(statement) == reference
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(STATEMENTS.filter(str.strip))
+    def test_validate_term_collapses_whitespace_as_the_regex(self, statement):
+        term = validate_term(make_candidate(term=statement), ingest_excerpt())
+        assert term.statement == WS_RE.sub(" ", statement).strip()
 
 
 class TestTermJson:
