@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import os
-import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -502,24 +501,13 @@ def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
 # Floats whose repr is not JSON, as json.dumps writes them.
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# json.dumps with an indent runs in C from Python 3.13 on, in pure Python
-# before; below 3.13, json_text builds the same text with _value_json.
-_STDLIB_INDENT_IN_C = sys.version_info >= (3, 13)
-
-
-def _key_json(key) -> str:
-    """A key that is not a str, as json.dumps writes it."""
-    if not isinstance(key, (int, float)) and key is not None:
-        raise TypeError("keys must be str, int, float, bool or None, "
-                        f"not {type(key).__name__}")
-    return encode_basestring(_value_json(key, ""))
-
 
 def _value_json(value, newline: str) -> str:
     """value as json.dumps(value, indent=2, ensure_ascii=False) writes it,
     newline (a newline and the current indent) starting each line after its
     first. Each list or object is one join, and a str item, key or value
-    goes straight to the C escaper instead of through another call here."""
+    goes straight to the C escaper instead of through another call here.
+    Keys must be str: the escaper raises TypeError for any other."""
     if isinstance(value, str):
         return encode_basestring(value)
     if value is None:
@@ -543,9 +531,9 @@ def _value_json(value, newline: str) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [(encode_basestring(key) if type(key) is str else _key_json(key))
-                 + ": " + (encode_basestring(item) if type(item) is str
-                           else _value_json(item, inner))
+        items = [encode_basestring(key) + ": "
+                 + (encode_basestring(item) if type(item) is str
+                    else _value_json(item, inner))
                  for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} "
@@ -556,8 +544,6 @@ def json_text(obj) -> str:
     """obj as JSON indented by two spaces, non-ASCII characters written as
     themselves: every run file, stage output and cache entry, without its
     final newline."""
-    if _STDLIB_INDENT_IN_C:
-        return json.dumps(obj, indent=2, ensure_ascii=False)
     return _value_json(obj, "\n")
 
 
