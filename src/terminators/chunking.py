@@ -36,6 +36,8 @@ class ChunkStrategy:
     parallel_fanout: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.mode, ChunkMode):
+            raise ValueError(f"unknown chunk mode {self.mode!r}")
         if self.max_chunk_lines < 1:
             raise ValueError("max_chunk_lines must be >= 1")
         if self.mode is ChunkMode.PARALLEL_MERGE:
@@ -132,66 +134,6 @@ def _non_blank_runs(doc: SourceDocument) -> list[tuple[int, int]]:
     return runs
 
 
-def _trim_to_content(doc: SourceDocument, start: int, end: int) -> tuple[int, int] | None:
-    """Shrink a range to its first and last non-blank line; None if all blank."""
-    lo, hi = start, end
-    while lo <= hi and not doc.line_text(lo).strip():
-        lo += 1
-    while hi >= lo and not doc.line_text(hi).strip():
-        hi -= 1
-    if lo > hi:
-        return None
-    return lo, hi
-
-
-def _split_run_at_cap(start: int, end: int, cap: int) -> list[tuple[int, int]]:
-    """Hard-split one non-blank run into consecutive windows of at most cap lines."""
-    windows = []
-    lo = start
-    while lo <= end:
-        hi = min(lo + cap - 1, end)
-        windows.append((lo, hi))
-        lo = hi + 1
-    return windows
-
-
-def _pack_block(doc: SourceDocument, start: int, end: int,
-                cap: int) -> list[tuple[int, int]]:
-    """Split a trimmed block into sub-ranges of span <= cap.
-
-    Paragraphs inside the block are kept whole where possible: consecutive
-    paragraphs are greedily grouped while the covering span stays under the
-    cap, and only a single paragraph longer than the cap is split mid-run.
-    """
-    if end - start + 1 <= cap:
-        return [(start, end)]
-    # Clip runs to the block: a section boundary can fall mid-run, and the
-    # part inside this block still has to be covered.
-    paragraphs = [
-        (max(s, start), min(e, end)) for s, e in _non_blank_runs(doc)
-        if e >= start and s <= end
-    ]
-    packed: list[tuple[int, int]] = []
-    group: tuple[int, int] | None = None
-    for s, e in paragraphs:
-        if e - s + 1 > cap:
-            if group is not None:
-                packed.append(group)
-                group = None
-            packed.extend(_split_run_at_cap(s, e, cap))
-            continue
-        if group is None:
-            group = (s, e)
-        elif e - group[0] + 1 <= cap:
-            group = (group[0], e)
-        else:
-            packed.append(group)
-            group = (s, e)
-    if group is not None:
-        packed.append(group)
-    return packed
-
-
 def _heading_for(headings: list[Heading], start_line: int) -> str | None:
     """Text of the nearest heading at or above start_line."""
     best = None
@@ -203,8 +145,27 @@ def _heading_for(headings: list[Heading], start_line: int) -> str | None:
     return best
 
 
+def _pieces(runs: list[tuple[int, int]], cuts: set[int]):
+    """Each run as (start, end, opens_block) pieces, split before every cut
+    line inside it; a piece opens a new block when it starts at a cut."""
+    for s, e in runs:
+        lo = s
+        for n in range(s + 1, e + 1):
+            if n in cuts:
+                yield lo, n - 1, lo in cuts
+                lo = n
+        yield lo, e, lo in cuts
+
+
 def chunk(doc: SourceDocument, strategy: ChunkStrategy) -> list[Chunk]:
     """Split the document per the strategy.
+
+    Each mode names its cut lines (none for whole_document and
+    parallel_merge, each paragraph's first line for paragraph and for a
+    section_by_section document without headings, each heading line for
+    section_by_section), and between cuts consecutive paragraphs join one
+    chunk while it spans at most max_chunk_lines, a longer paragraph being
+    split into windows of that many lines.
 
     Invariants: chunks are ordered by start line, trimmed to non-blank edges,
     pairwise disjoint, no wider than max_chunk_lines, and together cover every
@@ -213,36 +174,26 @@ def chunk(doc: SourceDocument, strategy: ChunkStrategy) -> list[Chunk]:
     """
     cap = strategy.max_chunk_lines
     headings = detect_headings(doc)
-
+    runs = _non_blank_runs(doc)
     if strategy.mode in (ChunkMode.WHOLE_DOCUMENT, ChunkMode.PARALLEL_MERGE):
-        trimmed = _trim_to_content(doc, doc.first_line, doc.last_line)
-        ranges = [] if trimmed is None else _pack_block(doc, *trimmed, cap)
-        kind = "whole_document"
-    elif strategy.mode is ChunkMode.PARAGRAPH or (
+        kind, cuts = "whole_document", set()
+    elif strategy.mode is ChunkMode.PARAGRAPH or not headings:
         # Section mode with no headings to follow is paragraph mode.
-        strategy.mode is ChunkMode.SECTION_BY_SECTION and not headings
-    ):
-        ranges = []
-        for s, e in _non_blank_runs(doc):
-            ranges.extend(_pack_block(doc, s, e, cap))
-        kind = "paragraph"
-    elif strategy.mode is ChunkMode.SECTION_BY_SECTION:
-        kind = "section"
-        boundaries = [h.line_number for h in headings]
-        ranges = []
-        if boundaries[0] > doc.first_line:
-            pre = _trim_to_content(doc, doc.first_line, boundaries[0] - 1)
-            if pre is not None:
-                ranges.extend(_pack_block(doc, *pre, cap))
-        for i, b in enumerate(boundaries):
-            section_end = (
-                boundaries[i + 1] - 1 if i + 1 < len(boundaries) else doc.last_line
-            )
-            sec = _trim_to_content(doc, b, section_end)
-            if sec is not None:
-                ranges.extend(_pack_block(doc, *sec, cap))
+        kind, cuts = "paragraph", {s for s, _ in runs}
     else:
-        raise ValueError(f"unknown chunk mode {strategy.mode!r}")
+        kind, cuts = "section", {h.line_number for h in headings}
+
+    ranges: list[tuple[int, int]] = []
+    joinable = False  # whether the next piece may extend ranges[-1]
+    for lo, hi, opens_block in _pieces(runs, cuts):
+        if hi - lo + 1 > cap:
+            ranges.extend((a, min(a + cap - 1, hi)) for a in range(lo, hi + 1, cap))
+            joinable = False
+        elif joinable and not opens_block and hi - ranges[-1][0] < cap:
+            ranges[-1] = (ranges[-1][0], hi)
+        else:
+            ranges.append((lo, hi))
+            joinable = True
 
     return [
         Chunk(

@@ -93,8 +93,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help=f"response cache directory (default: ${CACHE_ENV} if set)",
     )
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
-                        metavar="N")
+    parser.add_argument("--workers", type=_int_at_least(1),
+                        default=DEFAULT_WORKERS, metavar="N")
 
 
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
@@ -115,12 +115,14 @@ def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
                         help="restrict extraction to an aspect (repeatable)")
     parser.add_argument("--strategy", choices=sorted(_STRATEGY_MODES),
                         default="section")
-    parser.add_argument("--max-chunk-lines", type=int,
+    parser.add_argument("--max-chunk-lines", type=_int_at_least(1),
                         default=DEFAULT_MAX_CHUNK_LINES, metavar="N")
-    parser.add_argument("--parallel-fanout", type=int, default=2, metavar="N")
+    parser.add_argument("--parallel-fanout", type=_int_at_least(2), default=2,
+                        metavar="N")
     parser.add_argument("--provider-name", metavar="NAME",
                         help="service provider name, a known party label")
-    parser.add_argument("--first-line", type=int, default=1, metavar="N",
+    parser.add_argument("--first-line", type=_int_at_least(1), default=1,
+                        metavar="N",
                         help="number the first line N instead of 1")
     parser.add_argument("--doc-format", choices=FORMATS,
                         help="input format (default: by file extension)")
@@ -139,11 +141,29 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(minimum: int):
+    """The argparse type of an integer flag whose values start at minimum,
+    so that a value out of range is a usage error rather than a pipeline
+    failure, or a value taken in silence."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, not {value}")
+        return value
+    return parse
+
+
 def _add_verify_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=_finite_float,
                         default=DEFAULT_LOW_OVERLAP_THRESHOLD, metavar="X",
                         help="lexical score below which a term is flagged")
-    parser.add_argument("--context-lines", type=int, default=0, metavar="N",
+    parser.add_argument("--context-lines", type=_int_at_least(0), default=0,
+                        metavar="N",
                         help="extra lines shown around the cited span")
 
 

@@ -9,15 +9,12 @@ an offset other than 1 so that excerpts keep their original numbering.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
 
 FORMAT_PLAIN = "plain"
 FORMAT_HTML = "html"
 FORMATS = (FORMAT_PLAIN, FORMAT_HTML)
-
-_NUMBERED_LINE_RE = re.compile(r"^(\d+):(?: (.*))?$")
 
 # HTML ingestion keeps at most this many consecutive blank lines.
 _MAX_BLANK_RUN = 2
@@ -284,17 +281,6 @@ def render_numbered(
     for number, text in doc.lines[start - doc.first_line : end - doc.first_line + 1]:
         rendered.append(f"{number}: {text}" if text else f"{number}:")
     return "\n".join(rendered)
-
-
-def parse_numbered(numbered_text: str) -> list[tuple[int, str]]:
-    """Invert render_numbered back to (line_number, text) pairs."""
-    pairs: list[tuple[int, str]] = []
-    for raw in numbered_text.split("\n"):
-        m = _NUMBERED_LINE_RE.match(raw)
-        if m is None:
-            raise ValueError(f"not a numbered line: {raw!r}")
-        pairs.append((int(m.group(1)), m.group(2) or ""))
-    return pairs
 
 
 def resolve_span(doc: SourceDocument, ref: SourceRef) -> str:

@@ -19,6 +19,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import types
 import typing
 from functools import cache
@@ -94,6 +95,9 @@ def _decode(tp, value):
     if tp is float:
         if type(value) not in (int, float):
             raise ValueError(f"expected a number, got {value!r}")
+        # JSON has no NaN or infinity, though json.loads reads them.
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value!r}")
         return value
     if tp is SourceRef:
         if type(value) is not str:

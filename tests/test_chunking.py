@@ -144,6 +144,8 @@ def test_strategy_validation():
         ChunkStrategy(ChunkMode.PARAGRAPH, max_chunk_lines=0)
     with pytest.raises(ValueError):
         ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=1)
+    with pytest.raises(ValueError, match="unknown chunk mode 'paragraph'"):
+        ChunkStrategy("paragraph")
     for mode in (ChunkMode.WHOLE_DOCUMENT, ChunkMode.SECTION_BY_SECTION,
                  ChunkMode.PARAGRAPH):
         with pytest.raises(ValueError, match="outside parallel_merge"):
@@ -284,12 +286,17 @@ def test_modes_agree_with_reference_on_fixture_docs():
 
 
 def test_random_docs_small_sweep():
+    # Documents of up to 120 lines hold blocks with several oversized
+    # paragraphs and headings inside paragraphs.
     rng = random.Random(997)
-    for _ in range(100):
-        doc = random_document(rng)
-        mode = rng.choice(list(MODES))
-        cap = rng.randint(1, 15)
-        strategy = strategy_for(mode, cap)
-        got = chunk(doc, strategy)
-        check_invariants(doc, got, strategy)
-        assert [(c.start_line, c.end_line) for c in got] == ref_ranges(doc, mode, cap)
+    for max_lines in (45, 120):
+        for _ in range(100):
+            doc = random_document(rng, max_lines=max_lines)
+            mode = rng.choice(list(MODES))
+            cap = rng.randint(1, 15)
+            strategy = strategy_for(mode, cap)
+            got = chunk(doc, strategy)
+            check_invariants(doc, got, strategy)
+            assert [(c.start_line, c.end_line) for c in got] == ref_ranges(
+                doc, mode, cap
+            )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import shutil
 
 import pytest
@@ -601,6 +602,32 @@ class TestExitCodes:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("argv, flag, message", [
+        (["run", "tos.txt"], "--workers=0", "must be at least 1, not 0"),
+        (["resume", "runs/x"], "--workers=-3", "must be at least 1, not -3"),
+        (["extract", "tos.txt"], "--max-chunk-lines=0",
+         "must be at least 1, not 0"),
+        (["run", "tos.txt"], "--first-line=0", "must be at least 1, not 0"),
+        (["run", "tos.txt", "--strategy", "parallel"], "--parallel-fanout=1",
+         "must be at least 2, not 1"),
+        (["verify", "terms.json", "tos.txt"], "--context-lines=-2",
+         "must be at least 0, not -2"),
+        (["remediate", "verified.json", "tos.txt"], "--context-lines=two",
+         "not an integer: 'two'"),
+    ], ids=["workers-zero", "workers-negative", "max-chunk-lines-zero",
+            "first-line-zero", "fanout-one", "context-lines-negative",
+            "context-lines-not-an-integer"])
+    def test_out_of_range_integer_flag_is_a_usage_error(
+        self, argv, flag, message, capsys
+    ):
+        # Exit 2 is for pipeline failures; --workers 0 and --context-lines -2
+        # would otherwise run, the latter under a run id of its own.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag])
+        assert exc.value.code == 1
+        name = flag.split("=")[0]
+        assert f"{name}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["report", "runs/x", "--workers", "2"],
         ["report", "runs/x", "--backend", "live"],
@@ -675,9 +702,15 @@ class TestExitCodes:
          "possible_accountability_checks: expected a list"),
         ("run.json", lambda r: r.pop("config"), "malformed run: 'config'"),
         ("run.json", lambda r: r.update(phase="halfway"), "malformed run"),
+        ("run.json", lambda r: r["config"].update(threshold=math.nan),
+         "RunConfig.threshold: expected a finite number, got nan"),
+        ("verifications.json",
+         lambda r: r["verifications"][0].update(lexical_score=math.inf),
+         "lexical_score: expected a finite number, got inf"),
     ], ids=["verification-without-label", "score-not-a-number",
             "term-without-source", "bad-citation", "plan-without-fingerprint",
-            "checks-not-a-list", "header-without-config", "unknown-phase"])
+            "checks-not-a-list", "header-without-config", "unknown-phase",
+            "threshold-not-finite", "score-not-finite"])
     def test_malformed_run_directory_exits_two(
         self, tmp_path, capsys, artifact, corrupt, message
     ):

@@ -8,7 +8,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import EXCERPT_FIRST_LINE, ingest_excerpt, random_document
+from helpers import (
+    EXCERPT_FIRST_LINE,
+    ingest_excerpt,
+    random_document,
+    shown_lines,
+)
 from terminators.documents import (
     FORMAT_HTML,
     IngestError,
@@ -18,7 +23,6 @@ from terminators.documents import (
     fingerprint_text,
     ingest,
     ingest_path,
-    parse_numbered,
     render_numbered,
     resolve_span,
 )
@@ -137,6 +141,8 @@ def test_ingest_path_source_name_override(tmp_path):
 def test_render_numbered_format():
     doc = ingest(b"alpha\n\nbeta\n", "a.txt")
     assert render_numbered(doc) == "1: alpha\n2:\n3: beta"
+    offset = ingest(b"alpha\n\nbeta\n", "a.txt", first_line=40)
+    assert render_numbered(offset) == "40: alpha\n41:\n42: beta"
 
 
 def test_render_numbered_subrange_and_bounds():
@@ -148,13 +154,6 @@ def test_render_numbered_subrange_and_bounds():
         render_numbered(doc, start_line=105, end_line=109)
     with pytest.raises(SpanError):
         render_numbered(doc, start_line=109, end_line=108)
-
-
-def test_parse_numbered_round_trip():
-    doc = ingest(b"alpha\n\nbeta\n", "a.txt", first_line=40)
-    assert parse_numbered(render_numbered(doc)) == [(40, "alpha"), (41, ""), (42, "beta")]
-    with pytest.raises(ValueError):
-        parse_numbered("no number here")
 
 
 def test_source_ref_validation():
@@ -318,7 +317,7 @@ def test_random_docs_render_parse_round_trip():
     rng = random.Random(20260822)
     for _ in range(200):
         doc = random_document(rng)
-        pairs = parse_numbered(render_numbered(doc))
+        pairs = list(shown_lines(render_numbered(doc)).items())
         # Whitespace-only lines render with their spaces intact except a
         # fully-empty text, which renders without the separating space.
         assert [(n, t) for n, t in pairs] == [(n, t) for n, t in doc.lines]

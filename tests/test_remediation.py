@@ -25,7 +25,6 @@ from terminators import remediation
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.documents import (
     SourceRef,
-    parse_numbered,
     render_numbered,
     resolve_span,
 )
@@ -460,8 +459,8 @@ def remediate_cited(doc, cited_line, backend, **options):
 
 def shown_range(req):
     """(first, last) line number a re-sourcing request shows."""
-    shown = parse_numbered(req.user_prompt.split("Document with line numbers:\n", 1)[1])
-    return shown[0][0], shown[-1][0]
+    shown = shown_lines(req.user_prompt.split("Document with line numbers:\n", 1)[1])
+    return min(shown), max(shown)
 
 
 class TestWindowThenDocument:
