@@ -16,6 +16,7 @@ import math
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring, encode_basestring_ascii
@@ -455,10 +456,20 @@ class LiveBackend(Backend):
         )
 
 
-# Per thread: the callable complete() runs just before a request goes to
-# the backend. parsing.map_ordered installs one to start its helper threads
-# only once a job has a backend wait ahead of it.
+# Per thread: the callable complete() runs when a backend call waits.
+# parsing.map_ordered installs one to start its helper threads only once a
+# job has a backend wait ahead of it.
 _wait_hooks = threading.local()
+
+# A call that spends more than this many seconds off its thread's CPU
+# waited; its backend counts as one that waits from then on. An in-process
+# backend stays far below it (its off-CPU time is preemption, at most a few
+# milliseconds) and a remote one far above.
+WAIT_S = 0.010
+
+# Backends seen to wait. Held weakly, so a backend dropped by its caller
+# goes; a backend is keyed by identity.
+_waiting_backends = weakref.WeakSet()
 
 
 def install_wait_hook(hook):
@@ -470,25 +481,41 @@ def install_wait_hook(hook):
 
 
 def announce_wait() -> None:
-    """Run the calling thread's wait hook, if any: a request is about to
-    go to the backend."""
+    """Run the calling thread's wait hook, if any: a backend call waits."""
     hook = getattr(_wait_hooks, "hook", None)
     if hook is not None:
         hook()
 
 
+def _generate(backend: Backend, req: BackendRequest) -> BackendResponse:
+    """backend.generate(req), announced to the wait hook: before the call
+    for a backend seen to wait, else just after a call that waited more
+    than WAIT_S off the thread's CPU, which marks the backend."""
+    if backend in _waiting_backends:
+        announce_wait()
+        return backend.generate(req)
+    wall, cpu = time.perf_counter(), time.thread_time()
+    resp = backend.generate(req)
+    if (time.perf_counter() - wall) - (time.thread_time() - cpu) > WAIT_S:
+        _waiting_backends.add(backend)
+        announce_wait()
+    return resp
+
+
 def complete(backend: Backend, req: BackendRequest) -> BackendResponse:
     """One generation with structured output, allowing a single retry that
     restates the format when the first response does not parse. Every
-    backend call goes through here, each announced to the wait hook."""
-    announce_wait()
-    resp = backend.generate(req)
+    backend call goes through here. A backend call that waits is announced
+    to the wait hook, so helper threads start only for a backend that
+    waits: once one of its calls has waited more than WAIT_S (10 ms) off
+    the thread's CPU, and before each later call. An in-process backend
+    never waits, and the first call of a remote one runs alone."""
+    resp = _generate(backend, req)
     if resp.parsed is not None:
         return resp
     reminder = FORMAT_REMINDERS[req.response_schema]
     retry_req = replace(req, user_prompt=req.user_prompt + "\n\n" + reminder)
-    announce_wait()
-    retry = backend.generate(retry_req)
+    retry = _generate(backend, retry_req)
     if retry.parsed is not None:
         return retry
     raise BackendError(
@@ -570,18 +597,38 @@ def read_json(path, name=None):
         raise ValueError(f"{name or path}: JSON nested too deeply") from None
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write text to path, making its directory, by way of a temporary file
-    named per process and thread, then os.replace: a reader sees a whole
-    file, and threads writing the same path do not collide. A failed write
-    removes its temporary file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+# Flags of write_atomic's temporary file, which it opens afresh.
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
+def write_atomic(path, text: str) -> None:
+    """Write text as UTF-8 to path (a str or path-like) by way of a
+    temporary file named per process and thread, then os.replace: a reader
+    sees a whole file, and threads writing the same path do not collide.
+    The directory is made only when opening the temporary file finds it
+    missing; the open is then tried once more. A failed write removes its
+    temporary file."""
+    data = text.encode("utf-8")
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    except FileNotFoundError:
+        os.makedirs(head, exist_ok=True)
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 
@@ -625,7 +672,7 @@ def cached_complete(backend: Backend, req: BackendRequest,
 
     resp = complete(backend, req)
     try:
-        write_atomic(Path(entry_path), json_dumps(
+        write_atomic(entry_path, json_dumps(
             {"response": {"raw_text": resp.raw_text, "usage": resp.usage,
                           "latency_ms": resp.latency_ms,
                           "backend_id": resp.backend_id}}

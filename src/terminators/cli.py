@@ -177,8 +177,8 @@ def _add_plan_flags(parser: argparse.ArgumentParser, *, required: bool) -> None:
                         help="user scenario: JSON or plain text")
     parser.add_argument("--jurisdiction", choices=["gdpr", "ccpa"],
                         help="regional profile for the planner")
-    parser.add_argument("--min-checks", type=int, default=DEFAULT_MIN_CHECKS,
-                        metavar="N")
+    parser.add_argument("--min-checks", type=_int_at_least(1),
+                        default=DEFAULT_MIN_CHECKS, metavar="N")
 
 
 def build_parser() -> _Parser:

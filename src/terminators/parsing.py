@@ -78,11 +78,14 @@ def map_ordered(fn, items, workers: int) -> list:
     threads, results in input order, so output does not depend on thread
     scheduling. Each thread claims the next unclaimed index until none is
     left. Helpers pay only while a job waits on the backend, so they start
-    when a job on the calling thread first announces a backend call
-    (backends.announce_wait); a phase served wholly from the cache runs on
-    the calling thread alone. Every job runs to completion; then the first
-    failure in input order is raised. An interrupt stops further claims,
-    waits for the started helpers' current jobs and propagates."""
+    when a job on the calling thread first announces a backend wait
+    (backends.announce_wait): right after a call that waited more than
+    10 ms off the thread's CPU, and, once the backend has been seen to
+    wait, before each later phase's first request to it. A phase served
+    wholly from the cache, or by an in-process backend, runs on the calling
+    thread alone. Every job runs to completion; then the first failure in
+    input order is raised. An interrupt stops further claims, waits for the
+    started helpers' current jobs and propagates."""
     items = list(items)
     results = [None] * len(items)
     failures: list[BaseException | None] = [None] * len(items)

@@ -129,9 +129,14 @@ class RunStore:
             },
             ensure_ascii=False,
         )
+        path = self.path(self.EVENTS)
         with self._lock:
-            self.run_dir.mkdir(parents=True, exist_ok=True)
-            with open(self.path(self.EVENTS), "a", encoding="utf-8") as fh:
+            try:
+                fh = open(path, "a", encoding="utf-8")
+            except FileNotFoundError:
+                self.run_dir.mkdir(parents=True, exist_ok=True)
+                fh = open(path, "a", encoding="utf-8")
+            with fh:
                 fh.write(line + "\n")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .backends import PLAN_CHECKS_KEY, Backend, BackendError
 from .documents import SourceDocument, resolve_span
@@ -61,8 +62,10 @@ class Scenario:
         if not isinstance(self.description, str) or not self.description.strip():
             raise ValueError("scenario description must be a non-empty string")
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
+        """Computed once per scenario: the dataclass is frozen, and each of
+        its plans carries it."""
         return fingerprint(self)
 
 

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import sys
+import types
 from dataclasses import asdict, replace
 
 import pytest
@@ -20,6 +21,7 @@ from terminators.backends import (
     SCHEMA_TERM_LIST,
     SCHEMA_VERIFICATION,
     SCHEMAS,
+    Backend,
     BackendError,
     BackendRequest,
     CachedBackend,
@@ -30,6 +32,7 @@ from terminators.backends import (
     complete,
     _schema_shape_ok,
     extract_structured_value,
+    install_wait_hook,
     json_text,
     load_script,
 )
@@ -500,6 +503,39 @@ class TestComplete:
         assert "nested too deeply" in str(exc.value)
         assert len(backend.calls) == 2
 
+    @pytest.mark.parametrize("cpu_s, waits", [(0.015, False), (0.001, True)])
+    def test_a_call_waits_when_it_spends_time_off_the_cpu(
+        self, monkeypatch, cpu_s, waits
+    ):
+        # Each call takes 15 ms on a fake wall clock and cpu_s on a fake
+        # thread clock: it waited when the 15 ms were mostly off the CPU.
+        clock = {"wall": 0.0, "cpu": 0.0}
+        monkeypatch.setattr(backends, "time", types.SimpleNamespace(
+            perf_counter=lambda: clock["wall"],
+            thread_time=lambda: clock["cpu"],
+        ))
+        events = []
+        inner = scripted(("water", "supported_verification.json"))
+
+        class Timed(Backend):
+            def generate(self, req):
+                events.append("call")
+                clock["wall"] += 0.015
+                clock["cpu"] += cpu_s
+                return inner.generate(req)
+
+        backend = Timed()
+        previous = install_wait_hook(lambda: events.append("wait"))
+        try:
+            complete(backend, make_request())
+            complete(backend, make_request())
+        finally:
+            install_wait_hook(previous)
+        # A backend seen to wait is announced after that call, and before
+        # each later one.
+        assert events == (["call", "wait", "wait", "call"] if waits
+                          else ["call", "call"])
+
 
 class TestLoadScript:
     def test_fixture_script_loads(self):
@@ -712,11 +748,28 @@ class TestCachedComplete:
         assert f"cache write failed for {entry}" in caplog.text
         assert [p.name for p in tmp_path.iterdir()] == [entry]
 
-    def test_unwritable_cache_dir_degrades(self, tmp_path):
+    def test_unwritable_cache_dir_degrades(self, tmp_path, caplog):
         blocker = tmp_path / "cache"
         blocker.write_text("a file where the cache dir should be")
         backend = scripted(("water", "supported_verification.json"))
-        resp = cached_complete(backend, make_request(), blocker / "sub")
+        req = make_request()
+        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
+            resp = cached_complete(backend, req, blocker / "sub")
+        assert resp.parsed["verification"] == "Supported"
+        assert f"cache write failed for {req.request_fingerprint}.json" in (
+            caplog.text
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+    def test_first_write_makes_the_missing_cache_directories(self, tmp_path):
+        backend = scripted(("water", "supported_verification.json"))
+        req = make_request()
+        cache = tmp_path / "a" / "b" / "cache"
+        cached_complete(backend, req, str(cache))
+        assert [p.name for p in cache.iterdir()] == [
+            f"{req.request_fingerprint}.json"
+        ]
+        resp = cached_complete(ScriptedBackend([]), req, cache)
         assert resp.parsed["verification"] == "Supported"
 
 

@@ -614,14 +614,19 @@ class TestExitCodes:
          "must be at least 0, not -2"),
         (["remediate", "verified.json", "tos.txt"], "--context-lines=two",
          "not an integer: 'two'"),
+        (["run", "tos.txt"], "--min-checks=0", "must be at least 1, not 0"),
+        (["plan", "verified.json", "tos.txt", "--scenario-file", "s.txt"],
+         "--min-checks=-1", "must be at least 1, not -1"),
     ], ids=["workers-zero", "workers-negative", "max-chunk-lines-zero",
             "first-line-zero", "fanout-one", "context-lines-negative",
-            "context-lines-not-an-integer"])
+            "context-lines-not-an-integer", "min-checks-zero",
+            "min-checks-negative"])
     def test_out_of_range_integer_flag_is_a_usage_error(
         self, argv, flag, message, capsys
     ):
-        # Exit 2 is for pipeline failures; --workers 0 and --context-lines -2
-        # would otherwise run, the latter under a run id of its own.
+        # Exit 2 is for pipeline failures; --workers 0, --context-lines -2
+        # and --min-checks -1 would otherwise run, the latter two under a
+        # run id of their own.
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag])
         assert exc.value.code == 1

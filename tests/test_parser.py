@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import threading
@@ -18,6 +19,7 @@ from helpers import (
 )
 from terminators.backends import (
     SCHEMA_VERIFICATION,
+    WAIT_S,
     Backend,
     BackendError,
     BackendRequest,
@@ -281,7 +283,7 @@ class TestDeterminism:
 
 class TestMapOrdered:
     """Helpers start when a job on the calling thread announces a backend
-    call, so jobs that stand in for backend waits call announce_wait()
+    wait, so jobs that stand in for backend waits call announce_wait()
     before they block."""
 
     WAIT_S = 5
@@ -350,28 +352,47 @@ class TestMapOrdered:
         self, tmp_path, monkeypatch
     ):
         started = record_thread_starts(monkeypatch)
-        starts_at_each_call = []
+        timeout = self.WAIT_S
 
         class Echo(Backend):
-            """Supported, with the request's own prompt as justification."""
+            """Supported, with the request's own prompt as justification.
+            Its first call waits past WAIT_S off the CPU, and each of the
+            three after it waits until all three are in flight."""
+
+            def __init__(self):
+                self.arrivals = itertools.count()
+                self.overlap = threading.Barrier(3)
+                # (thread, threads started so far) at each call.
+                self.calls = []
 
             def generate(self, req):
-                starts_at_each_call.append(
-                    (threading.get_ident(), len(started)))
-                raw = json.dumps({"verification": "Supported",
-                                  "justification": req.user_prompt})
+                self.calls.append((threading.get_ident(), len(started)))
+                arrival = next(self.arrivals)
+                if arrival == 0:
+                    time.sleep(2 * WAIT_S)
+                elif arrival < 4:
+                    self.overlap.wait(timeout=timeout)
+                raw = supported(req.user_prompt)
                 return BackendResponse(raw, json.loads(raw), None, {}, 0.0,
                                        "echo")
+
+        def supported(prompt):
+            return json.dumps({"verification": "Supported",
+                               "justification": prompt})
 
         reqs = [
             BackendRequest("You label statements.", f"Statement {i}.",
                            SCHEMA_VERIFICATION)
-            for i in range(12)
+            for i in range(18)
         ]
-        backend = CachedBackend(Echo(), tmp_path)
+        # A script that never waits makes the three hits.
+        hits = ScriptedBackend([ScriptEntry(req.user_prompt,
+                                            supported(req.user_prompt))
+                                for req in reqs[:3]])
         for req in reqs[:3]:
-            run_request(backend, req)
-        starts_at_each_call.clear()
+            run_request(CachedBackend(hits, tmp_path), req)
+        echo = Echo()
+        backend = CachedBackend(echo, tmp_path)
         caller = threading.get_ident()
         seen = []
 
@@ -379,18 +400,27 @@ class TestMapOrdered:
             seen.append((req.user_prompt, threading.get_ident(), len(started)))
             return run_request(backend, req).parsed["justification"]
 
-        out = map_ordered(job, reqs, workers=3)
-        assert out == [req.user_prompt for req in reqs]
+        out = map_ordered(job, reqs[:12], workers=3)
+        assert out == [req.user_prompt for req in reqs[:12]]
         # The three hits and the first miss ran on the calling thread with
-        # no helper, and both helpers started before that miss reached the
-        # backend.
+        # no helper; the miss reached the backend alone.
         assert seen[:4] == [(f"Statement {i}.", caller, 0) for i in range(4)]
-        # A helper can reach the backend before the caller's miss does, so
-        # look at the caller's own first call.
-        assert next(n for thread, n in starts_at_each_call
-                    if thread == caller) == 2
+        assert echo.calls[0] == (caller, 0)
+        # The helpers started right after it, before any later job began,
+        # and the next three misses, one per thread, were in flight at once.
+        assert all(n > 0 for _, _, n in seen[4:])
+        assert sorted(n for _, n in echo.calls[1:4]) == [2, 2, 2]
+        assert len({thread for thread, _ in echo.calls[1:4]}) == 3
         assert len(started) == 2
-        assert len(starts_at_each_call) == 9
+        assert len(echo.calls) == 9
+
+        # The backend is known to wait: a later map_ordered starts both
+        # helpers before the caller's first miss reaches it.
+        echo.calls.clear()
+        out = map_ordered(job, reqs[12:], workers=3)
+        assert out == [req.user_prompt for req in reqs[12:]]
+        assert next(n for thread, n in echo.calls if thread == caller) == 4
+        assert len(started) == 4
 
     def test_interrupt_before_any_helper_starts_propagates(
         self, monkeypatch

@@ -7,6 +7,7 @@ import json
 import re
 import shutil
 import threading
+import time
 from dataclasses import replace
 from datetime import datetime
 
@@ -32,6 +33,8 @@ from helpers import (
     stdlib_json,
 )
 from terminators.backends import (
+    SCHEMA_VERIFICATION,
+    WAIT_S,
     Backend,
     BackendError,
     ScriptEntry,
@@ -197,23 +200,34 @@ class TestDeterminism:
 
 
 class PairedStartBackend(Backend):
-    """Holds each of its first two requests until both are in flight, so a
-    run that sends its backend calls one at a time fails at the first."""
+    """Waits past backends.WAIT_S off the CPU on its first request, then
+    holds each of its first two verification requests until both are in
+    flight, so a run that sends its backend calls one at a time fails
+    there. Extraction's two chunks come before them."""
 
     def __init__(self, inner: Backend):
         self.inner = inner
         self.backend_id = inner.backend_id
         self.barrier = threading.Barrier(2)
         self.arrivals = itertools.count()
+        self.verifications = itertools.count()
+        self.first_done = threading.Event()
+        self.first_overlapped = False
 
     def generate(self, req):
-        if next(self.arrivals) < 2:
+        if next(self.arrivals) == 0:
+            time.sleep(2 * WAIT_S)
+            self.first_done.set()
+            return self.inner.generate(req)
+        self.first_overlapped |= not self.first_done.is_set()
+        if (req.response_schema == SCHEMA_VERIFICATION
+                and next(self.verifications) < 2):
             self.barrier.wait(timeout=5)
         return self.inner.generate(req)
 
 
 class TestThreads:
-    """Helper threads start only once a request reaches the backend."""
+    """Helper threads start only once a backend call is seen to wait."""
 
     def test_warm_rerun_starts_no_thread_and_matches_cold(
         self, tmp_path, monkeypatch
@@ -239,7 +253,29 @@ class TestThreads:
         run = run_pipeline(ingest_excerpt(), config, backend, tmp_path,
                            cache_dir=tmp_path / "cache")
         assert run.phase == "complete"
+        assert not backend.first_overlapped, "the first call ran alone"
         assert not backend.barrier.broken
+
+    def test_cold_run_on_a_script_starts_no_thread_and_matches_one_worker(
+        self, tmp_path, monkeypatch
+    ):
+        started = record_thread_starts(monkeypatch)
+        runs = {}
+        for workers in (4, 1):
+            runs[workers] = run_pipeline(
+                ingest_excerpt(), replace(happy_config(), workers=workers),
+                mismatch_backend(), tmp_path / str(workers),
+                cache_dir=tmp_path / f"cache{workers}")
+        assert started == []
+        assert runs[4].phase == "complete"
+        for name in RUN_FILES:
+            assert runs[4].store.path(name).read_bytes() == (
+                runs[1].store.path(name).read_bytes()
+            ), f"{name} differs between workers=4 and workers=1"
+        cached = [sorted((p.name, p.read_bytes())
+                         for p in (tmp_path / f"cache{w}").iterdir())
+                  for w in (4, 1)]
+        assert cached[0] == cached[1]
 
 
 class TestFollowUpFailure:
@@ -360,6 +396,16 @@ class TestRunStore:
         assert [p.name for p in tmp_path.iterdir()] == (
             ["terms.json"] if blocked else []
         )
+
+    def test_first_event_or_file_makes_the_run_directory(self, tmp_path):
+        events = RunStore(tmp_path / "events" / "run")
+        events.append_event("ingested", "document stored")
+        (line,) = events.path("events.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert json.loads(line)["event"] == "document stored"
+        files = RunStore(tmp_path / "files" / "run")
+        files.write_json("run.json", {"phase": "ingested"})
+        assert files.read_json("run.json") == {"phase": "ingested"}
 
 
 class TestResume:

@@ -19,6 +19,7 @@ from terminators.backends import (
     ScriptEntry,
     ScriptedBackend,
 )
+from terminators import planning
 from terminators.planning import (
     JURISDICTION_PROFILES,
     PLAN_DISCLAIMER,
@@ -29,7 +30,7 @@ from terminators.planning import (
     plan_term,
     plan_to_json,
 )
-from terminators.records import from_json, to_json
+from terminators.records import fingerprint, from_json, to_json
 from terminators.remediation import advance
 from terminators.terms import LifecycleError, TermStatus, validate_term
 
@@ -308,6 +309,28 @@ class TestPlanAll:
         assert notices == [
             f"term {terms[1].term_id} skipped: status contradicted"
         ]
+
+    def test_scenario_fingerprint_is_computed_once(
+        self, excerpt_doc, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(planning, "fingerprint",
+                            lambda record: calls.append(record)
+                            or fingerprint(record))
+        scenario = Scenario(STUDENT_SCENARIO, jurisdiction=JurisdictionId.GDPR)
+        terms = [
+            listing3_term(excerpt_doc, 0, TermStatus.VERIFIED_SUPPORTED),
+            listing3_term(excerpt_doc, 1, TermStatus.VERIFIED_SUPPORTED),
+            listing3_term(excerpt_doc, 1, TermStatus.RESOURCED),
+        ]
+        backend = scripted(
+            ("sole source of truth", "listing7_plan.json"),
+            ("legal or material impact", "plan_impact.json"),
+        )
+        plans, _ = plan_all(terms, excerpt_doc, scenario, backend)
+        assert len(plans) == 3
+        assert calls == [scenario]
+        assert [p.scenario_fingerprint for p in plans] == ["596d87f6a922"] * 3
 
     def test_best_effort_records_planning_failures(self, excerpt_doc):
         terms = [listing3_term(excerpt_doc)]
