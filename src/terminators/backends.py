@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import threading
 import time
@@ -33,8 +32,9 @@ VERIFICATION_LABELS = ("Supported", "Contradicted", "Unverifiable")
 
 PLAN_CHECKS_KEY = "possible_accountability_checks"
 
-# What the scripted backend says when not strict and nothing matches.
-DEFAULT_REFUSAL = "I cannot help with that request."
+# The sampling temperature of every request: fingerprinted with the
+# request's fields and sent in the live payload.
+TEMPERATURE = 0.0
 
 # Matchers with this prefix compare against the request fingerprint
 # instead of doing a substring test.
@@ -72,14 +72,11 @@ class BackendRequest:
     role_prompt: str
     user_prompt: str
     response_schema: str
-    temperature: float = 0.0
     max_output_tokens: int = 2048
 
     def __post_init__(self):
         if self.response_schema not in SCHEMAS:
             raise ValueError(f"unknown response schema {self.response_schema!r}")
-        if not (0.0 <= self.temperature <= 1.0):
-            raise ValueError("temperature must be in [0, 1]")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
 
@@ -90,13 +87,12 @@ class BackendRequest:
         request: the dataclass is frozen, and dataclasses.replace builds a
         new request.
 
-        The digest is SHA-256 of the sorted-key JSON of every field,
-        non-ASCII characters written as themselves. user_prompt sorts last,
-        so the JSON is fed to SHA-256 in pieces: the other fields (memoized),
-        then the user prompt."""
+        The digest is SHA-256 of the sorted-key JSON of every field plus
+        "temperature" (TEMPERATURE), non-ASCII characters written as
+        themselves. user_prompt sorts last, so the JSON is fed to SHA-256 in
+        pieces: the other fields (memoized), then the user prompt."""
         digest = hashlib.sha256(_fields_json(
-            self.role_prompt, self.response_schema, self.temperature,
-            self.max_output_tokens, math.copysign(1.0, self.temperature),
+            self.role_prompt, self.response_schema, self.max_output_tokens,
         ))
         digest.update(_json_string(self.user_prompt))
         digest.update(b"}")
@@ -114,15 +110,13 @@ def _json_string(text: str) -> bytes:
 
 
 @lru_cache(maxsize=256, typed=True)
-def _fields_json(role_prompt, response_schema, temperature, max_output_tokens,
-                 sign) -> bytes:
+def _fields_json(role_prompt, response_schema, max_output_tokens) -> bytes:
     """The start of a request's fingerprinted JSON: every field but
-    user_prompt, then user_prompt's key. typed keeps 0 and 0.0, or True and
-    1, apart: they are equal keys but encode differently; sign does the same
-    for -0.0 and 0.0."""
+    user_prompt, then user_prompt's key. typed keeps True and 1, or 2 and
+    2.0, apart: they are equal keys but encode differently."""
     text = json.dumps(
         {"role_prompt": role_prompt, "response_schema": response_schema,
-         "temperature": temperature, "max_output_tokens": max_output_tokens},
+         "temperature": TEMPERATURE, "max_output_tokens": max_output_tokens},
         sort_keys=True, ensure_ascii=False,
     )
     return (text[:-1] + ', "user_prompt": ').encode("utf-8")
@@ -276,17 +270,13 @@ class ScriptedBackend(Backend):
 
     A matcher is a substring tested against the concatenated role and user
     prompts, or ``fingerprint:<hex>`` tested against the request fingerprint.
-    First matching entry wins. Strict mode turns an unmatched request into an
-    error; otherwise the backend answers with DEFAULT_REFUSAL.
+    First matching entry wins; a request no entry matches is an error.
     """
 
     backend_id = "scripted"
 
-    def __init__(self, entries: list[ScriptEntry], *, strict: bool = True):
+    def __init__(self, entries: list[ScriptEntry]):
         self.entries = list(entries)
-        self.strict = strict
-        self.calls: list[str] = []
-        self._lock = threading.Lock()
 
     def _select(self, req: BackendRequest) -> str | None:
         haystack = req.role_prompt + "\n" + req.user_prompt
@@ -300,17 +290,13 @@ class ScriptedBackend(Backend):
         return None
 
     def generate(self, req: BackendRequest) -> BackendResponse:
-        with self._lock:
-            self.calls.append(req.request_fingerprint)
         raw_text = self._select(req)
         if raw_text is None:
-            if self.strict:
-                raise BackendError(
-                    "unmatched",
-                    "no script entry matches request "
-                    f"{req.request_fingerprint[:12]} ({req.response_schema})",
-                )
-            raw_text = DEFAULT_REFUSAL
+            raise BackendError(
+                "unmatched",
+                "no script entry matches request "
+                f"{req.request_fingerprint[:12]} ({req.response_schema})",
+            )
         return _attach_parse(
             raw_text,
             req.response_schema,
@@ -355,41 +341,38 @@ def _retry_after_s(resp) -> float:
     return seconds if 0.0 <= seconds < float("inf") else 0.0
 
 
+# The live client's credential variable, and its retry policy: attempts per
+# request, seconds each may take, and the backoff before attempt n + 1
+# (BACKOFF_BASE_S * 2 ** (n - 1)).
+API_KEY_ENV = "TERMINATORS_API_KEY"
+MAX_ATTEMPTS = 4
+TIMEOUT_S = 60.0
+BACKOFF_BASE_S = 1.0
+
+
 class LiveBackend(Backend):
     """Chat-completion HTTP client.
 
-    The credential is read from an environment variable at call time and
-    never logged or embedded in fingerprints. Transient failures (429, 5xx,
-    timeouts) retry with exponential backoff; a 429 or 503 that carries
-    Retry-After waits at least that long. Calls in flight are bounded by
-    the caller's worker count (parsing.map_ordered), not here.
+    The credential is read from API_KEY_ENV at call time and never logged
+    or embedded in fingerprints. Transient failures (429, 5xx, timeouts)
+    retry with exponential backoff, MAX_ATTEMPTS attempts in all; a 429 or
+    503 that carries Retry-After waits at least that long. Calls in flight
+    are bounded by the caller's worker count (parsing.map_ordered), not
+    here.
     """
 
-    def __init__(
-        self,
-        model: str,
-        endpoint: str,
-        *,
-        api_key_env: str = "TERMINATORS_API_KEY",
-        max_attempts: int = 4,
-        timeout_s: float = 60.0,
-        backoff_base_s: float = 1.0,
-    ):
+    def __init__(self, model: str, endpoint: str):
         self.model = model
         self.endpoint = endpoint
-        self.api_key_env = api_key_env
-        self.max_attempts = max_attempts
-        self.timeout_s = timeout_s
-        self.backoff_base_s = backoff_base_s
         self.backend_id = f"live:{model}"
 
     def generate(self, req: BackendRequest) -> BackendResponse:
         import requests
 
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
             raise BackendError(
-                "auth", f"credential variable {self.api_key_env} is not set"
+                "auth", f"credential variable {API_KEY_ENV} is not set"
             )
         payload = {
             "model": self.model,
@@ -397,16 +380,16 @@ class LiveBackend(Backend):
                 {"role": "system", "content": req.role_prompt},
                 {"role": "user", "content": req.user_prompt},
             ],
-            "temperature": req.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": req.max_output_tokens,
         }
         headers = {"Authorization": f"Bearer {api_key}"}
 
         last_failure = "no attempt made"
         retry_after_s = 0.0
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(max(self.backoff_base_s * (2 ** (attempt - 1)),
+                time.sleep(max(BACKOFF_BASE_S * (2 ** (attempt - 1)),
                                retry_after_s))
                 retry_after_s = 0.0
             started = time.monotonic()
@@ -415,12 +398,12 @@ class LiveBackend(Backend):
                     self.endpoint,
                     json=payload,
                     headers=headers,
-                    timeout=self.timeout_s,
+                    timeout=TIMEOUT_S,
                 )
             except requests.RequestException as exc:
                 last_failure = f"request failed: {type(exc).__name__}"
                 log.warning("backend attempt %d/%d failed: %s",
-                            attempt + 1, self.max_attempts, last_failure)
+                            attempt + 1, MAX_ATTEMPTS, last_failure)
                 continue
             latency_ms = (time.monotonic() - started) * 1000.0
             if resp.status_code in (401, 403):
@@ -430,7 +413,7 @@ class LiveBackend(Backend):
                 last_failure = f"HTTP {resp.status_code}"
                 retry_after_s = _retry_after_s(resp)
                 log.warning("backend attempt %d/%d failed: %s",
-                            attempt + 1, self.max_attempts, last_failure)
+                            attempt + 1, MAX_ATTEMPTS, last_failure)
                 continue
             if resp.status_code != 200:
                 raise BackendError(
@@ -452,7 +435,7 @@ class LiveBackend(Backend):
 
         raise BackendError(
             "transient",
-            f"gave up after {self.max_attempts} attempts; last: {last_failure}",
+            f"gave up after {MAX_ATTEMPTS} attempts; last: {last_failure}",
         )
 
 

@@ -325,17 +325,21 @@ def _load_scenario(args) -> Scenario | None:
     if isinstance(data, dict):
         description = data.get("description", "")
         jurisdiction = data.get("jurisdiction")
+        names = [j.value for j in JurisdictionId]
+        if jurisdiction is not None and jurisdiction not in names:
+            raise ValueError(
+                f"{args.scenario_file}: jurisdiction must be one of "
+                f"{', '.join(names)}, not {jurisdiction!r}"
+            )
     elif isinstance(data, str):
         description = data
     else:
         raise ValueError(
             f"{args.scenario_file}: scenario JSON must be an object or string"
         )
-    if args.jurisdiction:
-        jurisdiction = args.jurisdiction
     return Scenario(
         description=description,
-        jurisdiction=JurisdictionId(jurisdiction) if jurisdiction else JurisdictionId.NONE,
+        jurisdiction=JurisdictionId(args.jurisdiction or jurisdiction or "none"),
     )
 
 

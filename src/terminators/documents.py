@@ -245,7 +245,7 @@ def ingest(
     )
 
 
-def ingest_path(path, format_hint: str | None = None, *, source_name: str | None = None,
+def ingest_path(path, format_hint: str | None = None, *,
                 first_line: int = 1) -> SourceDocument:
     """Ingest a file, inferring the format from its extension when no hint is given."""
     from pathlib import Path
@@ -254,7 +254,7 @@ def ingest_path(path, format_hint: str | None = None, *, source_name: str | None
     if format_hint is None:
         is_html = p.suffix.lower() in (".html", ".htm")
         format_hint = FORMAT_HTML if is_html else FORMAT_PLAIN
-    return ingest(p.read_bytes(), source_name or p.name, format_hint,
+    return ingest(p.read_bytes(), p.name, format_hint,
                   first_line=first_line)
 
 

@@ -191,7 +191,9 @@ def start_run(doc: SourceDocument, config: RunConfig, out_root) -> AuditRun:
     """Create (or recreate) the run directory for this document + config.
 
     The run id is content-derived, so running the same inputs again rewrites
-    the same directory rather than accumulating copies.
+    the same directory rather than accumulating copies. The phase and report
+    files of an earlier run there are removed, so a rerun that fails leaves
+    none of them behind.
     """
     run_id = compute_run_id(doc, config)
     store = RunStore(Path(out_root) / run_id)
@@ -201,6 +203,8 @@ def start_run(doc: SourceDocument, config: RunConfig, out_root) -> AuditRun:
     store.reset_events()
     store.write_json("document.json", doc.to_json())
     _save_run_header(run)
+    for name in [artifact for _, artifact, _ in _STEPS] + list(_REPORT_FILES):
+        store.path(name).unlink(missing_ok=True)
     store.append_event("ingested", "document stored")
     return run
 
@@ -352,6 +356,13 @@ _STEPS = (
     ("planned", "plans.json", plan_step),
 )
 
+# Each report file of a complete run, and its format.
+_REPORT_FILES = {
+    "report.audit.json": REPORT_AUDIT,
+    "report.paper.json": REPORT_PAPER,
+    "report.md": REPORT_MARKDOWN,
+}
+
 
 def _execute(run: AuditRun, backend: Backend) -> AuditRun:
     for phase, artifact, step in _STEPS:
@@ -365,9 +376,8 @@ def _execute(run: AuditRun, backend: Backend) -> AuditRun:
         _save_run_header(run)
         run.store.append_event(phase, summary)
     if run.phase == "planned":
-        run.store.write_text("report.audit.json", emit_report(run, REPORT_AUDIT))
-        run.store.write_text("report.paper.json", emit_report(run, REPORT_PAPER))
-        run.store.write_text("report.md", emit_report(run, REPORT_MARKDOWN))
+        for name, report_format in _REPORT_FILES.items():
+            run.store.write_text(name, emit_report(run, report_format))
         run.phase = "complete"
         _save_run_header(run)
         run.store.append_event("complete", "reports written")

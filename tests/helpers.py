@@ -92,13 +92,31 @@ def response_text(name: str) -> str:
     return (RESPONSES / name).read_text(encoding="utf-8")
 
 
-def scripted(*entries: tuple[str, str], strict: bool = True) -> ScriptedBackend:
-    """Backend from (match substring, response fixture file) pairs, in order."""
+class RecordingBackend(Backend):
+    """A backend that passes each request on to `backend` and keeps its
+    fingerprint in calls, in call order: the tests' count of backend
+    calls."""
+
+    def __init__(self, backend: Backend):
+        self.backend = backend
+        self.backend_id = backend.backend_id
+        self.calls: list[str] = []
+        self._lock = threading.Lock()
+
+    def generate(self, req: BackendRequest) -> BackendResponse:
+        with self._lock:
+            self.calls.append(req.request_fingerprint)
+        return self.backend.generate(req)
+
+
+def scripted(*entries: tuple[str, str]) -> RecordingBackend:
+    """Backend from (match substring, response fixture file) pairs, in
+    order, that records its calls."""
     built = [
         ScriptEntry(match=match, response=response_text(fname))
         for match, fname in entries
     ]
-    return ScriptedBackend(built, strict=strict)
+    return RecordingBackend(ScriptedBackend(built))
 
 
 # Entry orderings for composed pipeline runs. Ordering is load-bearing:

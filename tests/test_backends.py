@@ -13,10 +13,9 @@ from dataclasses import asdict, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import response_text, scripted, stdlib_json, SCRIPTS
+from helpers import RecordingBackend, response_text, scripted, stdlib_json, SCRIPTS
 from terminators import backends
 from terminators.backends import (
-    DEFAULT_REFUSAL,
     SCHEMA_PLAN,
     SCHEMA_TERM_LIST,
     SCHEMA_VERIFICATION,
@@ -50,9 +49,10 @@ def make_request(**overrides) -> BackendRequest:
 
 
 def oracle_fingerprint(req: BackendRequest) -> str:
-    """The fingerprint's definition: one dict copy and one encoder for every
-    prompt."""
-    payload = json.dumps(asdict(req), sort_keys=True, ensure_ascii=False)
+    """The fingerprint's definition: one dict copy, with the fixed
+    temperature, and one encoder for every prompt."""
+    payload = json.dumps({**asdict(req), "temperature": 0.0}, sort_keys=True,
+                         ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -79,8 +79,6 @@ class TestBackendRequest:
         with pytest.raises(ValueError):
             make_request(response_schema="poetry")
         with pytest.raises(ValueError):
-            make_request(temperature=1.5)
-        with pytest.raises(ValueError):
             make_request(max_output_tokens=0)
 
     def test_fingerprint_deterministic_and_sensitive(self):
@@ -89,7 +87,6 @@ class TestBackendRequest:
         assert len(base) == 64
         assert make_request(user_prompt="other").request_fingerprint != base
         assert make_request(role_prompt="other").request_fingerprint != base
-        assert make_request(temperature=0.5).request_fingerprint != base
         assert make_request(max_output_tokens=4096).request_fingerprint != base
         assert (
             make_request(response_schema=SCHEMA_PLAN).request_fingerprint != base
@@ -130,19 +127,17 @@ class TestBackendRequest:
 
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
-    @given(PROMPTS, PROMPTS, st.sampled_from(SCHEMAS), st.floats(0.0, 1.0),
-           st.integers(1, 10**6))
+    @given(PROMPTS, PROMPTS, st.sampled_from(SCHEMAS), st.integers(1, 10**6))
     def test_fingerprint_equals_the_asdict_oracle(
-        self, role_prompt, user_prompt, schema, temperature, max_output_tokens,
+        self, role_prompt, user_prompt, schema, max_output_tokens,
     ):
-        req = BackendRequest(role_prompt, user_prompt, schema, temperature,
+        req = BackendRequest(role_prompt, user_prompt, schema,
                              max_output_tokens)
         assert req.request_fingerprint == oracle_fingerprint(req)
 
     @pytest.mark.parametrize("first, second", [
-        ({"temperature": 0.0}, {"temperature": 0}),
-        ({"temperature": 0.0}, {"temperature": -0.0}),
         ({"max_output_tokens": 1}, {"max_output_tokens": True}),
+        ({"max_output_tokens": 2}, {"max_output_tokens": 2.0}),
     ])
     def test_equal_values_that_encode_apart_keep_their_digests(
         self, first, second
@@ -445,20 +440,6 @@ class TestScriptedBackend:
             backend.generate(make_request())
         assert exc.value.kind == "unmatched"
 
-    def test_non_strict_refuses(self):
-        backend = ScriptedBackend([], strict=False)
-        resp = backend.generate(make_request())
-        assert resp.raw_text == DEFAULT_REFUSAL
-        assert resp.parsed is None
-        assert resp.parse_error
-
-    def test_calls_record_fingerprints(self):
-        backend = scripted(("water", "supported_verification.json"))
-        req = make_request()
-        backend.generate(req)
-        backend.generate(req)
-        assert backend.calls == [req.request_fingerprint] * 2
-
     def test_identical_requests_identical_responses(self):
         backend = scripted(("water", "supported_verification.json"))
         a = backend.generate(make_request())
@@ -475,7 +456,7 @@ class TestComplete:
         assert len(backend.calls) == 1
 
     def test_reminder_retry_recovers(self):
-        backend = ScriptedBackend(
+        backend = RecordingBackend(ScriptedBackend(
             [
                 ScriptEntry(
                     "Reminder: respond with exactly one JSON object",
@@ -483,20 +464,22 @@ class TestComplete:
                 ),
                 ScriptEntry("water", "Sorry, I prefer prose."),
             ]
-        )
+        ))
         resp = complete(backend, make_request())
         assert resp.parsed["verification"] == "Supported"
         assert len(backend.calls) == 2
 
     def test_two_malformed_responses_fail(self):
-        backend = ScriptedBackend([ScriptEntry("water", "still prose")])
+        backend = RecordingBackend(
+            ScriptedBackend([ScriptEntry("water", "still prose")]))
         with pytest.raises(BackendError) as exc:
             complete(backend, make_request())
         assert exc.value.kind == "malformed_output"
         assert len(backend.calls) == 2
 
     def test_too_deep_output_is_malformed(self):
-        backend = ScriptedBackend([ScriptEntry("water", "[" * 100_000)])
+        backend = RecordingBackend(
+            ScriptedBackend([ScriptEntry("water", "[" * 100_000)]))
         with pytest.raises(BackendError) as exc:
             complete(backend, make_request())
         assert exc.value.kind == "malformed_output"
@@ -540,7 +523,6 @@ class TestComplete:
 class TestLoadScript:
     def test_fixture_script_loads(self):
         backend = load_script(SCRIPTS / "whole_doc.json")
-        assert backend.strict
         assert backend.entries[0].match == "106: When you use"
         assert json.loads(backend.entries[0].response)[0]["source"] == (
             "OpenAI_ToS.txt:108-109"
@@ -617,7 +599,7 @@ class TestCachedComplete:
         cached_complete(
             scripted(("water", "supported_verification.json")), req, tmp_path
         )
-        empty = ScriptedBackend([])
+        empty = RecordingBackend(ScriptedBackend([]))
         resp = cached_complete(empty, req, tmp_path)
         assert resp.parsed["verification"] == "Supported"
         assert empty.calls == []
@@ -647,7 +629,7 @@ class TestCachedComplete:
             indent=2, ensure_ascii=False,
         ) + "\n"
         cache_file.write_text(old_layout, encoding="utf-8")
-        empty = ScriptedBackend([])
+        empty = RecordingBackend(ScriptedBackend([]))
         resp = cached_complete(empty, req, tmp_path)
         assert resp.parsed["verification"] == "Supported"
         assert empty.calls == []
@@ -794,15 +776,15 @@ def _chat_body(content: str) -> dict:
 
 
 class TestLiveBackend:
-    def make(self, **overrides) -> LiveBackend:
-        fields = {
-            "model": "test-model",
-            "endpoint": "https://example.invalid/chat",
-            "backoff_base_s": 0.0,
-            "max_attempts": 3,
-        }
-        fields.update(overrides)
-        return LiveBackend(fields.pop("model"), fields.pop("endpoint"), **fields)
+    @pytest.fixture(autouse=True)
+    def slept(self, monkeypatch):
+        """The backoff waits, recorded instead of slept."""
+        slept = []
+        monkeypatch.setattr("time.sleep", slept.append)
+        return slept
+
+    def make(self) -> LiveBackend:
+        return LiveBackend("test-model", "https://example.invalid/chat")
 
     def test_missing_credential_is_auth_error(self, monkeypatch):
         monkeypatch.delenv("TERMINATORS_API_KEY", raising=False)
@@ -818,6 +800,7 @@ class TestLiveBackend:
             seen["url"] = url
             seen["payload"] = json
             seen["headers"] = headers
+            seen["timeout"] = timeout
             return _FakeResponse(
                 200, _chat_body(response_text("supported_verification.json"))
             )
@@ -828,6 +811,8 @@ class TestLiveBackend:
         assert resp.backend_id == "live:test-model"
         assert seen["payload"]["messages"][0]["role"] == "system"
         assert seen["payload"]["model"] == "test-model"
+        assert seen["payload"]["temperature"] == 0.0
+        assert seen["timeout"] == 60.0
 
     def test_retries_transient_then_succeeds(self, monkeypatch):
         monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")
@@ -845,34 +830,61 @@ class TestLiveBackend:
         assert resp.parsed["verification"] == "Supported"
         assert responses == []
 
-    def test_retry_after_sets_the_least_wait(self, monkeypatch):
+    def test_retry_after_sets_the_least_wait(self, monkeypatch, slept):
         monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")
+        ok = _FakeResponse(200, _chat_body('{"verification": "Supported", "justification": "ok"}'))
         responses = [
             _FakeResponse(429, headers={"Retry-After": "7"}),
             _FakeResponse(503, headers={"Retry-After": "0.5"}),
             _FakeResponse(500, headers={"Retry-After": "9"}),
+            ok,
             _FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
             _FakeResponse(503, headers={"Retry-After": "-3"}),
-            _FakeResponse(200, _chat_body('{"verification": "Supported", "justification": "ok"}')),
+            ok,
         ]
-        slept = []
         monkeypatch.setattr("requests.post", lambda *a, **k: responses.pop(0))
-        monkeypatch.setattr("time.sleep", slept.append)
-        resp = self.make(backoff_base_s=1.0, max_attempts=6).generate(
-            make_request()
-        )
-        assert resp.parsed["verification"] == "Supported"
-        # Backoff is 1, 2, 4, 8, 16 s. Only a 429 or 503 with a delta-seconds
+        for _ in range(2):
+            resp = self.make().generate(make_request())
+            assert resp.parsed["verification"] == "Supported"
+        assert responses == []
+        # Backoff is 1, 2, 4 s. Only a 429 or 503 with a delta-seconds
         # Retry-After can stretch it: 7 > 1 does, 0.5 < 2 does not, and a
         # 500, a date or a negative value leave the backoff alone.
-        assert slept == [7.0, 2.0, 4.0, 8.0, 16.0]
+        assert slept == [7.0, 2.0, 4.0, 1.0, 2.0]
 
-    def test_exhausted_retries_raise_transient(self, monkeypatch):
+    def test_exhausted_retries_raise_transient(self, monkeypatch, slept):
         monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")
         monkeypatch.setattr("requests.post", lambda *a, **k: _FakeResponse(500))
         with pytest.raises(BackendError) as exc:
             self.make().generate(make_request())
         assert exc.value.kind == "transient"
+        assert str(exc.value) == "gave up after 4 attempts; last: HTTP 500"
+        assert slept == [1.0, 2.0, 4.0]
+
+    def test_request_exception_retries_then_gives_up(self, monkeypatch,
+                                                     slept, caplog):
+        import requests
+
+        monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")
+        calls = []
+
+        def fake_post(*args, **kwargs):
+            calls.append(kwargs["timeout"])
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr("requests.post", fake_post)
+        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
+            with pytest.raises(BackendError) as exc:
+                self.make().generate(make_request())
+        assert exc.value.kind == "transient"
+        assert str(exc.value) == (
+            "gave up after 4 attempts; last: request failed: ConnectionError"
+        )
+        assert calls == [60.0] * 4
+        assert slept == [1.0, 2.0, 4.0]
+        assert "backend attempt 4/4 failed: request failed: ConnectionError" in (
+            caplog.text
+        )
 
     def test_auth_rejection_does_not_retry(self, monkeypatch):
         monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")

@@ -290,6 +290,39 @@ class TestScenarioLoading:
         assert "scenario description must be a non-empty string" in err
         assert "Traceback" not in err
 
+    def run_with_scenario(self, tmp_path, text):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text, encoding="utf-8")
+        code = main([
+            "run", str(copy_excerpt(tmp_path)),
+            "--backend", backend_arg("happy_run.json"),
+            "--scenario-file", str(scenario),
+            "--out", str(tmp_path / "runs"),
+        ])
+        return code, scenario
+
+    @pytest.mark.parametrize("value", ["GDPR", ["gdpr"]],
+                             ids=["upper-case", "list"])
+    def test_unknown_jurisdiction_names_the_file(self, tmp_path, capsys,
+                                                 value):
+        code, scenario = self.run_with_scenario(
+            tmp_path, json.dumps({"description": "A student.",
+                                  "jurisdiction": value}))
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert err == (f"terminators: error: {scenario}: jurisdiction must be "
+                       f"one of none, gdpr, ccpa, not {value!r}\n")
+
+    def test_scenario_json_neither_object_nor_string_exits_two(
+        self, tmp_path, capsys
+    ):
+        code, scenario = self.run_with_scenario(tmp_path, "[1]")
+        assert code == EXIT_PIPELINE
+        assert capsys.readouterr().err == (
+            f"terminators: error: {scenario}: scenario JSON must be an "
+            "object or string\n"
+        )
+
     def test_string_json_scenario(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps("I review AI answers for a law firm."))
@@ -394,6 +427,59 @@ class TestRunResumeReport:
         assert (run_dir / "report.paper.json").read_bytes() == (
             GOLDEN / "paper_report.json"
         ).read_bytes()
+
+    def test_failed_rerun_leaves_no_later_files(self, tmp_path, capsys):
+        """A rerun into a complete run's directory that fails at
+        verification keeps no file of the earlier run past extraction, and
+        resuming it gives the files of a clean run."""
+        (tmp_path / "clean").mkdir()
+        clean_dir, _ = self.completed_run(tmp_path / "clean", capsys)
+        run_dir, _ = self.completed_run(tmp_path, capsys)
+        no_verifier = write_script(tmp_path / "no_verifier.json", [
+            entry for entry in HAPPY_RUN_ENTRIES
+            if entry[0] != "backed by the passage it cites"
+        ])
+        code = main([
+            "run", str(tmp_path / "OpenAI_ToS.txt"),
+            "--strategy", "paragraph",
+            "--first-line", "106",
+            "--backend", f"scripted:{no_verifier}",
+            "--scenario-file", str(SCENARIO_TXT),
+            "--out", str(tmp_path / "runs"),
+        ])
+        assert code == EXIT_BACKEND
+        assert "terminators: backend error" in capsys.readouterr().err
+        assert json.loads((run_dir / "run.json").read_text())["phase"] == (
+            "extracted"
+        )
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "document.json", "events.jsonl", "run.json", "terms.json",
+        ]
+        assert main([
+            "resume", str(run_dir),
+            "--backend", backend_arg("happy_run.json"),
+        ]) == EXIT_OK
+        names = sorted(p.name for p in clean_dir.iterdir())
+        assert names == sorted(p.name for p in run_dir.iterdir())
+        for name in names:
+            if name != "events.jsonl":
+                assert (run_dir / name).read_bytes() == (
+                    clean_dir / name).read_bytes(), name
+
+    def test_report_before_extraction_exits_two(self, tmp_path, capsys):
+        empty = write_script(tmp_path / "empty.json", [])
+        code = main([
+            "run", str(copy_excerpt(tmp_path)),
+            "--backend", f"scripted:{empty}",
+            "--out", str(tmp_path / "runs"),
+        ])
+        assert code == EXIT_BACKEND
+        capsys.readouterr()
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert main(["report", str(run_dir)]) == EXIT_PIPELINE
+        assert capsys.readouterr().err == (
+            "terminators: error: run has no extracted terms to report yet\n"
+        )
 
     def test_resume_workers_flag_sets_the_concurrency(
         self, tmp_path, capsys, monkeypatch
@@ -589,10 +675,11 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize("verb", ["run", "verify", "remediate"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
     def test_non_finite_threshold_is_a_usage_error(self, verb, value, capsys):
         # NaN would turn the low-overlap flag off (no score is below it),
-        # and none of the three is JSON to write into run.json.
+        # and none of the three is JSON to write into run.json. Text that
+        # is no number gets the same message.
         files = {"run": ["tos.txt"], "verify": ["terms.json", "tos.txt"],
                  "remediate": ["verified.json", "tos.txt"]}[verb]
         with pytest.raises(SystemExit) as exc:
@@ -601,6 +688,20 @@ class TestExitCodes:
         assert f"--threshold: not a finite number: '{value}'" in (
             capsys.readouterr().err
         )
+
+    def test_finite_threshold_is_recorded(self, tmp_path, capsys):
+        code = main([
+            "run", str(copy_excerpt(tmp_path)),
+            "--strategy", "paragraph", "--first-line", "106",
+            "--backend", backend_arg("happy_run.json"),
+            "--threshold", "0.5",
+            "--out", str(tmp_path / "runs"),
+        ])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        header = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+        assert header["config"]["threshold"] == 0.5
 
     @pytest.mark.parametrize("argv, flag, message", [
         (["run", "tos.txt"], "--workers=0", "must be at least 1, not 0"),
@@ -712,10 +813,15 @@ class TestExitCodes:
         ("verifications.json",
          lambda r: r["verifications"][0].update(lexical_score=math.inf),
          "lexical_score: expected a finite number, got inf"),
+        ("run.json", lambda r: r.update(doc_fingerprint="0" * 64),
+         "run header fingerprint does not match the stored document"),
+        ("terms.json", lambda r: r.update(terms={}),
+         "malformed run: 'terms' must be a list"),
     ], ids=["verification-without-label", "score-not-a-number",
             "term-without-source", "bad-citation", "plan-without-fingerprint",
             "checks-not-a-list", "header-without-config", "unknown-phase",
-            "threshold-not-finite", "score-not-finite"])
+            "threshold-not-finite", "score-not-finite",
+            "header-fingerprint-not-the-document", "terms-not-a-list"])
     def test_malformed_run_directory_exits_two(
         self, tmp_path, capsys, artifact, corrupt, message
     ):
@@ -726,6 +832,33 @@ class TestExitCodes:
         path.write_text(json.dumps(record), encoding="utf-8")
         assert main(["report", str(run_dir)]) == EXIT_PIPELINE
         assert message in capsys.readouterr().err
+
+    def test_phase_record_not_an_object_exits_two(self, tmp_path, capsys):
+        run_dir, _ = TestRunResumeReport().completed_run(tmp_path, capsys)
+        (run_dir / "terms.json").write_text("[]", encoding="utf-8")
+        assert main(["report", str(run_dir)]) == EXIT_PIPELINE
+        assert capsys.readouterr().err == (
+            f"terminators: error: {run_dir}: malformed run: a phase record "
+            "must be a JSON object\n"
+        )
+
+    def test_failed_re_verification_exits_three(self, tmp_path, capsys):
+        """remediate with a script that answers nothing: the lexical search
+        proposes a span for the unverifiable term, and verifying it fails."""
+        doc, _, s2, _, _ = TestStageChain().run_chain(tmp_path)
+        empty = write_script(tmp_path / "empty.json", [])
+        code = main([
+            "remediate", str(s2), str(doc), "--no-llm-resource",
+            "--backend", f"scripted:{empty}",
+        ])
+        assert code == EXIT_BACKEND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "terminators: backend error (unmatched): no script entry matches "
+            "request "
+        )
+        assert captured.err.endswith(" (verification)\n")
 
     def test_too_deep_stage_file_exits_two(self, tmp_path, capsys):
         doc = copy_excerpt(tmp_path)

@@ -130,10 +130,10 @@ def test_ingest_path_infers_format_from_extension(tmp_path):
     assert from_md.lines == from_txt.lines
 
 
-def test_ingest_path_source_name_override(tmp_path):
-    f = tmp_path / "local-copy.txt"
+def test_ingest_path_names_the_document_after_its_file(tmp_path):
+    f = tmp_path / "OpenAI_ToS.txt"
     f.write_bytes(b"text\n")
-    doc = ingest_path(f, source_name="OpenAI_ToS.txt", first_line=106)
+    doc = ingest_path(f, first_line=106)
     assert doc.source_name == "OpenAI_ToS.txt"
     assert doc.first_line == 106
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
+import os
 import re
 import shutil
 import threading
@@ -389,13 +391,37 @@ class TestRunStore:
             (tmp_path / "terms.json").mkdir()
             text, error = "[]\n", IsADirectoryError
         else:
-            # The write itself fails, after the temporary file is made.
+            # Encoding the text fails, before any temporary file exists.
             text, error = "\ud800", UnicodeEncodeError
         with pytest.raises(error):
             store.write_text("terms.json", text)
         assert [p.name for p in tmp_path.iterdir()] == (
             ["terms.json"] if blocked else []
         )
+
+    def test_full_disk_leaves_the_file_and_no_temporary_file(
+        self, tmp_path, monkeypatch
+    ):
+        store = RunStore(tmp_path)
+        store.write_text("terms.json", "[]\n")
+        real_write = os.write
+        writes = []
+
+        def full_disk(fd, data):
+            # The first write takes one byte, the second finds no room.
+            writes.append(len(data))
+            if len(writes) == 1:
+                return real_write(fd, data[:1])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", full_disk)
+        with pytest.raises(OSError) as exc:
+            store.write_text("terms.json", '["a longer text"]\n')
+        monkeypatch.undo()
+        assert exc.value.errno == errno.ENOSPC
+        assert writes == [18, 17]
+        assert [p.name for p in tmp_path.iterdir()] == ["terms.json"]
+        assert (tmp_path / "terms.json").read_text(encoding="utf-8") == "[]\n"
 
     def test_first_event_or_file_makes_the_run_directory(self, tmp_path):
         events = RunStore(tmp_path / "events" / "run")

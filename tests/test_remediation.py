@@ -14,6 +14,7 @@ from helpers import (
     MISMATCH_STATEMENT,
     RAW_NAME,
     LineTextBackend,
+    RecordingBackend,
     ingest_doc_text,
     random_document,
     random_statement,
@@ -366,7 +367,7 @@ class TestRemediate:
         cited = mismatch_term(raw_doc)
         result = self.unverifiable_result(cited, raw_doc)
         term = replace(cited, source=find_best_window(cited.statement, raw_doc))
-        backend = ScriptedBackend([])
+        backend = RecordingBackend(ScriptedBackend([]))
         outcome = remediate(
             term, result, raw_doc, backend, use_llm_resource=False
         )

@@ -21,6 +21,7 @@ from helpers import (
     ingest_raw,
     random_document,
     random_statement,
+    RecordingBackend,
     response_text,
     scripted,
 )
@@ -313,7 +314,7 @@ class TestVerifyTerm:
 
     def test_unresolvable_never_reaches_backend(self, excerpt_doc):
         term = make_term("Ghost clause.", "OpenAI_ToS.txt:400", excerpt_doc)
-        backend = ScriptedBackend([])  # strict: any call would raise
+        backend = RecordingBackend(ScriptedBackend([]))
         result = verify_term(term, excerpt_doc, backend)
         assert result.label == LABEL_UNVERIFIABLE
         assert result.pre_check_flag == FLAG_UNRESOLVABLE
