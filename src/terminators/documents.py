@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from html.parser import HTMLParser
+from json.encoder import encode_basestring
 
 FORMAT_PLAIN = "plain"
 FORMAT_HTML = "html"
@@ -106,6 +107,16 @@ class SourceDocument:
             "first_line": self.first_line,
             "lines": [[n, t] for n, t in self.lines],
         }
+
+    def to_json_text(self) -> str:
+        """json_text(self.to_json()), written by one join over the lines."""
+        name, doc_id, fp = map(encode_basestring,
+                               (self.source_name, self.doc_id, self.fingerprint))
+        lines = "\n    ],\n    [\n      ".join(
+            [f"{n},\n      {encode_basestring(t)}" for n, t in self.lines])
+        return (f'{{\n  "source_name": {name},\n  "doc_id": {doc_id},\n'
+                f'  "fingerprint": {fp},\n  "first_line": {self.first_line},\n'
+                f'  "lines": [\n    [\n      {lines}\n    ]\n  ]\n}}')
 
     @classmethod
     def from_json(cls, data: dict, origin="stored document") -> "SourceDocument":

@@ -141,12 +141,17 @@ def extract_chunk(
     backend: Backend,
     *,
     replica_note: str | None = None,
+    validated: dict | None = None,
 ) -> ChunkExtraction:
     """Extract terms from one chunk.
 
     Candidates that fail validation are dropped and counted; candidates that
     validate but cite lines outside the chunk are kept and flagged, since the
     verifier is the arbiter of whether a citation is actually wrong.
+
+    validated, shared by one extract_document call's chunks, keeps each
+    candidate whose term, source and party labels are strings as validated
+    once: a repeat takes the same Term and its validation's warnings.
     """
     if chunk.doc_id != doc.doc_id:
         raise ValueError(
@@ -166,21 +171,26 @@ def extract_chunk(
     flagged: list[str] = []
     rejected = 0
     for i, candidate in enumerate(resp.parsed):
-        try:
-            term = validate_term(
-                candidate,
-                doc,
-                provider_name=cfg.provider_name,
-                aspect=cfg.aspect_label,
-                warnings=warnings,
-            )
-        except SchemaError as exc:
-            rejected += 1
-            warnings.append(
-                f"chunk {chunk.chunk_id}: rejected candidate {i}: "
-                f"{exc.kind}: {exc}"
-            )
-            continue
+        key = None
+        labels = candidate.get("applicable_to") if isinstance(candidate, dict) else None
+        if validated is not None and type(labels) is list:
+            key = candidate.get("term"), candidate.get("source"), *labels
+            key = key if all(type(part) is str for part in key) else None
+        if key and key in validated:
+            term, added = validated[key]
+            warnings.extend(added)
+        else:
+            before = len(warnings)
+            try:
+                term = validate_term(candidate, doc, provider_name=cfg.provider_name,
+                                     aspect=cfg.aspect_label, warnings=warnings)
+            except SchemaError as exc:
+                rejected += 1
+                warnings.append(f"chunk {chunk.chunk_id}: rejected candidate "
+                                f"{i}: {exc.kind}: {exc}")
+                continue
+            if key:
+                validated[key] = term, warnings[before:]
         if (
             term.source.start_line < chunk.start_line
             or term.source.end_line > chunk.end_line
@@ -227,10 +237,13 @@ def extract_document(
             note = f"Independent extraction pass {i + 1} of {passes}." if i else None
             work.append((c, note))
 
+    validated: dict = {}
+
     def job(item):
         c, note = item
         try:
-            return extract_chunk(c, doc, cfg, backend, replica_note=note), None
+            return extract_chunk(c, doc, cfg, backend, replica_note=note,
+                                 validated=validated), None
         except BackendError as exc:
             if not best_effort:
                 raise

@@ -38,7 +38,7 @@ from .planning import (
     plan_all,
     plan_to_json,
 )
-from .records import fingerprint, from_json, to_json
+from .records import fingerprint, from_json, record_text, to_json
 from .remediation import (
     RemediationOutcome,
     apply_outcome,
@@ -159,6 +159,9 @@ class AuditRun:
     # report reuses: set from the run's state when it is loaded, and by
     # _execute as each phase record is written.
     encoded: dict[str, str] = field(default_factory=dict, repr=False)
+    # id(term) -> (term, its text) for the terms last written: a term the
+    # next phase leaves unchanged is not encoded again.
+    term_texts: dict[int, tuple] = field(default_factory=dict, repr=False)
 
     @property
     def surviving_terms(self) -> list[Term]:
@@ -201,7 +204,7 @@ def start_run(doc: SourceDocument, config: RunConfig, out_root) -> AuditRun:
         run_id=run_id, store=store, config=config, doc=doc, phase="ingested"
     )
     store.reset_events()
-    store.write_json("document.json", doc.to_json())
+    store.write_text("document.json", doc.to_json_text() + "\n")
     _save_run_header(run)
     for name in [artifact for _, artifact, _ in _STEPS] + list(_REPORT_FILES):
         store.path(name).unlink(missing_ok=True)
@@ -223,19 +226,28 @@ _RECORD_FIELDS = {
 }
 
 
-def _field_json(run: AuditRun, key: str):
-    """A run field in its JSON form; each plan carries its term's statement."""
+def _field_text(run: AuditRun, key: str) -> str:
+    """json_text of a run field; each plan carries its term's statement."""
     if key == "plans":
         statements = {t.term_id: t.statement for t in run.terms}
-        return [plan_to_json(p, statement=statements.get(p.term_id))
-                for p in run.plans]
+        return json_text([plan_to_json(p, statement=statements.get(p.term_id))
+                          for p in run.plans])
     value = getattr(run, key)
-    return value if _RECORD_FIELDS[key] is None else to_json(value)
+    if _RECORD_FIELDS[key] is None:
+        return json_text(value)
+    if key == "terms":
+        entries = [run.term_texts.get(id(t)) or (t, record_text(t, "\n  "))
+                   for t in value]
+        run.term_texts = {id(t): (t, text) for t, text in entries}
+        texts = [text for _, text in entries]
+    else:
+        texts = [record_text(r, "\n  ") for r in value]
+    return "[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]"
 
 
-def _record(run: AuditRun, *keys: str) -> dict:
-    """The named run fields in their JSON form, in the order given."""
-    return {key: _field_json(run, key) for key in keys}
+def _record(run: AuditRun, *keys: str) -> dict[str, str]:
+    """The named run fields as their JSON texts, in the order given."""
+    return {key: _field_text(run, key) for key in keys}
 
 
 def paper_json(terms: list[Term]) -> list[dict]:
@@ -244,7 +256,7 @@ def paper_json(terms: list[Term]) -> list[dict]:
     return [dict(list(to_json(t).items())[:3]) for t in terms]
 
 
-def _object_json(encoded: dict[str, str]) -> str:
+def object_json(encoded: dict[str, str]) -> str:
     """json_dumps of the object whose values encoded holds as json_text
     texts. A value nested one level deeper is the same text with two spaces
     after every newline; JSON text has no raw newline inside a string."""
@@ -256,7 +268,7 @@ def _object_json(encoded: dict[str, str]) -> str:
 
 def extract_step(run: AuditRun, backend: Backend):
     """Extract the run's document into run.terms. This and the other steps
-    return (the phase's record, its event summary)."""
+    return (the phase's record, as JSON texts by key, its event summary)."""
     cfg = run.config
     outcome = extract_document(
         run.doc,
@@ -344,7 +356,8 @@ def plan_step(run: AuditRun, backend: Backend):
             workers=cfg.workers,
             best_effort=cfg.best_effort,
         )
-    record = {"disclaimer": PLAN_DISCLAIMER, **_record(run, "plans", "notices")}
+    record = {"disclaimer": json_text(PLAN_DISCLAIMER),
+              **_record(run, "plans", "notices")}
     return record, f"{len(run.plans)} plans"
 
 
@@ -369,9 +382,8 @@ def _execute(run: AuditRun, backend: Backend) -> AuditRun:
         if PHASES.index(run.phase) >= PHASES.index(phase):
             continue
         record, summary = step(run, backend)
-        encoded = {key: json_text(value) for key, value in record.items()}
-        run.store.write_text(artifact, _object_json(encoded))
-        run.encoded.update(encoded)
+        run.store.write_text(artifact, object_json(record))
+        run.encoded.update(record)
         run.phase = phase
         _save_run_header(run)
         run.store.append_event(phase, summary)
@@ -446,8 +458,7 @@ def load_run(run_dir) -> AuditRun:
         for phase, artifact, _ in _STEPS:
             if PHASES.index(phase) <= reached:
                 restore(run, store.read_json(artifact))
-        run.encoded = {key: json_text(value) for key, value
-                       in _record(run, *_RECORD_FIELDS).items()}
+        run.encoded = _record(run, *_RECORD_FIELDS)
     except IngestError as exc:
         raise ResumeError(exc.kind, str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -494,7 +505,7 @@ def emit_report(run: AuditRun, format: str) -> str:
     if format == REPORT_AUDIT:
         # The phase records' sections as their files hold them (run.encoded).
         sections = run.encoded
-        return _object_json({
+        return object_json({
             "run_id": json_text(run.run_id),
             "document": json_text({
                 "source_name": run.doc.source_name,

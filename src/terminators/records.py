@@ -9,8 +9,9 @@ value through its field's type: a missing key takes the field's default and
 an unknown key is ignored, so records written before a field was added or
 dropped still load.
 
-Only the document keeps a hand-written codec, because its layout is not its
-fields and reading it back checks its fingerprint.
+record_text writes the text json_text(to_json(record)) gives straight from
+the fields. Only the document keeps a hand-written codec, because its layout
+is not its fields and reading it back checks its fingerprint.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ import math
 import types
 import typing
 from functools import cache
+from json.encoder import encode_basestring
+from operator import attrgetter
 
+from .backends import _value_json
 from .documents import SourceRef
 from .terms import SchemaError, canonical_source_string, parse_source_string
 
@@ -59,6 +63,63 @@ def to_json(value):
         key: item if type(item := getattr(value, name)) in _PLAIN else to_json(item)
         for name, key, _, _ in _fields(type(value))
     }
+
+
+def record_text(record, newline: str = "\n") -> str:
+    """json_text(to_json(record)), each line after the first starting with
+    newline (a newline and the indent the record's text is nested at)."""
+    return _writer(type(record))(record, newline)
+
+
+def _generic(value, newline: str) -> str:
+    return _value_json(value if type(value) in _PLAIN else to_json(value), newline)
+
+
+@cache
+def _writer(cls):
+    """record_text for records of cls, each field written by its type."""
+    fields = _fields(cls)
+    heads = [encode_basestring(key) + ": " for _, key, _, _ in fields]
+    encoders = [_encoder(tp) for _, _, tp, _ in fields]
+    # A tuple at any field count; zip stops before the trailing class.
+    values = attrgetter(*(name for name, *_ in fields), "__class__")
+
+    def write(record, newline):
+        inner = newline + "  "
+        items = [head + (encode_basestring(value) if type(value) is str
+                         else encode(value, inner))
+                 for head, encode, value in zip(heads, encoders, values(record))]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    return write
+
+
+def _encoder(tp):
+    """A field's writer by its type tp; other types and values: _generic."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        encode = _encoder(args[args[0] is type(None)])
+        return lambda value, newline: "null" if value is None else encode(value, newline)
+    if origin is tuple and args[1:] == (...,):
+        item_encode = _encoder(args[0])
+
+        def encode(value, newline):
+            inner = newline + "  "
+            return "[" + inner + ("," + inner).join([
+                encode_basestring(item) if type(item) is str else item_encode(item, inner)
+                for item in value]) + newline + "]" if value else "[]"
+        tp = tuple
+    elif tp is SourceRef:
+        encode = lambda ref, _: encode_basestring(canonical_source_string(ref))
+    elif isinstance(tp, type) and issubclass(tp, enum.Enum) and all(
+            type(member.value) is str for member in tp):
+        texts = {member: encode_basestring(member.value) for member in tp}
+        encode = lambda member, _: texts[member]
+    elif dataclasses.is_dataclass(tp):
+        encode = _writer(tp)
+    else:
+        return _generic
+    return lambda value, newline: (
+        encode(value, newline) if type(value) is tp else _generic(value, newline))
 
 
 def fingerprint(record) -> str:

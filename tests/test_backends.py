@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 import types
 from dataclasses import asdict, replace
@@ -715,6 +716,26 @@ class TestCachedComplete:
             caplog.text
         )
 
+    @pytest.mark.parametrize("blocker", ["directory", "file-as-parent"])
+    def test_unreadable_entry_warns_as_open_would(self, tmp_path, caplog,
+                                                  blocker):
+        """The warning quotes the error open() raises, path included."""
+        backend = scripted(("water", "supported_verification.json"))
+        req = make_request()
+        if blocker == "directory":
+            cache = tmp_path
+            (cache / f"{req.request_fingerprint}.json").mkdir()
+        else:
+            cache = tmp_path / "cache"
+            cache.write_text("a file where the cache dir should be")
+        entry = os.path.join(cache, f"{req.request_fingerprint}.json")
+        with pytest.raises(OSError) as opened:
+            open(entry, "rb")
+        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
+            cached_complete(backend, req, cache)
+        assert (f"unreadable cache entry {req.request_fingerprint}.json: "
+                f"{opened.value}") in caplog.text
+
     def test_failed_write_warns_and_leaves_no_temporary_file(
         self, tmp_path, caplog
     ):
@@ -885,6 +906,47 @@ class TestLiveBackend:
         assert "backend attempt 4/4 failed: request failed: ConnectionError" in (
             caplog.text
         )
+
+    @pytest.mark.parametrize("error", ["MissingSchema", "InvalidHeader"])
+    def test_request_no_retry_mends_fails_at_once(self, monkeypatch, slept,
+                                                  error):
+        import requests
+
+        monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")
+        calls = []
+
+        def fake_post(*args, **kwargs):
+            calls.append(1)
+            # requests quotes a bad header's value, the credential included.
+            raise getattr(requests.exceptions, error)(
+                f"bad request: {kwargs['headers']['Authorization']}")
+
+        monkeypatch.setattr("requests.post", fake_post)
+        with pytest.raises(BackendError) as exc:
+            self.make().generate(make_request())
+        assert exc.value.kind == "request"
+        assert str(exc.value) == (
+            f"request to 'https://example.invalid/chat' failed: {error}")
+        assert calls == [1]
+        assert slept == []
+
+    def test_timeout_retries(self, monkeypatch, slept):
+        import requests
+
+        monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")
+        ok = _FakeResponse(200, _chat_body('{"verification": "Supported", "justification": "ok"}'))
+        outcomes = [requests.ReadTimeout("slow"), ok]
+
+        def fake_post(*args, **kwargs):
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr("requests.post", fake_post)
+        resp = self.make().generate(make_request())
+        assert resp.parsed["verification"] == "Supported"
+        assert slept == [1.0]
 
     def test_auth_rejection_does_not_retry(self, monkeypatch):
         monkeypatch.setenv("TERMINATORS_API_KEY", "sk-test-1234")

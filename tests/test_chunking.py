@@ -259,6 +259,18 @@ def test_detect_headings_styles():
     assert texts[3] == "3. Content Ownership"
 
 
+def test_headings_have_at_most_twelve_words():
+    words = [f"Word{i}" for i in range(13)]
+    raw = "\n".join([
+        "3. " + " ".join(words[:12]),
+        "4. " + " ".join(words),
+        " ".join(words[:12]).upper(),
+        " ".join(words).upper(),
+    ]).encode()
+    found = {(h.line_number, h.style) for h in detect_headings(ingest(raw, "t.txt"))}
+    assert found == {(1, "numbered"), (3, "all_caps")}
+
+
 def test_heading_trailing_colon_stripped():
     doc = ingest(b"PRIVACY AND DATA:\nbody\n", "t.txt")
     (heading,) = detect_headings(doc)

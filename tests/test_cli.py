@@ -276,6 +276,21 @@ class TestScenarioLoading:
             p["jurisdiction_used"] == "gdpr" for p in planned["plans"]
         )
 
+    def test_jurisdiction_none_overrides_the_scenario_file(self, tmp_path,
+                                                           capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"description": "A student.",
+                                        "jurisdiction": "gdpr"}))
+        from_file = self.plan_with(tmp_path, ["--scenario-file", str(scenario)],
+                                   capsys)
+        assert {p["jurisdiction_used"] for p in from_file["plans"]} == {"gdpr"}
+        planned = self.plan_with(
+            tmp_path,
+            ["--scenario-file", str(scenario), "--jurisdiction", "none"],
+            capsys,
+        )
+        assert {p["jurisdiction_used"] for p in planned["plans"]} == {"none"}
+
     def test_non_string_description_exits_two(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"description": 5}))
@@ -359,6 +374,16 @@ class TestRunResumeReport:
         assert "plans: 4" in summary
         for name in ("report.audit.json", "report.paper.json", "report.md"):
             assert (run_dir / name).exists()
+
+    def test_run_summary_names_the_report_files_written(self, tmp_path,
+                                                         capsys):
+        from terminators.pipeline import _REPORT_FILES
+
+        run_dir, summary = self.completed_run(tmp_path, capsys)
+        (line,) = [ln for ln in summary.splitlines() if "reports:" in ln]
+        named = line.split("reports: ")[1].split(", ")
+        assert named == list(_REPORT_FILES)
+        assert sorted(named) == sorted(p.name for p in run_dir.glob("report.*"))
 
     def test_report_paper_matches_golden(self, tmp_path, capsys):
         run_dir, _ = self.completed_run(tmp_path, capsys)

@@ -14,6 +14,7 @@ from helpers import (
     random_document,
     shown_lines,
 )
+from terminators.backends import json_text
 from terminators.documents import (
     FORMAT_HTML,
     IngestError,
@@ -249,6 +250,31 @@ def test_any_bytes_ingest_or_raise_and_round_trip(raw, format_hint, first_line):
     clone = SourceDocument.from_json(stored)
     assert clone == doc
     assert fingerprint_text(clone.text()) == clone.fingerprint
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(""), st.just("   "),
+                  st.text(st.characters(codec="utf-8",
+                                        exclude_characters="\r\n\ufeff"),
+                          max_size=16)),
+        min_size=1, max_size=12,
+    ).filter(lambda lines: any(line.strip() for line in lines)),
+    st.text(st.characters(codec="utf-8"), min_size=1, max_size=8),
+    st.integers(1, 10**6),
+)
+def test_document_text_equals_json_text_of_to_json(lines, name, first_line):
+    """The one-join writer against its oracle: non-ASCII, control and quote
+    characters, blank lines and a first line past 1."""
+    doc = ingest("\n".join(lines).encode("utf-8"), name, first_line=first_line)
+    assert doc.to_json_text() == json_text(doc.to_json())
+
+
+def test_document_text_of_the_excerpt():
+    doc = ingest_excerpt()
+    assert doc.first_line == EXCERPT_FIRST_LINE
+    assert doc.to_json_text() == json_text(doc.to_json())
 
 
 def _other_hex(digits: str) -> str:

@@ -8,11 +8,16 @@ import sys
 import threading
 import time
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     EXCERPT_NAME,
     GOLDEN,
+    RAW_NAME,
+    ingest_raw,
     record_thread_starts,
     response_text,
     scripted,
@@ -30,6 +35,7 @@ from terminators.backends import (
     announce_wait,
     install_wait_hook,
 )
+from terminators import parsing
 from terminators.chunking import ChunkMode, ChunkStrategy, chunk as chunk_document
 from terminators.documents import render_numbered
 from terminators.parsing import (
@@ -208,6 +214,130 @@ class TestCandidateHandling:
         with pytest.raises(BackendError) as exc:
             extract_chunk(chunks[0], excerpt_doc, ExtractionConfig(WHOLE), backend)
         assert exc.value.kind == "malformed_output"
+
+
+class _Answers(Backend):
+    """Answers each request with one of a list of candidate lists, chosen by
+    the request's fingerprint."""
+
+    backend_id = "answers"
+
+    def __init__(self, answers):
+        self.answers = answers
+
+    def generate(self, req):
+        answer = self.answers[int(req.request_fingerprint, 16) % len(self.answers)]
+        return BackendResponse(json.dumps(answer), answer, None, {}, 0.0,
+                               self.backend_id)
+
+
+def _unshared(original):
+    """extract_chunk as it is without a shared dict."""
+    def extract(*args, validated=None, **kwargs):
+        return original(*args, **kwargs)
+    return extract
+
+
+# Candidates over the raw fixture: valid ones, repeats under other spellings,
+# unrecognized parties, and every kind of rejection.
+RAW_CANDIDATES = [
+    {"term": "Users must be at least 13.", "source": f"{RAW_NAME}:7",
+     "applicable_to": ["user"]},
+    {"term": "Users  must be\nat least 13.", "source": f" {RAW_NAME}:7 ",
+     "applicable_to": [" You "]},
+    {"term": "Users must be at least 13.", "source": f"{RAW_NAME}:7-8",
+     "applicable_to": ["user"]},
+    {"term": "Users must be at least 13.", "source": f"{RAW_NAME}:7",
+     "applicable_to": ["user", "Acme Corp"]},
+    {"term": "Users must be at least 13.", "source": f"{RAW_NAME}:99",
+     "applicable_to": ["user"]},
+    {"term": "We own the Services.", "source": f"{RAW_NAME}:17",
+     "applicable_to": ["OpenAI", "Acme Corp", "élève"], "note": "extra"},
+    {"term": "No sharing of credentials.", "source": f"{RAW_NAME}:10-11",
+     "applicable_to": ["users", "users"]},
+    {"term": "Cites a line of another chunk.", "source": f"{RAW_NAME}:30",
+     "applicable_to": ["provider"]},
+    {"term": "Past the end.", "source": f"{RAW_NAME}:99", "applicable_to": ["user"]},
+    {"term": "Wrong document.", "source": "Other.txt:3", "applicable_to": ["user"]},
+    {"term": "No parties.", "source": f"{RAW_NAME}:7", "applicable_to": []},
+    {"term": "Blank party.", "source": f"{RAW_NAME}:7", "applicable_to": [" "]},
+    {"term": "Number party.", "source": f"{RAW_NAME}:7", "applicable_to": [1]},
+    {"term": "String parties.", "source": f"{RAW_NAME}:7", "applicable_to": "user"},
+    {"term": 5, "source": f"{RAW_NAME}:7", "applicable_to": ["user"]},
+    {"term": "", "source": f"{RAW_NAME}:7", "applicable_to": ["user"]},
+    {"term": "No source.", "applicable_to": ["user"]},
+    {"term": "Bad source.", "source": "line seven", "applicable_to": ["user"]},
+]
+
+
+class TestSharedValidation:
+    """extract_document validates a candidate that repeats once per call;
+    its outcome equals the one every chunk validating alone gives."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(RAW_CANDIDATES), max_size=8),
+                 min_size=1, max_size=4),
+        st.sampled_from([
+            ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=3),
+            ChunkStrategy(ChunkMode.SECTION_BY_SECTION),
+            ChunkStrategy(ChunkMode.PARAGRAPH, max_chunk_lines=3),
+        ]),
+        st.sampled_from([None, "OpenAI"]),
+        st.sampled_from([None, ("privacy",)]),
+    )
+    def test_equals_unshared_extraction(self, answers, strategy, provider,
+                                        aspects):
+        doc = ingest_raw()
+        cfg = ExtractionConfig(strategy, aspects=aspects, provider_name=provider)
+        backend = _Answers(answers)
+        shared = extract_document(doc, cfg, backend, workers=1)
+        with mock.patch.object(parsing, "extract_chunk",
+                               _unshared(parsing.extract_chunk)):
+            unshared = extract_document(doc, cfg, backend, workers=1)
+        assert shared == unshared
+
+    def test_threads_sharing_the_dict_agree_with_one_unshared(self):
+        """Helper threads race on the shared dict: a key may be validated
+        twice, and either entry gives the same Term and warnings."""
+        doc = ingest_raw()
+        cfg = ExtractionConfig(ChunkStrategy(ChunkMode.PARAGRAPH, max_chunk_lines=1),
+                               provider_name="OpenAI")
+
+        class Waiting(_Answers):
+            def generate(self, req):
+                announce_wait()
+                return super().generate(req)
+
+        backend = Waiting([RAW_CANDIDATES[:10], RAW_CANDIDATES[5:], RAW_CANDIDATES])
+        with mock.patch.object(parsing, "extract_chunk",
+                               _unshared(parsing.extract_chunk)):
+            expected = extract_document(doc, cfg, backend, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert extract_document(doc, cfg, backend, workers=8) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_repeat_is_validated_once(self):
+        doc = ingest_raw()
+        cfg = ExtractionConfig(
+            ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=3))
+        backend = _Answers([RAW_CANDIDATES[:10]])
+        calls = []
+        original = parsing.validate_term
+        with mock.patch.object(parsing, "validate_term",
+                               lambda c, *a, **k: calls.append(c) or original(c, *a, **k)):
+            outcome = extract_document(doc, cfg, backend, workers=1)
+        # Every pass over every chunk gets the same ten: the seven valid
+        # ones are validated once, the three rejected ones every time.
+        chunks = len(outcome.coverage)
+        assert len(calls) == 7 + 3 * 3 * chunks
+        # Two of them name Acme Corp, on every pass.
+        assert sum("unrecognized party label 'Acme Corp'" in w
+                   for w in outcome.warnings) == 2 * 3 * chunks
 
 
 class TestParallelMerge:

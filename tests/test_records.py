@@ -3,6 +3,7 @@ a seeded round-trip sweep, and old or newer records that still load."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import replace
@@ -12,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import ingest_excerpt
 from terminators import records
+from terminators.backends import json_text
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.documents import SourceRef
 from terminators.parsing import ExtractionConfig
 from terminators.pipeline import RunConfig
 from terminators.planning import AccountabilityPlan, JurisdictionId, Scenario
-from terminators.records import from_json, to_json
+from terminators.records import from_json, record_text, to_json
 from terminators.remediation import (
     ACTION_DISCARDED,
     ACTION_KEPT,
@@ -373,3 +375,65 @@ class TestFuzz:
                 assert isinstance(record, cls)
 
         check()
+
+
+# Values a record field may hold when it is set by hand: any JSON value, or
+# one of a type some other field declares.
+ODD_VALUES = JSON_VALUES | st.sampled_from([
+    SourceRef("ToS.txt", 3, 4), TermStatus.RESOURCED, JurisdictionId.GDPR,
+    ChunkMode.PARAGRAPH, (), ("a", 1, None), ("b",), ["x"],
+    Scenario("A student."), (TrailEntry(None, None, "n"),),
+    float("nan"), -0.0, 2**70,
+])
+
+
+@st.composite
+def odd_records(draw, make):
+    """A record from make; half of them with one field, of the record or of
+    a record nested in it, set to an odd value. A seeded Random picks the
+    record and the field."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    record = make(rng)
+    if rng.random() < 0.5:
+        return record
+    node = record
+    while True:
+        name = rng.choice([f.name for f in dataclasses.fields(node)])
+        value = getattr(node, name)
+        if type(value) is tuple and value:
+            value = rng.choice(value)
+        if not dataclasses.is_dataclass(value) or rng.random() < 0.5:
+            break
+        node = value
+    object.__setattr__(node, name, draw(ODD_VALUES))
+    return record
+
+
+class TestRecordText:
+    """record_text against its oracle, the generic writer."""
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(st.sampled_from([make for _, make in RECORD_MAKERS]).flatmap(odd_records),
+           st.sampled_from(["\n", "\n  ", "\n      "]))
+    def test_equals_json_text_of_to_json(self, record, newline):
+        """The same text, or a TypeError from both (to_json maps no dict)."""
+        def text_or_error(write):
+            try:
+                return write()
+            except TypeError:
+                return TypeError
+        expected = text_or_error(
+            lambda: json_text(to_json(record)).replace("\n", newline))
+        assert text_or_error(lambda: record_text(record, newline)) == expected
+
+    @pytest.mark.parametrize("cls, make", RECORD_MAKERS, ids=RECORD_IDS)
+    def test_every_record_of_the_sweep(self, cls, make):
+        rng = random.Random(f"records|{cls.__name__}")
+        for _ in range(SWEEP_CASES):
+            record = make(rng)
+            assert record_text(record) == json_text(to_json(record))
+
+
+@pytest.mark.parametrize("value", ["text", 3, 2.5, True, None])
+def test_a_plain_value_is_its_own_json_form(value):
+    assert to_json(value) is value
