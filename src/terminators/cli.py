@@ -221,7 +221,8 @@ def build_parser() -> _Parser:
     _add_plan_flags(p, required=True)
     _add_phase_flags(p)
 
-    p = sub.add_parser("run", help="full pipeline into a run directory")
+    p = sub.add_parser("run", help="full pipeline into a run directory, "
+                                   "continuing the run stored there")
     p.add_argument("file")
     _add_extraction_flags(p)
     _add_verify_flags(p)

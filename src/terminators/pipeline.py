@@ -114,11 +114,10 @@ class RunStore:
         write_atomic(self.path(name), text)
 
     def read_json(self, name: str):
-        return read_json(self.path(name), name)
-
-    def reset_events(self) -> None:
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.path(self.EVENTS).write_text("", encoding="utf-8")
+        try:
+            return read_json(self.path(name), name)
+        except FileNotFoundError:
+            raise ValueError(f"{name}: no such file") from None
 
     def append_event(self, phase: str, event: str) -> None:
         line = json.dumps(
@@ -177,39 +176,18 @@ def compute_run_id(doc: SourceDocument, config: RunConfig) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
 
 
-def _save_run_header(run: AuditRun) -> None:
-    run.store.write_json(
-        "run.json",
-        {
-            "run_id": run.run_id,
-            "phase": run.phase,
-            "doc_name": run.doc.source_name,
-            "doc_fingerprint": run.doc.fingerprint,
-            "config": to_json(run.config),
-        },
-    )
-
-
 def start_run(doc: SourceDocument, config: RunConfig, out_root) -> AuditRun:
-    """Create (or recreate) the run directory for this document + config.
-
-    The run id is content-derived, so running the same inputs again rewrites
-    the same directory rather than accumulating copies. The phase and report
-    files of an earlier run there are removed, so a rerun that fails leaves
-    none of them behind.
-    """
+    """The run of this document + config under out_root. The run id is
+    content-derived, so the same inputs find the same directory: a run
+    stored there comes back as resume takes it up (a complete one with no
+    file written), and otherwise the document is stored and a run begins."""
     run_id = compute_run_id(doc, config)
     store = RunStore(Path(out_root) / run_id)
-    run = AuditRun(
-        run_id=run_id, store=store, config=config, doc=doc, phase="ingested"
-    )
-    store.reset_events()
+    if store.exists("run.json"):
+        return _reopen(store.run_dir, config.workers)
     store.write_text("document.json", doc.to_json_text() + "\n")
-    _save_run_header(run)
-    for name in [artifact for _, artifact, _ in _STEPS] + list(_REPORT_FILES):
-        store.path(name).unlink(missing_ok=True)
     store.append_event("ingested", "document stored")
-    return run
+    return AuditRun(run_id, store, config, doc, phase="ingested")
 
 
 # Each run field a phase record holds, and the record class of one stored
@@ -378,6 +356,14 @@ _REPORT_FILES = {
 
 
 def _execute(run: AuditRun, backend: Backend) -> AuditRun:
+    """Run every phase past run.phase, then the reports. run.json holds the
+    run's identity and is written before the first phase only: progress is
+    the phase files, each written whole."""
+    if run.phase == "complete":
+        return run
+    run.store.write_json("run.json", {
+        "run_id": run.run_id, "doc_name": run.doc.source_name,
+        "doc_fingerprint": run.doc.fingerprint, "config": to_json(run.config)})
     for phase, artifact, step in _STEPS:
         if PHASES.index(run.phase) >= PHASES.index(phase):
             continue
@@ -385,14 +371,11 @@ def _execute(run: AuditRun, backend: Backend) -> AuditRun:
         run.store.write_text(artifact, object_json(record))
         run.encoded.update(record)
         run.phase = phase
-        _save_run_header(run)
         run.store.append_event(phase, summary)
-    if run.phase == "planned":
-        for name, report_format in _REPORT_FILES.items():
-            run.store.write_text(name, emit_report(run, report_format))
-        run.phase = "complete"
-        _save_run_header(run)
-        run.store.append_event("complete", "reports written")
+    for name, report_format in _REPORT_FILES.items():
+        run.store.write_text(name, emit_report(run, report_format))
+    run.phase = "complete"
+    run.store.append_event("complete", "reports written")
     return run
 
 
@@ -406,7 +389,8 @@ def run_pipeline(
 ) -> AuditRun:
     """Execute every phase over an ingested document, persisting as it goes,
     with responses cached under cache_dir if given. A phase failure leaves
-    the run directory resumable at the last completed phase."""
+    the run directory resumable at the last completed phase; running the
+    same inputs again continues it (start_run)."""
     if cache_dir is not None:
         backend = CachedBackend(backend, cache_dir)
     run = start_run(doc, config, out_root)
@@ -436,7 +420,10 @@ def restore(run: AuditRun, record: dict) -> None:
 
 def load_run(run_dir) -> AuditRun:
     """Rehydrate a persisted run, restoring every stored phase in order.
-    A run directory whose files do not decode raises ResumeError."""
+    The phase reached is the last of the longest run of phase files present
+    from the first, or complete once the reports are there too; run.json
+    holds only the run's identity (an older one's "phase" is not read). A
+    run directory whose files do not decode raises ResumeError."""
     store = RunStore(run_dir)
     if not store.exists("run.json"):
         raise ResumeError("missing_run", f"no run.json under {store.run_dir}")
@@ -452,12 +439,15 @@ def load_run(run_dir) -> AuditRun:
             store=store,
             config=from_json(RunConfig, header["config"]),
             doc=doc,
-            phase=header["phase"],
+            phase="ingested",
         )
-        reached = PHASES.index(run.phase)
         for phase, artifact, _ in _STEPS:
-            if PHASES.index(phase) <= reached:
-                restore(run, store.read_json(artifact))
+            if not store.exists(artifact):
+                break
+            restore(run, store.read_json(artifact))
+            run.phase = phase
+        if run.phase == "planned" and all(map(store.exists, _REPORT_FILES)):
+            run.phase = "complete"
         run.encoded = _record(run, *_RECORD_FIELDS)
     except IngestError as exc:
         raise ResumeError(exc.kind, str(exc)) from exc
@@ -468,6 +458,16 @@ def load_run(run_dir) -> AuditRun:
     return run
 
 
+def _reopen(run_dir, workers: int) -> AuditRun:
+    """A stored run set to go on up to `workers` threads, which a run
+    directory does not record; an incomplete one logs that it resumes."""
+    run = load_run(run_dir)
+    run.config = replace(run.config, workers=workers)
+    if run.phase != "complete":
+        run.store.append_event(run.phase, "resumed")
+    return run
+
+
 def resume(
     run_dir,
     backend: Backend,
@@ -475,14 +475,8 @@ def resume(
     workers: int = DEFAULT_WORKERS,
 ) -> AuditRun:
     """Continue a persisted run from its first incomplete phase on up to
-    `workers` threads (a run directory does not record its concurrency).
-    Completed runs come back unchanged."""
-    run = load_run(run_dir)
-    if run.phase == "complete":
-        return run
-    run.config = replace(run.config, workers=workers)
-    run.store.append_event(run.phase, "resumed")
-    return _execute(run, backend)
+    `workers` threads. Completed runs come back unchanged."""
+    return _execute(_reopen(run_dir, workers), backend)
 
 
 def emit_report(run: AuditRun, format: str) -> str:

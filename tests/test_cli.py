@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import shutil
+import socket
 
 import pytest
 
@@ -347,6 +348,19 @@ class TestScenarioLoading:
         assert len(planned["plans"]) == 3
 
 
+def excerpt_run_argv(tmp_path, script) -> list[str]:
+    """run over the excerpt copied into tmp_path, into tmp_path / "runs",
+    with the given script and the student scenario."""
+    return [
+        "run", str(tmp_path / "OpenAI_ToS.txt"),
+        "--strategy", "paragraph",
+        "--first-line", "106",
+        "--backend", f"scripted:{script}",
+        "--scenario-file", str(SCENARIO_TXT),
+        "--out", str(tmp_path / "runs"),
+    ]
+
+
 class TestRunResumeReport:
     def completed_run(self, tmp_path, capsys):
         doc = copy_excerpt(tmp_path)
@@ -453,43 +467,38 @@ class TestRunResumeReport:
             GOLDEN / "paper_report.json"
         ).read_bytes()
 
-    def test_failed_rerun_leaves_no_later_files(self, tmp_path, capsys):
-        """A rerun into a complete run's directory that fails at
-        verification keeps no file of the earlier run past extraction, and
-        resuming it gives the files of a clean run."""
+    def test_rerun_returns_a_complete_run_and_continues_a_stopped_one(
+        self, tmp_path, capsys
+    ):
+        """A run stopped at verification continues under run to the files
+        of a clean run, and a rerun into the complete run's directory
+        exits 0 with a strict empty script: it calls no backend."""
         (tmp_path / "clean").mkdir()
         clean_dir, _ = self.completed_run(tmp_path / "clean", capsys)
-        run_dir, _ = self.completed_run(tmp_path, capsys)
+        copy_excerpt(tmp_path)
         no_verifier = write_script(tmp_path / "no_verifier.json", [
             entry for entry in HAPPY_RUN_ENTRIES
             if entry[0] != "backed by the passage it cites"
         ])
-        code = main([
-            "run", str(tmp_path / "OpenAI_ToS.txt"),
-            "--strategy", "paragraph",
-            "--first-line", "106",
-            "--backend", f"scripted:{no_verifier}",
-            "--scenario-file", str(SCENARIO_TXT),
-            "--out", str(tmp_path / "runs"),
-        ])
-        assert code == EXIT_BACKEND
+        assert main(excerpt_run_argv(tmp_path, no_verifier)) == EXIT_BACKEND
         assert "terminators: backend error" in capsys.readouterr().err
-        assert json.loads((run_dir / "run.json").read_text())["phase"] == (
-            "extracted"
-        )
+        (run_dir,) = (tmp_path / "runs").iterdir()
         assert sorted(p.name for p in run_dir.iterdir()) == [
             "document.json", "events.jsonl", "run.json", "terms.json",
         ]
-        assert main([
-            "resume", str(run_dir),
-            "--backend", backend_arg("happy_run.json"),
-        ]) == EXIT_OK
+        assert main(excerpt_run_argv(
+            tmp_path, SCRIPTS / "happy_run.json")) == EXIT_OK
+        summary = capsys.readouterr().out
+        assert f"run {run_dir.name} (complete)" in summary
         names = sorted(p.name for p in clean_dir.iterdir())
         assert names == sorted(p.name for p in run_dir.iterdir())
         for name in names:
             if name != "events.jsonl":
                 assert (run_dir / name).read_bytes() == (
                     clean_dir / name).read_bytes(), name
+        empty = write_script(tmp_path / "empty.json", [])
+        assert main(excerpt_run_argv(tmp_path, empty)) == EXIT_OK
+        assert capsys.readouterr().out == summary
 
     def test_report_before_extraction_exits_two(self, tmp_path, capsys):
         empty = write_script(tmp_path / "empty.json", [])
@@ -559,6 +568,22 @@ class TestLexicalResourcing:
         assert (run_dir / "report.audit.json").read_bytes() == (
             golden.read_bytes()
         )
+
+
+class TestMarkdownReport:
+    """report.md of the mismatch run: three survivors and one discarded
+    term, the same bytes at every worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_run_matches_golden(self, tmp_path, capsys, workers):
+        copy_excerpt(tmp_path)
+        argv = excerpt_run_argv(tmp_path, SCRIPTS / "mismatch_run.json")
+        assert main(argv + ["--workers", str(workers)]) == EXIT_OK
+        capsys.readouterr()
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert (run_dir / "report.md").read_bytes() == (
+            GOLDEN / "mismatch_report.md"
+        ).read_bytes()
 
 
 def assert_entries_canonical(cache):
@@ -832,7 +857,6 @@ class TestExitCodes:
          "malformed 'plans' entry: AccountabilityPlan."
          "possible_accountability_checks: expected a list"),
         ("run.json", lambda r: r.pop("config"), "malformed run: 'config'"),
-        ("run.json", lambda r: r.update(phase="halfway"), "malformed run"),
         ("run.json", lambda r: r["config"].update(threshold=math.nan),
          "RunConfig.threshold: expected a finite number, got nan"),
         ("verifications.json",
@@ -844,7 +868,7 @@ class TestExitCodes:
          "malformed run: 'terms' must be a list"),
     ], ids=["verification-without-label", "score-not-a-number",
             "term-without-source", "bad-citation", "plan-without-fingerprint",
-            "checks-not-a-list", "header-without-config", "unknown-phase",
+            "checks-not-a-list", "header-without-config",
             "threshold-not-finite", "score-not-finite",
             "header-fingerprint-not-the-document", "terms-not-a-list"])
     def test_malformed_run_directory_exits_two(
@@ -857,6 +881,24 @@ class TestExitCodes:
         path.write_text(json.dumps(record), encoding="utf-8")
         assert main(["report", str(run_dir)]) == EXIT_PIPELINE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "resume", "report"])
+    def test_run_directory_without_document_exits_two(
+        self, tmp_path, capsys, verb
+    ):
+        run_dir, _ = TestRunResumeReport().completed_run(tmp_path, capsys)
+        (run_dir / "document.json").unlink()
+        argv = {
+            "run": excerpt_run_argv(tmp_path, SCRIPTS / "happy_run.json"),
+            "resume": ["resume", str(run_dir),
+                       "--backend", backend_arg("happy_run.json")],
+            "report": ["report", str(run_dir)],
+        }[verb]
+        assert main(argv) == EXIT_PIPELINE
+        assert capsys.readouterr().err == (
+            f"terminators: error: {run_dir}: malformed run: document.json: "
+            "no such file\n"
+        )
 
     def test_phase_record_not_an_object_exits_two(self, tmp_path, capsys):
         run_dir, _ = TestRunResumeReport().completed_run(tmp_path, capsys)
@@ -1042,6 +1084,32 @@ class TestExitCodes:
         ])
         assert code == EXIT_BACKEND
         assert "no backend configured" in capsys.readouterr().err
+
+    def test_live_backend_without_credential_exits_three(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The credential check comes before any request, so no socket
+        opens. requests is imported first, with the real socket."""
+        import requests  # noqa: F401
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("network access attempted")
+
+        monkeypatch.setattr(socket, "socket", refuse)
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        monkeypatch.delenv("TERMINATORS_API_KEY", raising=False)
+        monkeypatch.delenv("TERMINATORS_CACHE", raising=False)
+        code = main([
+            "run", str(copy_excerpt(tmp_path)), "--backend", "live",
+            "--out", str(tmp_path / "runs"),
+        ])
+        assert code == EXIT_BACKEND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "terminators: backend error (auth): credential variable "
+            "TERMINATORS_API_KEY is not set\n"
+        )
 
     def test_unknown_backend_spec(self, tmp_path, capsys):
         doc = copy_excerpt(tmp_path)

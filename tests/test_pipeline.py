@@ -16,6 +16,7 @@ from datetime import datetime
 import pytest
 
 from helpers import (
+    FIXTURES,
     HAPPY_RUN_ENTRIES,
     SHORT_PLAN_RUN_ENTRIES,
     FailingFollowUp,
@@ -43,6 +44,7 @@ from terminators.backends import (
     ScriptedBackend,
     load_script,
 )
+from terminators import pipeline
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.cli import main as cli_main
 from terminators.parsing import ExtractionConfig
@@ -510,6 +512,161 @@ class TestResume:
         with pytest.raises(ResumeError) as exc:
             load_run(run_dir)
         assert exc.value.kind == "document_changed"
+
+
+class Stopped(Exception):
+    """The process ends here: nothing after the raising call runs."""
+
+
+class TestContinuation:
+    """run.json holds the run's identity and is written once by each
+    invocation that runs phases. Progress is the phase files, so running
+    the same inputs again continues a stopped run and returns a complete
+    one."""
+
+    def test_rerun_of_a_complete_run_writes_nothing(self, tmp_path):
+        run = run_happy(tmp_path)
+        for path in run.store.run_dir.iterdir():
+            os.utime(path, ns=(0, 0))  # any later write moves the mtime
+
+        def snapshot():
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns,
+                             p.stat().st_ino)
+                    for p in run.store.run_dir.iterdir()}
+
+        before = snapshot()
+        # Strict and empty: any backend call would raise.
+        again = run_pipeline(ingest_excerpt(), happy_config(),
+                             ScriptedBackend([]), tmp_path)
+        assert again.phase == "complete"
+        assert len(again.plans) == 4
+        assert snapshot() == before
+
+    def test_uninterrupted_run_writes_each_file_once(self, tmp_path,
+                                                     monkeypatch):
+        written = []
+        real = pipeline.write_atomic
+
+        def spy(path, text):
+            written.append(os.path.basename(path))
+            real(path, text)
+
+        monkeypatch.setattr(pipeline, "write_atomic", spy)
+        run_happy(tmp_path)
+        assert written == ["document.json", "run.json", "terms.json",
+                           "verifications.json", "remediation.json",
+                           "plans.json", "report.audit.json",
+                           "report.paper.json", "report.md"]
+
+    @pytest.mark.parametrize("verb, stop", [
+        (verb, stop) for verb in ("run", "resume") for stop in PHASES[:-1]
+        # run.json is written before the first phase, after the document:
+        # a run stopped before it is only begun again, by run.
+        if (verb, stop) != ("resume", "ingested")
+    ])
+    def test_run_stopped_after_a_phase_continues_to_the_clean_files(
+        self, tmp_path, monkeypatch, verb, stop
+    ):
+        append_event = RunStore.append_event
+
+        def stop_after(store, phase, event):
+            append_event(store, phase, event)
+            if phase == stop:
+                raise Stopped(phase)
+
+        monkeypatch.setattr(RunStore, "append_event", stop_after)
+        with pytest.raises(Stopped):
+            run_pipeline(ingest_excerpt(), happy_config(), mismatch_backend(),
+                         tmp_path / "stopped")
+        monkeypatch.undo()
+        (run_dir,) = (tmp_path / "stopped").iterdir()
+        if verb == "run":
+            run = run_pipeline(ingest_excerpt(), happy_config(),
+                               mismatch_backend(), tmp_path / "stopped")
+        else:
+            run = resume(run_dir, mismatch_backend())
+        assert run.phase == "complete"
+        clean = run_pipeline(ingest_excerpt(), happy_config(),
+                             mismatch_backend(), tmp_path / "clean")
+        names = sorted(p.name for p in clean.store.run_dir.iterdir())
+        assert names == sorted(p.name for p in run_dir.iterdir())
+        for name in RUN_FILES:
+            assert (run_dir / name).read_bytes() == (
+                clean.store.path(name).read_bytes()
+            ), f"{name} differs after continuing from {stop}"
+
+
+class TestStorageFault:
+    """A run stopped by a failed write, a full disk at the k-th os.replace,
+    exits 2 and leaves no temporary file. Running it again writes the
+    uninterrupted run's files and asks the backend only for the requests
+    from the first phase whose file was missing on."""
+
+    def argv(self, doc, out_root, script):
+        return [
+            "run", str(doc),
+            "--strategy", "paragraph", "--first-line", "106",
+            "--backend", f"scripted:{SCRIPTS / script}",
+            "--scenario-file", str(FIXTURES / "student_scenario.txt"),
+            "--workers", "1", "--out", str(out_root),
+        ]
+
+    @pytest.mark.parametrize("script", ["happy_run.json", "mismatch_run.json"])
+    def test_rerun_after_a_failed_write_matches_the_uninterrupted_run(
+        self, tmp_path, monkeypatch, capsys, script
+    ):
+        monkeypatch.delenv("TERMINATORS_CACHE", raising=False)
+        doc = tmp_path / "OpenAI_ToS.txt"
+        doc.write_bytes((FIXTURES / "openai_tos_excerpt.txt").read_bytes())
+        requests = []
+        generate = ScriptedBackend.generate
+
+        def recording(backend, req):
+            requests.append(req.request_fingerprint)
+            return generate(backend, req)
+
+        monkeypatch.setattr(ScriptedBackend, "generate", recording)
+        real_replace = os.replace
+        asked = []  # the requests made before each os.replace
+
+        def counting(src, dst):
+            asked.append(len(requests))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting)
+        assert cli_main(self.argv(doc, tmp_path / "clean", script)) == 0
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert "terms extracted: 4" in capsys.readouterr().out
+        (clean_dir,) = (tmp_path / "clean").iterdir()
+        uninterrupted = list(requests)
+        assert len(asked) == 9
+
+        for k in range(1, len(asked) + 1):
+            calls = itertools.count(1)
+
+            def full_disk(src, dst):
+                if next(calls) == k:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                real_replace(src, dst)
+
+            out_root = tmp_path / f"fault{k}"
+            monkeypatch.setattr(os, "replace", full_disk)
+            assert cli_main(self.argv(doc, out_root, script)) == 2, k
+            monkeypatch.setattr(os, "replace", real_replace)
+            assert "No space left on device" in capsys.readouterr().err
+            (run_dir,) = out_root.iterdir()
+            assert not list(run_dir.glob("*.tmp")), k
+
+            requests.clear()
+            assert cli_main(self.argv(doc, out_root, script)) == 0, k
+            capsys.readouterr()
+            assert requests == uninterrupted[asked[k - 2] if k > 1 else 0:], k
+            names = sorted(p.name for p in clean_dir.iterdir())
+            assert names == sorted(p.name for p in run_dir.iterdir()), k
+            for name in names:
+                if name != "events.jsonl":
+                    assert (run_dir / name).read_bytes() == (
+                        clean_dir / name).read_bytes(), (k, name)
 
 
 class TestOlderRunDirectory:
