@@ -184,7 +184,12 @@ def start_run(doc: SourceDocument, config: RunConfig, out_root) -> AuditRun:
     run_id = compute_run_id(doc, config)
     store = RunStore(Path(out_root) / run_id)
     if store.exists("run.json"):
-        return _reopen(store.run_dir, config.workers)
+        run = load_run(store.run_dir)
+        if run.doc != doc:  # the id keys on the text, not name or numbering
+            raise ResumeError("document_changed", f"{store.run_dir}: holds "
+                              f"{run.doc.source_name} from line {run.doc.first_line}"
+                              "; remove it or use another --out")
+        return _reopen(run, config.workers)
     store.write_text("document.json", doc.to_json_text() + "\n")
     store.append_event("ingested", "document stored")
     return AuditRun(run_id, store, config, doc, phase="ingested")
@@ -458,10 +463,9 @@ def load_run(run_dir) -> AuditRun:
     return run
 
 
-def _reopen(run_dir, workers: int) -> AuditRun:
+def _reopen(run: AuditRun, workers: int) -> AuditRun:
     """A stored run set to go on up to `workers` threads, which a run
     directory does not record; an incomplete one logs that it resumes."""
-    run = load_run(run_dir)
     run.config = replace(run.config, workers=workers)
     if run.phase != "complete":
         run.store.append_event(run.phase, "resumed")
@@ -476,7 +480,7 @@ def resume(
 ) -> AuditRun:
     """Continue a persisted run from its first incomplete phase on up to
     `workers` threads. Completed runs come back unchanged."""
-    return _execute(_reopen(run_dir, workers), backend)
+    return _execute(_reopen(load_run(run_dir), workers), backend)
 
 
 def emit_report(run: AuditRun, format: str) -> str:

@@ -900,6 +900,28 @@ class TestExitCodes:
             "no such file\n"
         )
 
+    @pytest.mark.parametrize("name, first_line", [
+        ("OpenAI_ToS.txt", "1"), ("Renamed.txt", "106"),
+    ], ids=["renumbered", "renamed"])
+    def test_same_text_under_another_name_or_numbering_exits_two(
+        self, tmp_path, capsys, name, first_line
+    ):
+        """The run id keys on the text alone: a run of the same text named
+        or numbered otherwise finds the stored run's directory and must not
+        return that run, whose citations carry the other name and lines."""
+        run_dir, _ = TestRunResumeReport().completed_run(tmp_path, capsys)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        doc = tmp_path / name
+        doc.write_bytes((FIXTURES / "openai_tos_excerpt.txt").read_bytes())
+        argv = excerpt_run_argv(tmp_path, SCRIPTS / "happy_run.json")
+        argv[1], argv[5] = str(doc), first_line
+        assert main(argv) == EXIT_PIPELINE
+        assert capsys.readouterr().err == (
+            f"terminators: error: {run_dir}: holds OpenAI_ToS.txt from line "
+            "106; remove it or use another --out\n"
+        )
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
     def test_phase_record_not_an_object_exits_two(self, tmp_path, capsys):
         run_dir, _ = TestRunResumeReport().completed_run(tmp_path, capsys)
         (run_dir / "terms.json").write_text("[]", encoding="utf-8")

@@ -16,6 +16,8 @@ from datetime import datetime
 import pytest
 
 from helpers import (
+    EXCERPT_FIRST_LINE,
+    EXCERPT_NAME,
     FIXTURES,
     HAPPY_RUN_ENTRIES,
     SHORT_PLAN_RUN_ENTRIES,
@@ -47,6 +49,7 @@ from terminators.backends import (
 from terminators import pipeline
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.cli import main as cli_main
+from terminators.documents import ingest
 from terminators.parsing import ExtractionConfig
 from terminators.pipeline import (
     PHASES,
@@ -542,6 +545,23 @@ class TestContinuation:
         assert len(again.plans) == 4
         assert snapshot() == before
 
+    @pytest.mark.parametrize("name, first_line", [
+        (EXCERPT_NAME, 1), ("Renamed.txt", EXCERPT_FIRST_LINE),
+    ], ids=["renumbered", "renamed"])
+    def test_same_text_under_another_name_or_numbering_is_refused(
+        self, tmp_path, name, first_line
+    ):
+        run = run_happy(tmp_path)
+        before = {p.name: p.read_bytes() for p in run.store.run_dir.iterdir()}
+        other = ingest((FIXTURES / "openai_tos_excerpt.txt").read_bytes(),
+                       name, first_line=first_line)
+        assert compute_run_id(other, happy_config()) == run.run_id
+        with pytest.raises(ResumeError) as info:
+            run_pipeline(other, happy_config(), ScriptedBackend([]), tmp_path)
+        assert info.value.kind == "document_changed"
+        after = {p.name: p.read_bytes() for p in run.store.run_dir.iterdir()}
+        assert after == before
+
     def test_uninterrupted_run_writes_each_file_once(self, tmp_path,
                                                      monkeypatch):
         written = []
@@ -558,14 +578,12 @@ class TestContinuation:
                            "plans.json", "report.audit.json",
                            "report.paper.json", "report.md"]
 
-    @pytest.mark.parametrize("verb, stop", [
-        (verb, stop) for verb in ("run", "resume") for stop in PHASES[:-1]
-        # run.json is written before the first phase, after the document:
-        # a run stopped before it is only begun again, by run.
-        if (verb, stop) != ("resume", "ingested")
-    ])
-    def test_run_stopped_after_a_phase_continues_to_the_clean_files(
-        self, tmp_path, monkeypatch, verb, stop
+    # run.json is written before the first phase, after the document: a run
+    # stopped before it is only begun again, by run. TestStorageFault
+    # continues runs stopped before each file under run.
+    @pytest.mark.parametrize("stop", PHASES[1:-1])
+    def test_run_stopped_after_a_phase_resumes_to_the_clean_files(
+        self, tmp_path, monkeypatch, stop
     ):
         append_event = RunStore.append_event
 
@@ -580,11 +598,7 @@ class TestContinuation:
                          tmp_path / "stopped")
         monkeypatch.undo()
         (run_dir,) = (tmp_path / "stopped").iterdir()
-        if verb == "run":
-            run = run_pipeline(ingest_excerpt(), happy_config(),
-                               mismatch_backend(), tmp_path / "stopped")
-        else:
-            run = resume(run_dir, mismatch_backend())
+        run = resume(run_dir, mismatch_backend())
         assert run.phase == "complete"
         clean = run_pipeline(ingest_excerpt(), happy_config(),
                              mismatch_backend(), tmp_path / "clean")
