@@ -8,6 +8,7 @@ one deduplicated, source-ordered term list with a per-chunk coverage report.
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 from dataclasses import dataclass, field
 
@@ -25,6 +26,8 @@ from .prompts import PROMPT_VERSION, build_parser_request
 from .terms import SchemaError, Term, dedupe_terms, validate_term
 
 DEFAULT_WORKERS = 4
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -262,6 +265,10 @@ def extract_document(
         warnings.extend(extraction.warnings)
         per_chunk_counts[extraction.chunk_id] += len(extraction.terms)
 
+    rejected = sum(extraction.rejected_count for extraction, _ in results if extraction)
+    if rejected and not all_terms:
+        log.warning("every extracted candidate was rejected (%d); first: %s", rejected,
+                    next(w for w in warnings if ": rejected candidate " in w))
     merged = dedupe_terms(all_terms)
     coverage = []
     for c in chunks:

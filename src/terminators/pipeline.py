@@ -36,7 +36,6 @@ from .planning import (
     AccountabilityPlan,
     Scenario,
     plan_all,
-    plan_to_json,
 )
 from .records import fingerprint, from_json, record_text, to_json
 from .remediation import (
@@ -210,11 +209,7 @@ _RECORD_FIELDS = {
 
 
 def _field_text(run: AuditRun, key: str) -> str:
-    """json_text of a run field; each plan carries its term's statement."""
-    if key == "plans":
-        statements = {t.term_id: t.statement for t in run.terms}
-        return json_text([plan_to_json(p, statement=statements.get(p.term_id))
-                          for p in run.plans])
+    """json_text of a run field."""
     value = getattr(run, key)
     if _RECORD_FIELDS[key] is None:
         return json_text(value)

@@ -16,7 +16,7 @@ from .backends import PLAN_CHECKS_KEY, Backend, BackendError
 from .documents import SourceDocument, resolve_span
 from .parsing import DEFAULT_WORKERS, map_ordered, run_request
 from .prompts import build_planner_request
-from .records import fingerprint, to_json
+from .records import fingerprint
 from .terms import SURVIVING_STATUSES, LifecycleError, Term, canonical_source_string
 
 DEFAULT_MIN_CHECKS = 3
@@ -72,6 +72,7 @@ class Scenario:
 @dataclass
 class AccountabilityPlan:
     term_id: str
+    statement: str = field(metadata={"key": "term"})
     checks: tuple[str, ...] = field(metadata={"key": PLAN_CHECKS_KEY})
     scenario_fingerprint: str
     jurisdiction_used: JurisdictionId
@@ -155,6 +156,7 @@ def plan_term(
         raise BackendError("malformed_output", "backend produced no usable checks")
     return AccountabilityPlan(
         term_id=term.term_id,
+        statement=term.statement,
         checks=tuple(checks),
         scenario_fingerprint=scenario.fingerprint,
         jurisdiction_used=scenario.jurisdiction,
@@ -201,13 +203,3 @@ def plan_all(
         else:
             plans.append(plan)
     return plans, notices
-
-
-def plan_to_json(plan: AccountabilityPlan, *, statement: str | None = None) -> dict:
-    """The plan's record, with the term's statement after its term_id when
-    given."""
-    record = to_json(plan)
-    if statement is not None:
-        # record's keys follow in order; its term_id keeps the first place.
-        record = {"term_id": plan.term_id, "term": statement, **record}
-    return record

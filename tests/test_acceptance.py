@@ -36,7 +36,8 @@ from terminators.cli import EXIT_OK, main
 from terminators.documents import SourceRef, render_numbered, resolve_span
 from terminators.parsing import ExtractionConfig, extract_document
 from terminators.pipeline import RunConfig, run_pipeline
-from terminators.planning import Scenario, plan_term, plan_to_json
+from terminators.planning import Scenario, plan_term
+from terminators.records import to_json
 from terminators.remediation import (
     advance,
     find_best_window,
@@ -172,7 +173,7 @@ def test_planner_fidelity():
     )
     assert plan.checks == CANNED_CHECKS
     assert len(plan.checks) == 5
-    record = plan_to_json(plan)
+    record = to_json(plan)
     assert "possible_accountability_checks" in record
     assert record["possible_accountability_checks"] == list(CANNED_CHECKS)
 

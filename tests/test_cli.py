@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import logging
 import math
 import shutil
 import socket
@@ -388,6 +389,21 @@ class TestRunResumeReport:
         assert "plans: 4" in summary
         for name in ("report.audit.json", "report.paper.json", "report.md"):
             assert (run_dir / name).exists()
+
+    def test_every_candidate_rejected_warns_and_exits_zero(self, tmp_path,
+                                                          capsys, caplog):
+        """happy_run.json's answers cite OpenAI_ToS.txt: under the fixture's
+        own name, every candidate is rejected."""
+        argv = excerpt_run_argv(tmp_path, SCRIPTS / "happy_run.json")
+        argv[1] = str(FIXTURES / "openai_tos_excerpt.txt")
+        with caplog.at_level(logging.WARNING, logger="terminators.parsing"):
+            assert main(argv) == EXIT_OK
+        assert "terms extracted: 0" in capsys.readouterr().out
+        assert [r.getMessage() for r in caplog.records] == [
+            "every extracted candidate was rejected (4); first: chunk "
+            "908d0600ecb4: rejected candidate 0: source_range: "
+            "'OpenAI_ToS.txt:108-109': span names 'OpenAI_ToS.txt' but "
+            "document is 'openai_tos_excerpt.txt'"]
 
     def test_run_summary_names_the_report_files_written(self, tmp_path,
                                                          capsys):
@@ -852,6 +868,8 @@ class TestExitCodes:
          "unparseable source"),
         ("plans.json", lambda r: r["plans"][0].pop("scenario_fingerprint"),
          "malformed 'plans' entry"),
+        ("plans.json", lambda r: r["plans"][0].pop("term"),
+         "malformed 'plans' entry: AccountabilityPlan: missing key 'term'"),
         ("plans.json",
          lambda r: r["plans"][0].update(possible_accountability_checks="x"),
          "malformed 'plans' entry: AccountabilityPlan."
@@ -868,7 +886,7 @@ class TestExitCodes:
          "malformed run: 'terms' must be a list"),
     ], ids=["verification-without-label", "score-not-a-number",
             "term-without-source", "bad-citation", "plan-without-fingerprint",
-            "checks-not-a-list", "header-without-config",
+            "plan-without-term", "checks-not-a-list", "header-without-config",
             "threshold-not-finite", "score-not-finite",
             "header-fingerprint-not-the-document", "terms-not-a-list"])
     def test_malformed_run_directory_exits_two(

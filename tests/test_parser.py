@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import sys
 import threading
 import time
@@ -197,6 +198,37 @@ class TestCandidateHandling:
         assert len(result.terms) == 1
         assert any("rejected candidate 0" in w for w in result.warnings)
         assert any("rejected candidate 2" in w for w in result.warnings)
+
+    @pytest.mark.parametrize("answer, warns", [
+        ([], False),
+        ([{"term": "No source given.", "applicable_to": ["user"]},
+          {"term": "Dangling citation.", "source": f"{EXCERPT_NAME}:400",
+           "applicable_to": ["user"]}], True),
+        ([{"term": "No source given.", "applicable_to": ["user"]},
+          {"term": "Users agree to the stated conditions.",
+           "source": f"{EXCERPT_NAME}:106", "applicable_to": ["user"]}], False),
+    ], ids=["no-candidates", "all-rejected", "one-kept"])
+    def test_every_candidate_rejected_logs_one_warning(
+        self, excerpt_doc, caplog, answer, warns
+    ):
+        """Candidates came back and none validated: one warning gives the
+        count and the first rejection."""
+        backend = ScriptedBackend(
+            [ScriptEntry("106: When you use", json.dumps(answer))]
+        )
+        with caplog.at_level(logging.WARNING, logger="terminators.parsing"):
+            outcome = extract_document(excerpt_doc, ExtractionConfig(WHOLE),
+                                       backend)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "terminators.parsing"]
+        if not warns:
+            assert messages == []
+            return
+        assert outcome.terms == []
+        (first,) = [w for w in outcome.warnings if "rejected candidate 0" in w]
+        assert first.endswith("field: missing field 'source'")
+        assert messages == [
+            f"every extracted candidate was rejected (2); first: {first}"]
 
     def test_chunk_from_other_document_refused(self, excerpt_doc, raw_doc):
         foreign = chunk_document(raw_doc, PARAGRAPH)[0]
@@ -538,8 +570,10 @@ class TestMapOrdered:
         assert echo.calls[0] == (caller, 0)
         # The helpers started right after it, before any later job began,
         # and the next three misses, one per thread, were in flight at once.
+        # A helper is counted before it starts, so the first one can reach
+        # the backend before the caller starts the second: only n >= 1 holds.
         assert all(n > 0 for _, _, n in seen[4:])
-        assert sorted(n for _, n in echo.calls[1:4]) == [2, 2, 2]
+        assert all(n >= 1 for _, n in echo.calls[1:4])
         assert len({thread for thread, _ in echo.calls[1:4]}) == 3
         assert len(started) == 2
         assert len(echo.calls) == 9

@@ -120,7 +120,7 @@ class TestHappyRun:
         assert all(o.action == "kept_supported" for o in run.outcomes)
         assert all(o.trail == () for o in run.outcomes)
 
-    def test_rerun_overwrites_same_directory(self, tmp_path):
+    def test_rerun_returns_same_run_id_and_directory(self, tmp_path):
         first = run_happy(tmp_path)
         second = run_happy(tmp_path)
         assert first.run_id == second.run_id

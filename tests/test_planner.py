@@ -28,7 +28,6 @@ from terminators.planning import (
     Scenario,
     plan_all,
     plan_term,
-    plan_to_json,
 )
 from terminators.records import fingerprint, from_json, to_json
 from terminators.remediation import advance
@@ -94,7 +93,7 @@ class TestPlanTerm:
         term = listing3_term(excerpt_doc)
         backend = scripted(("sole source of truth", "listing7_plan.json"))
         plan = plan_term(term, excerpt_doc, STUDENT, backend)
-        record = plan_to_json(plan, statement=term.statement)
+        record = to_json(plan)
         assert record["possible_accountability_checks"] == list(CANNED_CHECKS)
         assert record["term"] == term.statement
         assert from_json(AccountabilityPlan, record) == plan
@@ -362,10 +361,11 @@ class TestDisclaimer:
     def test_round_trip_defaults_warnings(self):
         plan = AccountabilityPlan(
             term_id="t",
+            statement="The service may change.",
             checks=("check one", "check two"),
             scenario_fingerprint="ab" * 6,
             jurisdiction_used=JurisdictionId.GDPR,
         )
-        record = plan_to_json(plan)
+        record = to_json(plan)
         del record["warnings"]
         assert from_json(AccountabilityPlan, record) == plan

@@ -136,6 +136,8 @@ def random_term(rng: random.Random) -> Term:
 def random_plan(rng: random.Random) -> AccountabilityPlan:
     return AccountabilityPlan(
         term_id=f"{rng.randrange(16 ** 12):012x}",
+        statement=rng.choice(("Users must not rely on Output.",
+                              "« cité » | x\n y", "Fees: 5 €", "")),
         checks=tuple(rng.sample(("Check one.", "« deux » | x", "3\nlines"),
                                 rng.randint(1, 3))),
         scenario_fingerprint=f"{rng.randrange(16 ** 12):012x}",
