@@ -20,6 +20,7 @@ from .documents import (
     SourceDocument,
     SourceRef,
     SpanError,
+    TerminatorsError,
     ingest,
     ingest_path,
     render_numbered,

@@ -21,6 +21,8 @@ from functools import cached_property, lru_cache
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
+from .documents import TerminatorsError
+
 log = logging.getLogger(__name__)
 
 SCHEMA_TERM_LIST = "term_list"
@@ -59,12 +61,8 @@ FORMAT_REMINDERS = {
 }
 
 
-class BackendError(Exception):
+class BackendError(TerminatorsError):
     """Backend-boundary failure; kind distinguishes auth, transient, etc."""
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(message)
 
 
 @dataclass(frozen=True)

@@ -21,20 +21,13 @@ from pathlib import Path
 from .backends import (Backend, BackendError, CachedBackend, LiveBackend,
                        load_script, read_json, write_atomic)
 from .chunking import ChunkMode, ChunkStrategy, DEFAULT_MAX_CHUNK_LINES
-from .documents import (
-    FORMATS,
-    IngestError,
-    SourceDocument,
-    SpanError,
-    ingest_path,
-)
+from .documents import FORMATS, SourceDocument, TerminatorsError, ingest_path
 from .parsing import DEFAULT_WORKERS, ExtractionConfig
 from .pipeline import (
     _REPORT_FILES,
     REPORT_AUDIT,
     REPORT_FORMATS,
     AuditRun,
-    ResumeError,
     RunConfig,
     emit_report,
     extract_step,
@@ -50,7 +43,6 @@ from .pipeline import (
     verify_step,
 )
 from .planning import DEFAULT_MIN_CHECKS, JurisdictionId, Scenario
-from .terms import LifecycleError, SchemaError
 from .verification import DEFAULT_LOW_OVERLAP_THRESHOLD
 
 EXIT_OK = 0
@@ -341,10 +333,11 @@ def _load_scenario(args) -> Scenario | None:
         raise ValueError(
             f"{args.scenario_file}: scenario JSON must be an object or string"
         )
-    return Scenario(
-        description=description,
-        jurisdiction=JurisdictionId(args.jurisdiction or jurisdiction or "none"),
-    )
+    jurisdiction = JurisdictionId(args.jurisdiction or jurisdiction or "none")
+    try:
+        return Scenario(description, jurisdiction)
+    except ValueError as exc:  # the description
+        raise ValueError(f"{args.scenario_file}: {exc}") from None
 
 
 def _run_config(args, backend: Backend) -> RunConfig:
@@ -390,24 +383,22 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    doc, data = _load_stage_file(args.terms_file, ("terms",), args.doc_file)
-    _, stage = _run_stage(args, verify_step, doc, data)
-    _emit(args, stage)
-    return EXIT_OK
+# Each verb that reads an earlier verb's output: the argument naming that
+# stage file, the keys it must hold, and the step it runs.
+_STAGES = {
+    "verify": ("terms_file", ("terms",), verify_step),
+    "remediate": ("verified_file", ("terms", "verifications"), remediate_step),
+    "plan": ("audit_file", ("terms",), plan_step),
+}
 
 
-def _cmd_remediate(args) -> int:
-    doc, data = _load_stage_file(args.verified_file,
-                                 ("terms", "verifications"), args.doc_file)
-    _, stage = _run_stage(args, remediate_step, doc, data)
-    _emit(args, stage)
-    return EXIT_OK
-
-
-def _cmd_plan(args) -> int:
-    doc, data = _load_stage_file(args.audit_file, ("terms",))
-    _, stage = _run_stage(args, plan_step, doc, data)
+def _cmd_stage(args) -> int:
+    """A verb of _STAGES; the document on disk, for the verbs that take
+    one, must be the one the stage file embeds."""
+    stage_file, needs, step = _STAGES[args.verb]
+    doc, data = _load_stage_file(getattr(args, stage_file), needs,
+                                 getattr(args, "doc_file", None))
+    _, stage = _run_stage(args, step, doc, data)
     _emit(args, stage)
     return EXIT_OK
 
@@ -449,9 +440,7 @@ def _cmd_report(args) -> int:
 
 _HANDLERS = {
     "extract": _cmd_extract,
-    "verify": _cmd_verify,
-    "remediate": _cmd_remediate,
-    "plan": _cmd_plan,
+    **dict.fromkeys(_STAGES, _cmd_stage),
     "run": _cmd_run,
     "resume": _cmd_resume,
     "report": _cmd_report,
@@ -467,15 +456,7 @@ def main(argv=None) -> int:
     except BackendError as exc:
         print(f"terminators: backend error ({exc.kind}): {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (
-        IngestError,
-        SpanError,
-        SchemaError,
-        LifecycleError,
-        ResumeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (TerminatorsError, ValueError, OSError) as exc:
         print(f"terminators: error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

@@ -21,20 +21,22 @@ FORMATS = (FORMAT_PLAIN, FORMAT_HTML)
 _MAX_BLANK_RUN = 2
 
 
-class IngestError(Exception):
+class TerminatorsError(Exception):
+    """Base of every failure the package raises on purpose; kind names the
+    failure within its class. The CLI exits 3 on a BackendError and 2 on
+    any other."""
+
+    def __init__(self, kind: str, message: str):
+        self.kind = kind
+        super().__init__(message)
+
+
+class IngestError(TerminatorsError):
     """Raised when a raw input cannot be turned into a SourceDocument."""
 
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(message)
 
-
-class SpanError(Exception):
+class SpanError(TerminatorsError):
     """Raised when a source span cannot be resolved against a document."""
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(message)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import json
 import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import zip_longest
 from pathlib import Path
 
 from .backends import (
@@ -23,7 +24,7 @@ from .backends import (
     read_json,
     write_atomic,
 )
-from .documents import IngestError, SourceDocument
+from .documents import IngestError, SourceDocument, TerminatorsError
 from .parsing import (
     DEFAULT_WORKERS,
     ExtractionConfig,
@@ -49,6 +50,7 @@ from .remediation import (
 from .terms import SURVIVING_STATUSES, Term, TermStatus
 from .verification import (
     DEFAULT_LOW_OVERLAP_THRESHOLD,
+    LABEL_SUPPORTED,
     VerificationResult,
     verify_all,
 )
@@ -61,12 +63,8 @@ REPORT_MARKDOWN = "markdown"
 REPORT_FORMATS = (REPORT_AUDIT, REPORT_PAPER, REPORT_MARKDOWN)
 
 
-class ResumeError(Exception):
+class ResumeError(TerminatorsError):
     """A persisted run cannot be picked back up."""
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,7 @@ def verify_step(run: AuditRun, backend: Backend):
         for term, result in zip(run.terms, run.verifications)
     ]
     record = _record(run, "verifications", "terms")
-    supported = sum(1 for v in run.verifications if v.label == "Supported")
+    supported = sum(1 for v in run.verifications if v.label == LABEL_SUPPORTED)
     return record, f"{supported}/{len(run.verifications)} supported"
 
 
@@ -401,7 +399,8 @@ def restore(run: AuditRun, record: dict) -> None:
     """Set the run state a phase record holds, as a step left it: each of
     the record's keys that names a run field (a stage file's "document" and
     a plans record's "disclaimer" do not). A missing key leaves its field as
-    it is. Raises ValueError when the record does not decode."""
+    it is. Raises ValueError when the record does not decode, or when its
+    verifications or outcomes do not name its terms one for one, in order."""
     if not isinstance(record, dict):
         raise ValueError("a phase record must be a JSON object")
     for key, cls in _RECORD_FIELDS.items():
@@ -416,6 +415,14 @@ def restore(run: AuditRun, record: dict) -> None:
             except ValueError as exc:
                 raise ValueError(f"malformed {key!r} entry: {exc}") from exc
         setattr(run, key, values)
+    for key in ("verifications", "outcomes"):
+        if key in record and "terms" in record:
+            pairs = zip_longest((r.term_id for r in getattr(run, key)),
+                                (t.term_id for t in run.terms))
+            index = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+            if index is not None:
+                raise ValueError(
+                    f"{key!r} do not pair with 'terms' at index {index}")
 
 
 def load_run(run_dir) -> AuditRun:

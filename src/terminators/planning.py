@@ -114,9 +114,9 @@ def plan_term(
     """
     if term.status not in SURVIVING_STATUSES:
         raise LifecycleError(
-            f"term {term.term_id}: cannot plan for status {term.status.value}; "
-            "only verified_supported or resourced terms are eligible"
-        )
+            "lifecycle", f"term {term.term_id}: cannot plan for status "
+            f"{term.status.value}; only verified_supported or resourced "
+            "terms are eligible")
     passage = resolve_span(doc, term.source)
     req = build_planner_request(
         term.statement,

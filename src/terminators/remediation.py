@@ -27,7 +27,9 @@ from .terms import (
 )
 from .verification import (
     DEFAULT_LOW_OVERLAP_THRESHOLD,
+    LABEL_CONTRADICTED,
     LABEL_SUPPORTED,
+    LABEL_UNVERIFIABLE,
     VerificationResult,
     content_tokens,
     lexical_support_score,  # unused here; perfbench's tracer wraps this name
@@ -46,14 +48,15 @@ ACTION_KEPT = "kept_supported"
 ACTION_RESOURCED = "resourced"
 ACTION_DISCARDED = "discarded"
 
+# The status a term takes from its verifier label.
+LABEL_STATUSES = {
+    LABEL_SUPPORTED: TermStatus.VERIFIED_SUPPORTED,
+    LABEL_CONTRADICTED: TermStatus.CONTRADICTED,
+    LABEL_UNVERIFIABLE: TermStatus.UNVERIFIABLE,
+}
+
 TRANSITIONS: dict[TermStatus, frozenset[TermStatus]] = {
-    TermStatus.EXTRACTED: frozenset(
-        {
-            TermStatus.VERIFIED_SUPPORTED,
-            TermStatus.CONTRADICTED,
-            TermStatus.UNVERIFIABLE,
-        }
-    ),
+    TermStatus.EXTRACTED: frozenset(LABEL_STATUSES.values()),
     TermStatus.VERIFIED_SUPPORTED: frozenset(),
     TermStatus.CONTRADICTED: frozenset({TermStatus.RESOURCED, TermStatus.DISCARDED}),
     TermStatus.UNVERIFIABLE: frozenset({TermStatus.RESOURCED, TermStatus.DISCARDED}),
@@ -66,18 +69,13 @@ def advance(term: Term, new_status: TermStatus) -> Term:
     """Move a term along the lifecycle, or refuse."""
     if new_status not in TRANSITIONS[term.status]:
         raise LifecycleError(
-            f"term {term.term_id}: illegal transition "
-            f"{term.status.value} -> {new_status.value}"
-        )
+            "lifecycle", f"term {term.term_id}: illegal transition "
+            f"{term.status.value} -> {new_status.value}")
     return replace(term, status=new_status)
 
 
 def status_for_label(label: str) -> TermStatus:
-    return {
-        "Supported": TermStatus.VERIFIED_SUPPORTED,
-        "Contradicted": TermStatus.CONTRADICTED,
-        "Unverifiable": TermStatus.UNVERIFIABLE,
-    }[label]
+    return LABEL_STATUSES[label]
 
 
 @dataclass(frozen=True)
@@ -315,9 +313,8 @@ def apply_outcome(term: Term, outcome: RemediationOutcome) -> Term:
     if outcome.action == ACTION_KEPT:
         if term.status is not TermStatus.VERIFIED_SUPPORTED:
             raise LifecycleError(
-                f"term {term.term_id}: kept_supported requires "
-                f"verified_supported, found {term.status.value}"
-            )
+                "lifecycle", f"term {term.term_id}: kept_supported requires "
+                f"verified_supported, found {term.status.value}")
         return term
     if outcome.action == ACTION_RESOURCED:
         return advance(

@@ -14,7 +14,8 @@ import re
 import string
 from dataclasses import dataclass, field, replace
 
-from .documents import SourceDocument, SourceRef, SpanError, resolve_span
+from .documents import (SourceDocument, SourceRef, SpanError,
+                        TerminatorsError, resolve_span)
 
 # Greedy name match so document names containing colons still parse;
 # the final numeric group(s) are the span, in ASCII digits only. Matched
@@ -47,16 +48,12 @@ _PROVIDER_ALIASES = {"provider", "we", "us", "company", "service", "services",
                      "the service", "the company"}
 
 
-class SchemaError(Exception):
+class SchemaError(TerminatorsError):
     """A candidate term record that does not fit the schema."""
 
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(message)
 
-
-class LifecycleError(Exception):
-    """An illegal term status transition."""
+class LifecycleError(TerminatorsError):
+    """An illegal term status transition; its kind is "lifecycle"."""
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .backends import Backend, BackendError
+from .backends import VERIFICATION_LABELS, Backend, BackendError
 from .documents import SourceDocument, SourceRef, SpanError, resolve_span
 from .parsing import DEFAULT_WORKERS, map_ordered, run_request
 from .prompts import build_verifier_request
@@ -21,9 +21,7 @@ from .terms import Term, canonical_source_string
 
 DEFAULT_LOW_OVERLAP_THRESHOLD = 0.3
 
-LABEL_SUPPORTED = "Supported"
-LABEL_CONTRADICTED = "Contradicted"
-LABEL_UNVERIFIABLE = "Unverifiable"
+LABEL_SUPPORTED, LABEL_CONTRADICTED, LABEL_UNVERIFIABLE = VERIFICATION_LABELS
 
 FLAG_PASS = "pass"
 FLAG_LOW_OVERLAP = "low_overlap"

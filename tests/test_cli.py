@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import inspect
 import json
 import logging
 import math
+import pkgutil
 import shutil
 import socket
 
@@ -329,6 +332,19 @@ class TestScenarioLoading:
         err = capsys.readouterr().err
         assert err == (f"terminators: error: {scenario}: jurisdiction must be "
                        f"one of none, gdpr, ccpa, not {value!r}\n")
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"description": 5}),
+        json.dumps({"jurisdiction": "gdpr"}),
+        "   ",
+    ], ids=["non-string", "missing", "empty-text"])
+    def test_bad_description_names_the_file(self, tmp_path, capsys, text):
+        code, scenario = self.run_with_scenario(tmp_path, text)
+        assert code == EXIT_PIPELINE
+        assert capsys.readouterr().err == (
+            f"terminators: error: {scenario}: scenario description must be "
+            "a non-empty string\n"
+        )
 
     def test_scenario_json_neither_object_nor_string_exits_two(
         self, tmp_path, capsys
@@ -821,7 +837,8 @@ class TestExitCodes:
         ("remediate", "verifications",
          lambda r: r["verifications"][0].pop("label"), "missing key 'label'"),
         ("remediate", "verifications",
-         lambda r: r["verifications"].pop(), "shorter"),
+         lambda r: r["verifications"].pop(),
+         "'verifications' do not pair with 'terms' at index 3"),
         ("plan", "outcomes",
          lambda r: r["terms"][0].pop("status"), "malformed 'terms' entry"),
         ("verify", "terms", lambda r: r["terms"][0].update(term=5),
@@ -884,11 +901,16 @@ class TestExitCodes:
          "run header fingerprint does not match the stored document"),
         ("terms.json", lambda r: r.update(terms={}),
          "malformed run: 'terms' must be a list"),
+        ("verifications.json", lambda r: r["verifications"].pop(),
+         "malformed run: 'verifications' do not pair with 'terms' at index 3"),
+        ("remediation.json", lambda r: r["outcomes"].reverse(),
+         "malformed run: 'outcomes' do not pair with 'terms' at index 0"),
     ], ids=["verification-without-label", "score-not-a-number",
             "term-without-source", "bad-citation", "plan-without-fingerprint",
             "plan-without-term", "checks-not-a-list", "header-without-config",
             "threshold-not-finite", "score-not-finite",
-            "header-fingerprint-not-the-document", "terms-not-a-list"])
+            "header-fingerprint-not-the-document", "terms-not-a-list",
+            "fewer-verifications-than-terms", "outcomes-out-of-order"])
     def test_malformed_run_directory_exits_two(
         self, tmp_path, capsys, artifact, corrupt, message
     ):
@@ -1259,6 +1281,29 @@ def test_every_package_error_is_exported():
     names = {cls.__name__ for cls in EXPORTED_ERRORS}
     assert {"BackendError", "IngestError", "LifecycleError", "ResumeError",
             "SchemaError", "SpanError"} <= names
+
+
+def test_every_package_error_derives_from_the_base():
+    """A library caller catches every failure the package raises on purpose
+    with one class."""
+    modules = [importlib.import_module(f"terminators.{info.name}")
+               for info in pkgutil.iter_modules(terminators.__path__)]
+    defined = {obj for module in modules for obj in vars(module).values()
+               if inspect.isclass(obj) and issubclass(obj, BaseException)
+               and obj.__module__ == module.__name__}
+    assert {cls.__name__ for cls in defined} >= {
+        "TerminatorsError", "BackendError", "IngestError", "LifecycleError",
+        "ResumeError", "SchemaError", "SpanError"}
+    assert [cls.__name__ for cls in defined
+            if not issubclass(cls, terminators.TerminatorsError)] == []
+
+
+def test_exit_two_handler_names_no_package_error_but_the_base():
+    handlers = [node for node in ast.walk(ast.parse(inspect.getsource(main)))
+                if isinstance(node, ast.ExceptHandler)]
+    assert [sorted(name.id for name in ast.walk(handler.type)
+                   if isinstance(name, ast.Name)) for handler in handlers] == [
+        ["BackendError"], ["OSError", "TerminatorsError", "ValueError"]]
 
 
 @pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda c: c.__name__)
