@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 import time
 import weakref
@@ -555,8 +556,8 @@ def _value_json(value, newline: str) -> str:
 
 def json_text(obj) -> str:
     """obj as JSON indented by two spaces, non-ASCII characters written as
-    themselves: every run file, stage output and cache entry, without its
-    final newline."""
+    themselves: every run file and stage output, without its final
+    newline."""
     return _value_json(obj, "\n")
 
 
@@ -587,6 +588,16 @@ def read_json(path, name=None):
 _TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
+def _open_in_dir(path, flags: int) -> int:
+    """os.open(path, flags, 0o666), making path's directory only when the
+    open finds it missing; the open is then tried once more."""
+    try:
+        return os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return os.open(path, flags, 0o666)
+
+
 def write_atomic(path, text: str) -> None:
     """Write text as UTF-8 to path (a str or path-like) by way of a
     temporary file named per process and thread, then os.replace: a reader
@@ -597,11 +608,7 @@ def write_atomic(path, text: str) -> None:
     data = text.encode("utf-8")
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        fd = os.open(tmp, _TMP_FLAGS, 0o666)
-    except FileNotFoundError:
-        os.makedirs(head, exist_ok=True)
-        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    fd = _open_in_dir(tmp, _TMP_FLAGS)
     try:
         try:
             view = memoryview(data)
@@ -618,34 +625,98 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def cached_complete(backend: Backend, req: BackendRequest,
-                    cache_dir) -> BackendResponse:
-    """complete() with a content-addressed response cache.
+def append_line(path, line: str) -> None:
+    """Append line and a newline to path as UTF-8 in one os.write on an
+    O_APPEND descriptor, so lines appended at once by threads or processes
+    do not interleave; after a torn last line, a newline first. A short
+    write raises OSError."""
+    data = (line + "\n").encode("utf-8")
+    fd = _open_in_dir(path, os.O_RDWR | os.O_APPEND | os.O_CREAT)
+    try:
+        end = os.fstat(fd).st_size
+        if end and os.pread(fd, 1, end - 1) != b"\n":
+            data = b"\n" + data
+        if os.write(fd, data) != len(data):
+            raise OSError(f"{path}: short write")
+    finally:
+        os.close(fd)
 
-    One JSON file per request fingerprint, written atomically, holding only
-    the response: the file name already identifies the request. A hit
-    replays the stored raw text without touching the backend, so a cache
-    populated by a live run makes later runs backend-free; it reads only
-    "response", so entries that also store the request replay unchanged.
-    A missing entry is a plain miss. Other cache trouble degrades to an
-    uncached call with a warning, never an error: an entry that does not
-    read (nested too deeply to decode included), or whose stored text does
-    not fit the request's schema, counts as a miss and is overwritten.
-    """
-    name = f"{req.request_fingerprint}.json"
-    entry_path = os.path.join(cache_dir, name)
+
+# The response cache in a cache directory, and how each of its lines
+# starts: a scan reads the line's fingerprint from there.
+PACK_NAME = "responses.jsonl"
+_PACK_HEAD = re.compile(rb'\{"fingerprint": "([0-9a-f]{64})"')
+
+
+class _PackIndex:
+    """fingerprint -> (offset, length) of its last line in the pack last
+    asked about: offsets, never entry bytes. A scan reads what was appended
+    since the one before, or all of a pack that was replaced or shrank."""
+
+    def __init__(self):
+        self.lock, self.path = threading.Lock(), None
+
+    def find(self, path: str, fingerprint: str):
+        """Where fingerprint's line is in the pack at path, or None; the
+        pack is scanned first when the index lacks fingerprint."""
+        with self.lock:
+            if path != self.path:
+                self.path, self.inode, self.size, self.lines = path, 0, 0, {}
+            if fingerprint not in self.lines:
+                self._scan()
+            return self.lines.get(fingerprint)
+
+    def _scan(self) -> None:
+        try:
+            with open(self.path, "rb") as fh:
+                st = os.fstat(fh.fileno())
+                if st.st_ino != self.inode or st.st_size < self.size:
+                    self.inode, self.size, self.lines = st.st_ino, 0, {}
+                fh.seek(self.size)
+                *whole, tail = fh.read().split(b"\n")
+        except OSError as exc:
+            if not isinstance(exc, FileNotFoundError):
+                log.warning("unreadable cache pack %s: %s", self.path, exc)
+            return
+        for line in whole:
+            if head := _PACK_HEAD.match(line):
+                self.lines[head[1].decode("ascii")] = (self.size, len(line))
+            elif line:
+                log.warning("cache pack %s: no entry at offset %d",
+                            self.path, self.size)
+            self.size += len(line) + 1
+        if tail:
+            log.warning("cache pack %s ends in a torn line", self.path)
+
+
+_pack_index = _PackIndex()
+
+
+def _stored(req: BackendRequest, path: str,
+            where=None) -> BackendResponse | None:
+    """The response stored for req in the file at path, or with where =
+    (offset, length) in the pack line there, which must name req's
+    fingerprint. None when the file is missing; None with a warning when
+    the entry does not read or does not fit req's schema."""
+    name = (os.path.basename(path) if where is None else
+            f"{req.request_fingerprint} at offset {where[0]} of {path}")
     try:
         # os.open and os.read take a third of the time open().read() does.
-        fd, chunks = os.open(entry_path, os.O_RDONLY), []
+        fd, chunks = os.open(path, os.O_RDONLY), []
         try:
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
+            if where is not None:
+                chunks.append(os.pread(fd, where[1], where[0]))
+            else:
+                while chunk := os.read(fd, 1 << 16):
+                    chunks.append(chunk)
         except OSError as exc:
-            exc.filename = entry_path  # a directory opens, then fails here
+            exc.filename = path  # a directory opens, then fails here
             raise
         finally:
             os.close(fd)
         entry = json.loads(b"".join(chunks).decode("utf-8"))
+        if where is not None and entry["fingerprint"] != req.request_fingerprint:
+            raise ValueError(f"the line names {entry['fingerprint']!r}")
         stored = entry["response"]
         if not isinstance(stored["raw_text"], str):
             raise TypeError("stored raw_text is not a string")
@@ -664,14 +735,35 @@ def cached_complete(backend: Backend, req: BackendRequest,
         pass
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         log.warning("unreadable cache entry %s: %s", name, exc)
+    return None
+
+
+def cached_complete(backend: Backend, req: BackendRequest,
+                    cache_dir) -> BackendResponse:
+    """complete() with a content-addressed response cache: the append-only
+    pack PACK_NAME in cache_dir, one line {"fingerprint", "response"} per
+    entry, the last line for a fingerprint winning. A hit replays the stored
+    raw text without touching the backend. On a pack miss, the file
+    <fingerprint>.json that earlier versions wrote is read, never written;
+    a miss asks the backend and appends a line. Cache trouble degrades to an
+    uncached call with a warning, never an error: an entry that does not
+    read, names another fingerprint or does not fit the schema is a miss."""
+    fingerprint = req.request_fingerprint
+    pack = os.path.join(cache_dir, PACK_NAME)
+    if (where := _pack_index.find(pack, fingerprint)) is not None:
+        if resp := _stored(req, pack, where):
+            return resp
+        with _pack_index.lock:  # the next find scans for the line below
+            _pack_index.lines.pop(fingerprint, None)
+    if resp := _stored(req, os.path.join(cache_dir, f"{fingerprint}.json")):
+        return resp
 
     resp = complete(backend, req)
     try:
-        write_atomic(entry_path, json_dumps(
-            {"response": {"raw_text": resp.raw_text, "usage": resp.usage,
-                          "latency_ms": resp.latency_ms,
-                          "backend_id": resp.backend_id}}
-        ))
+        append_line(pack, json.dumps({"fingerprint": fingerprint, "response": {
+            "raw_text": resp.raw_text, "usage": resp.usage,
+            "latency_ms": resp.latency_ms, "backend_id": resp.backend_id,
+        }}, ensure_ascii=False))
     except OSError as exc:
-        log.warning("cache write failed for %s: %s", name, exc)
+        log.warning("cache write failed for %s: %s", fingerprint, exc)
     return resp

@@ -363,16 +363,20 @@ def _run_config(args, backend: Backend) -> RunConfig:
     )
 
 
-def _run_stage(args, step, doc: SourceDocument, record: dict | None = None):
-    """Run one pipeline step over the state an earlier stage's record
-    holds, exactly as `run` runs it. Returns (the state after the step, the
-    stage file's text: the step's record with the document embedded)."""
+def _run_stage(args, step, doc: SourceDocument, earlier=None):
+    """Run one pipeline step over the state an earlier stage holds, given
+    as (its file name, its record), exactly as `run` runs it. Returns (the
+    state after the step, the stage file's text: the step's record with the
+    document embedded)."""
     backend = _build_backend(args)
     # A stage has no run id, run directory or phase bookkeeping.
     run = AuditRun(run_id="", store=None, config=_run_config(args, backend),
                    doc=doc, phase="")
-    if record is not None:
-        restore(run, record)
+    if earlier is not None:
+        try:
+            restore(run, earlier[1])
+        except ValueError as exc:
+            raise ValueError(f"{earlier[0]}: {exc}") from None
     record, _ = step(run, backend)
     return run, object_json({"document": doc.to_json_text(), **record})
 
@@ -396,9 +400,9 @@ def _cmd_stage(args) -> int:
     """A verb of _STAGES; the document on disk, for the verbs that take
     one, must be the one the stage file embeds."""
     stage_file, needs, step = _STAGES[args.verb]
-    doc, data = _load_stage_file(getattr(args, stage_file), needs,
-                                 getattr(args, "doc_file", None))
-    _, stage = _run_stage(args, step, doc, data)
+    path = getattr(args, stage_file)
+    doc, data = _load_stage_file(path, needs, getattr(args, "doc_file", None))
+    _, stage = _run_stage(args, step, doc, (path, data))
     _emit(args, stage)
     return EXIT_OK
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import zip_longest
@@ -19,6 +18,7 @@ from pathlib import Path
 from .backends import (
     Backend,
     CachedBackend,
+    append_line,
     json_dumps,
     json_text,
     read_json,
@@ -89,14 +89,13 @@ class RunConfig:
 
 
 class RunStore:
-    """Plain-file persistence for one run, with atomic writes and a
-    serialized event-log writer."""
+    """Plain-file persistence for one run: atomic writes, and an event log
+    whose lines are appended whole."""
 
     EVENTS = "events.jsonl"
 
     def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
-        self._lock = threading.Lock()
 
     def path(self, name: str) -> Path:
         return self.run_dir / name
@@ -117,23 +116,14 @@ class RunStore:
             raise ValueError(f"{name}: no such file") from None
 
     def append_event(self, phase: str, event: str) -> None:
-        line = json.dumps(
+        append_line(self.path(self.EVENTS), json.dumps(
             {
                 "ts": datetime.now(timezone.utc).isoformat(),
                 "phase": phase,
                 "event": event,
             },
             ensure_ascii=False,
-        )
-        path = self.path(self.EVENTS)
-        with self._lock:
-            try:
-                fh = open(path, "a", encoding="utf-8")
-            except FileNotFoundError:
-                self.run_dir.mkdir(parents=True, exist_ok=True)
-                fh = open(path, "a", encoding="utf-8")
-            with fh:
-                fh.write(line + "\n")
+        ))
 
 
 @dataclass

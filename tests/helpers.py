@@ -18,6 +18,7 @@ from terminators.backends import (
     BackendError,
     BackendRequest,
     BackendResponse,
+    PACK_NAME,
     ScriptEntry,
     ScriptedBackend,
 )
@@ -86,6 +87,27 @@ def stdlib_json(value) -> str:
     """The reference for every JSON file the program writes: the stdlib
     encoder's indent-2 text, non-ASCII as itself, with a final newline."""
     return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+def pack_lines(cache_dir) -> list[str]:
+    """The lines of cache_dir's response pack, in file order. Split on
+    newlines only: an entry's text may hold U+2028, which str.splitlines
+    would split on."""
+    text = (Path(cache_dir) / PACK_NAME).read_text(encoding="utf-8")
+    assert text.endswith("\n"), "the pack ends in a whole line"
+    return text.split("\n")[:-1]
+
+
+def pack_entries(cache_dir) -> dict:
+    """fingerprint -> response of each entry in cache_dir's pack; of lines
+    for one fingerprint the last wins, and an empty line is skipped, as on
+    replay."""
+    entries = {}
+    for line in filter(None, pack_lines(cache_dir)):
+        entry = json.loads(line)
+        assert list(entry) == ["fingerprint", "response"], line
+        entries[entry["fingerprint"]] = entry["response"]
+    return entries
 
 
 def response_text(name: str) -> str:

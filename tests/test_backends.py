@@ -7,14 +7,26 @@ import json
 import logging
 import math
 import os
+import subprocess
 import sys
+import tempfile
+import textwrap
+import time
 import types
 from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import RecordingBackend, response_text, scripted, stdlib_json, SCRIPTS
+from helpers import (
+    RecordingBackend,
+    SCRIPTS,
+    pack_entries,
+    pack_lines,
+    response_text,
+    scripted,
+    stdlib_json,
+)
 from terminators import backends
 from terminators.backends import (
     SCHEMA_PLAN,
@@ -24,8 +36,10 @@ from terminators.backends import (
     Backend,
     BackendError,
     BackendRequest,
+    BackendResponse,
     CachedBackend,
     LiveBackend,
+    PACK_NAME,
     ScriptEntry,
     ScriptedBackend,
     cached_complete,
@@ -111,19 +125,15 @@ class TestBackendRequest:
         cached_complete(
             scripted(("water", "supported_verification.json")), req, tmp_path
         )
-        text = (tmp_path / f"{req.request_fingerprint}.json").read_text()
+        text = (tmp_path / PACK_NAME).read_text()
         assert text == (
-            '{\n  "response": {\n'
-            '    "raw_text": "{\\n  \\"verification\\": \\"Supported\\",\\n'
+            '{"fingerprint": "d3e0e75627a2838dc4018cec12724fe7add7a178ea704e1b5'
+            '63a6bc9265da810", "response": {'
+            '"raw_text": "{\\n  \\"verification\\": \\"Supported\\",\\n'
             '  \\"justification\\": \\"The cited passage states this '
-            'requirement directly, in slightly different wording.\\"\\n}\\n",\n'
-            '    "usage": {\n'
-            '      "input_tokens": 11,\n'
-            '      "output_tokens": 34\n'
-            '    },\n'
-            '    "latency_ms": 0.0,\n'
-            '    "backend_id": "scripted"\n'
-            '  }\n}\n'
+            'requirement directly, in slightly different wording.\\"\\n}\\n", '
+            '"usage": {"input_tokens": 11, "output_tokens": 34}, '
+            '"latency_ms": 0.0, "backend_id": "scripted"}}\n'
         )
 
     @settings(derandomize=True, database=None, max_examples=300,
@@ -395,13 +405,16 @@ class TestJsonText:
                                               ensure_ascii=False)
 
     def test_cache_entries_read_as_the_stdlib_writes_them(self, tmp_path):
-        req = make_request(user_prompt="Statement: café \u2028 is \"wet\".")
-        cached_complete(
-            scripted(("wet", "supported_verification.json")), req, tmp_path
-        )
-        (entry,) = tmp_path.glob("*.json")
-        text = entry.read_text(encoding="utf-8")
-        assert text == stdlib_json(json.loads(text))
+        """A pack line is json.dumps(entry, ensure_ascii=False): non-ASCII
+        characters, U+2028 included, as themselves."""
+        answer = ('{"verification": "Supported", '
+                  '"justification": "caf\u00e9 \u2028 is \\"wet\\"."}')
+        req = make_request(user_prompt="Statement: caf\u00e9 \u2028 is \"wet\".")
+        cached_complete(ScriptedBackend([ScriptEntry("wet", answer)]), req,
+                        tmp_path)
+        (line,) = pack_lines(tmp_path)
+        assert line == json.dumps(json.loads(line), ensure_ascii=False)
+        assert json.loads(line)["response"]["raw_text"] == answer
 
 
 class TestScriptedBackend:
@@ -573,11 +586,23 @@ class TestCachedBackend:
         second = run_request(cached, req)
         assert len(inner.calls) == 1, "the second request is a hit"
         assert second.raw_text == first.raw_text
-        assert [p.name for p in tmp_path.iterdir()] == [
-            f"{req.request_fingerprint}.json"
-        ]
+        assert [p.name for p in tmp_path.iterdir()] == [PACK_NAME]
+        assert list(pack_entries(tmp_path)) == [req.request_fingerprint]
         run_request(inner, req)
         assert len(inner.calls) == 2, "an unwrapped backend is not cached"
+
+
+def stored_response(cache, req: BackendRequest) -> dict:
+    """The response object a cold miss stores for req."""
+    cached_complete(scripted(("water", "supported_verification.json")), req,
+                    cache)
+    return pack_entries(cache)[req.request_fingerprint]
+
+
+def new_process(monkeypatch) -> None:
+    """Drop the in-process pack index, as a new process starts without
+    one."""
+    monkeypatch.setattr(backends, "_pack_index", backends._PackIndex())
 
 
 class TestCachedComplete:
@@ -587,13 +612,13 @@ class TestCachedComplete:
         first = cached_complete(backend, req, tmp_path)
         assert first.parsed["verification"] == "Supported"
         assert len(backend.calls) == 1
-        cache_file = tmp_path / f"{req.request_fingerprint}.json"
-        assert cache_file.exists()
+        assert len(pack_lines(tmp_path)) == 1
 
         second = cached_complete(backend, req, tmp_path)
         assert second.parsed == first.parsed
         assert second.latency_ms == 0.0
         assert len(backend.calls) == 1, "hit must not touch the backend"
+        assert len(pack_lines(tmp_path)) == 1, "a hit appends nothing"
 
     def test_cache_replays_across_backends(self, tmp_path):
         req = make_request()
@@ -610,41 +635,48 @@ class TestCachedComplete:
         cached_complete(
             scripted(("water", "supported_verification.json")), req, tmp_path
         )
-        entry = json.loads(
-            (tmp_path / f"{req.request_fingerprint}.json").read_text()
-        )
-        # The file name is the request's fingerprint; the entry holds only
-        # the response.
-        assert list(entry) == ["response"]
+        (line,) = pack_lines(tmp_path)
+        entry = json.loads(line)
+        # The line names the request by its fingerprint and holds only the
+        # response.
+        assert list(entry) == ["fingerprint", "response"]
+        assert entry["fingerprint"] == req.request_fingerprint
         assert "Supported" in entry["response"]["raw_text"]
 
     def test_entry_with_stored_request_still_replays(self, tmp_path):
         req = make_request()
-        cached_complete(
-            scripted(("water", "supported_verification.json")), req, tmp_path
-        )
-        cache_file = tmp_path / f"{req.request_fingerprint}.json"
+        response = stored_response(tmp_path / "filled", req)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache_file = cache / f"{req.request_fingerprint}.json"
         # The layout earlier versions wrote: the request beside the response.
-        old_layout = json.dumps(
-            {"request": asdict(req), **json.loads(cache_file.read_text())},
-            indent=2, ensure_ascii=False,
-        ) + "\n"
+        old_layout = stdlib_json({"request": asdict(req), "response": response})
         cache_file.write_text(old_layout, encoding="utf-8")
         empty = RecordingBackend(ScriptedBackend([]))
-        resp = cached_complete(empty, req, tmp_path)
+        resp = cached_complete(empty, req, cache)
         assert resp.parsed["verification"] == "Supported"
         assert empty.calls == []
         assert cache_file.read_text(encoding="utf-8") == old_layout
+        assert list(cache.iterdir()) == [cache_file], "a hit writes nothing"
 
-    def test_corrupt_entry_degrades_to_backend(self, tmp_path):
+    def test_corrupt_entry_degrades_to_backend(self, tmp_path, caplog):
         backend = scripted(("water", "supported_verification.json"))
         req = make_request()
-        cache_file = tmp_path / f"{req.request_fingerprint}.json"
-        cache_file.write_text("{not json")
-        resp = cached_complete(backend, req, tmp_path)
+        fingerprint = req.request_fingerprint
+        pack = tmp_path / PACK_NAME
+        pack.write_text(f'{{"fingerprint": "{fingerprint}", not json\n')
+        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
+            resp = cached_complete(backend, req, tmp_path)
         assert resp.parsed["verification"] == "Supported"
         assert len(backend.calls) == 1
-        assert json.loads(cache_file.read_text())["response"]
+        assert (f"unreadable cache entry {fingerprint} at offset 0 of {pack}"
+                in caplog.text)
+        corrupt, appended = pack_lines(tmp_path)
+        assert corrupt == f'{{"fingerprint": "{fingerprint}", not json'
+        assert json.loads(appended)["fingerprint"] == fingerprint
+        assert cached_complete(backend, req, tmp_path).raw_text == (
+            resp.raw_text)
+        assert len(backend.calls) == 1, "the answer appended wins"
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -654,45 +686,53 @@ class TestCachedComplete:
             lambda entry: {**entry, "response": {**entry["response"],
                                                  "raw_text": 5}},
             lambda entry: [],
+            lambda entry: json.dumps(entry)[:-1] + ', "fingerprint": "'
+            + "0" * 64 + '"}',
         ],
         ids=["raw-text-off-schema", "raw-text-not-a-string",
-             "entry-not-an-object"],
+             "entry-not-an-object", "line-names-another-fingerprint"],
     )
-    def test_misshapen_entry_is_a_miss(self, tmp_path, caplog, corrupt):
+    def test_misshapen_entry_is_a_miss(self, tmp_path, caplog, monkeypatch,
+                                       corrupt):
         backend = scripted(("water", "supported_verification.json"))
         req = make_request()
-        cache_file = tmp_path / f"{req.request_fingerprint}.json"
         cached_complete(backend, req, tmp_path)
-        entry = json.loads(cache_file.read_text())
-        cache_file.write_text(json.dumps(corrupt(entry)))
+        (line,) = pack_lines(tmp_path)
+        entry = json.loads(line)
+        bad = corrupt(entry)
+        (tmp_path / PACK_NAME).write_text(
+            (bad if isinstance(bad, str) else json.dumps(bad)) + "\n")
+        new_process(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="terminators.backends"):
             resp = cached_complete(backend, req, tmp_path)
         assert resp.parsed["verification"] == "Supported"
         assert len(backend.calls) == 2, "a bad entry must reach the backend"
-        assert json.loads(cache_file.read_text()) == entry
-        assert cache_file.name in caplog.text
+        assert json.loads(pack_lines(tmp_path)[-1]) == entry
+        assert PACK_NAME in caplog.text
+        cached_complete(backend, req, tmp_path)
+        assert len(backend.calls) == 2, "the answer appended wins"
 
     @pytest.mark.parametrize(
         "deep_entry",
         [
-            "[" * 100_000,
-            '{"response": {"raw_text": "' + "[" * 100_000 + '"}}',
+            '"response": ' + "[" * 100_000,
+            '"response": {"raw_text": "' + "[" * 100_000 + '"}}',
         ],
         ids=["entry-too-deep", "raw-text-too-deep"],
     )
     def test_too_deep_entry_is_a_miss(self, tmp_path, caplog, deep_entry):
         backend = scripted(("water", "supported_verification.json"))
         req = make_request()
-        cache_file = tmp_path / f"{req.request_fingerprint}.json"
-        cache_file.write_text(deep_entry)
+        (tmp_path / PACK_NAME).write_text(
+            f'{{"fingerprint": "{req.request_fingerprint}", {deep_entry}\n')
         with caplog.at_level(logging.WARNING, logger="terminators.backends"):
             resp = cached_complete(backend, req, tmp_path)
         assert resp.parsed["verification"] == "Supported"
         assert len(backend.calls) == 1, "a too-deep entry must reach the backend"
-        assert json.loads(cache_file.read_text())["response"]["raw_text"] == (
+        assert json.loads(pack_lines(tmp_path)[-1])["response"]["raw_text"] == (
             resp.raw_text
         )
-        assert cache_file.name in caplog.text
+        assert PACK_NAME in caplog.text
 
     def test_cold_miss_logs_no_warning(self, tmp_path, caplog):
         backend = scripted(("water", "supported_verification.json"))
@@ -707,19 +747,20 @@ class TestCachedComplete:
     ):
         backend = scripted(("water", "supported_verification.json"))
         req = make_request()
-        (tmp_path / f"{req.request_fingerprint}.json").mkdir()
+        (tmp_path / PACK_NAME).mkdir()
         with caplog.at_level(logging.WARNING, logger="terminators.backends"):
             resp = cached_complete(backend, req, tmp_path)
         assert resp.parsed["verification"] == "Supported"
         assert len(backend.calls) == 1
-        assert f"unreadable cache entry {req.request_fingerprint}.json" in (
-            caplog.text
-        )
+        assert f"unreadable cache pack {tmp_path / PACK_NAME}" in caplog.text
+        assert f"cache write failed for {req.request_fingerprint}" in (
+            caplog.text)
 
     @pytest.mark.parametrize("blocker", ["directory", "file-as-parent"])
     def test_unreadable_entry_warns_as_open_would(self, tmp_path, caplog,
                                                   blocker):
-        """The warning quotes the error open() raises, path included."""
+        """The warning for an entry an earlier version wrote quotes the
+        error open() raises, path included."""
         backend = scripted(("water", "supported_verification.json"))
         req = make_request()
         if blocker == "directory":
@@ -741,15 +782,15 @@ class TestCachedComplete:
     ):
         backend = scripted(("water", "supported_verification.json"))
         req = make_request()
-        entry = f"{req.request_fingerprint}.json"
-        (tmp_path / entry).mkdir()
+        (tmp_path / PACK_NAME).mkdir()
         for _ in range(2):
             with caplog.at_level(logging.WARNING,
                                  logger="terminators.backends"):
                 resp = cached_complete(backend, req, tmp_path)
             assert resp.parsed["verification"] == "Supported"
-        assert f"cache write failed for {entry}" in caplog.text
-        assert [p.name for p in tmp_path.iterdir()] == [entry]
+        assert f"cache write failed for {req.request_fingerprint}" in (
+            caplog.text)
+        assert [p.name for p in tmp_path.iterdir()] == [PACK_NAME]
 
     def test_unwritable_cache_dir_degrades(self, tmp_path, caplog):
         blocker = tmp_path / "cache"
@@ -759,7 +800,7 @@ class TestCachedComplete:
         with caplog.at_level(logging.WARNING, logger="terminators.backends"):
             resp = cached_complete(backend, req, blocker / "sub")
         assert resp.parsed["verification"] == "Supported"
-        assert f"cache write failed for {req.request_fingerprint}.json" in (
+        assert f"cache write failed for {req.request_fingerprint}" in (
             caplog.text
         )
         assert [p.name for p in tmp_path.iterdir()] == ["cache"]
@@ -769,11 +810,319 @@ class TestCachedComplete:
         req = make_request()
         cache = tmp_path / "a" / "b" / "cache"
         cached_complete(backend, req, str(cache))
-        assert [p.name for p in cache.iterdir()] == [
-            f"{req.request_fingerprint}.json"
-        ]
+        assert [p.name for p in cache.iterdir()] == [PACK_NAME]
         resp = cached_complete(ScriptedBackend([]), req, cache)
         assert resp.parsed["verification"] == "Supported"
+
+
+class CountingBackend(Backend):
+    """Answers every request Supported, its justification naming the call:
+    "answer 1", "answer 2", and so on."""
+
+    backend_id = "counting"
+
+    def __init__(self):
+        self.calls = 0
+
+    def generate(self, req):
+        self.calls += 1
+        return BackendResponse(*answer_of(f"answer {self.calls}"),
+                               {"input_tokens": 1, "output_tokens": 1}, 0.0,
+                               self.backend_id)
+
+
+def answer_of(justification: str) -> tuple[str, dict, None]:
+    raw = json.dumps({"verification": "Supported",
+                      "justification": justification})
+    return raw, json.loads(raw), None
+
+
+def entry_line(req: BackendRequest, justification: str,
+               raw_text: str | None = None) -> str:
+    """A pack line as cached_complete writes it, holding the answer with
+    that justification, or raw_text when given."""
+    return json.dumps({"fingerprint": req.request_fingerprint, "response": {
+        "raw_text": raw_text or answer_of(justification)[0],
+        "usage": {"input_tokens": 1, "output_tokens": 1},
+        "latency_ms": 0.0, "backend_id": "counting"}})
+
+
+def justification(resp) -> str:
+    return resp.parsed["justification"]
+
+
+class Warnings(logging.Handler):
+    """The messages of the warnings terminators.backends logs while in a
+    with block."""
+
+    def __enter__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+        logging.getLogger("terminators.backends").addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        logging.getLogger("terminators.backends").removeHandler(self)
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+KEYS = [make_request(user_prompt=f"Statement {i}: water is wet.")
+        for i in range(3)]
+
+# Lines that are not a readable entry of KEYS[k], as (name, line of k).
+BAD_LINES = [
+    ("not-json", lambda k: f'{{"fingerprint": "{KEYS[k].request_fingerprint}"'
+                           ', not json'),
+    ("off-schema", lambda k: entry_line(KEYS[k], "", raw_text="[]")),
+    ("names-another", lambda k: entry_line(KEYS[k], "x")[:-1]
+     + f', "fingerprint": "{KEYS[(k + 1) % 3].request_fingerprint}"}}'),
+    ("not-an-entry", lambda k: "[]"),
+]
+
+# Lines each of two processes appends to one pack at once: enough that a
+# lost or split line shows in nearly every run when appends are not
+# atomic.
+PER_PROCESS = 5000
+
+# The bytes of a line's head, up to and including the fingerprint's
+# closing quote: a torn line at least this long names its fingerprint.
+HEAD_BYTES = len('{"fingerprint": "') + 64 + 1
+
+PACK_OPS = st.lists(st.one_of(
+    st.tuples(st.just("get"), st.integers(0, 2)),
+    st.tuples(st.just("put"), st.integers(0, 2)),
+    st.tuples(st.just("corrupt"), st.integers(0, 2),
+              st.sampled_from(range(len(BAD_LINES)))),
+    st.tuples(st.just("tear"), st.integers(0, 2), st.integers(0, 400)),
+    st.tuples(st.just("restart")),
+), max_size=25)
+
+
+class TestResponsePack:
+    """The pack against a model: a list of its whole lines, the torn line
+    at its end, and the in-process index as a dict built from the lines
+    scanned so far."""
+
+    @settings(derandomize=True, database=None, max_examples=250,
+              deadline=None)
+    @given(PACK_OPS)
+    def test_matches_the_model(self, ops):
+        lines = []       # (key or None if not an entry, answer or None if bad)
+        tail = None      # the torn last line, as it reads once closed
+        index, scanned, written = {}, 0, 0
+        backend = CountingBackend()
+        original = backends._pack_index
+        backends._pack_index = backends._PackIndex()
+        try:
+            with tempfile.TemporaryDirectory() as cache:
+                pack = os.path.join(cache, PACK_NAME)
+
+                def append(key, answer, text):
+                    nonlocal tail
+                    if tail is not None:  # the newline append_line adds
+                        lines.append(tail)
+                        tail = None
+                    backends.append_line(pack, text)
+                    lines.append((key, answer))
+
+                for op in ops:
+                    k = op[1] if len(op) > 1 else None
+                    if op[0] == "get":
+                        if k not in index:
+                            for key, answer in lines[scanned:]:
+                                if key is not None:
+                                    index[key] = answer
+                            scanned = len(lines)
+                        expected = index.get(k)
+                        before = backend.calls
+                        with Warnings() as warned:
+                            resp = cached_complete(backend, KEYS[k], cache)
+                        if expected is not None:
+                            assert backend.calls == before, op
+                            assert justification(resp) == expected, op
+                            continue
+                        assert backend.calls == before + 1, op
+                        assert justification(resp) == (
+                            f"answer {backend.calls}")
+                        if k in index:  # a bad line: a warning and a miss
+                            assert any(KEYS[k].request_fingerprint in m
+                                       for m in warned.messages), op
+                            del index[k]
+                        if tail is not None:
+                            lines.append(tail)
+                            tail = None
+                        lines.append((k, justification(resp)))
+                    elif op[0] == "put":
+                        written += 1
+                        answer = f"put {written}"
+                        append(k, answer, entry_line(KEYS[k], answer))
+                    elif op[0] == "corrupt":
+                        append(k if BAD_LINES[op[2]][0] != "not-an-entry"
+                               else None, None, BAD_LINES[op[2]][1](k))
+                    elif op[0] == "tear":
+                        written += 1
+                        answer = f"torn {written}"
+                        line = entry_line(KEYS[k], answer)
+                        cut = min(op[2], len(line))
+                        append(k, answer, line)
+                        lines.pop()
+                        os.truncate(pack, os.path.getsize(pack)
+                                    - len(line) - 1 + cut)
+                        if cut:
+                            tail = (k if cut >= HEAD_BYTES else None,
+                                    answer if cut == len(line) else None)
+                    else:
+                        backends._pack_index = backends._PackIndex()
+                        index, scanned = {}, 0
+        finally:
+            backends._pack_index = original
+
+    def test_torn_last_line_at_every_offset(self, tmp_path, monkeypatch):
+        """Cut inside the last line at every byte, the pack replays its
+        other lines, warns, misses the torn entry, and the next append
+        starts a line of its own."""
+        first, torn = KEYS[0], KEYS[1]
+        filled = tmp_path / "filled"
+        backend = CountingBackend()
+        for req in (first, torn):
+            cached_complete(backend, req, filled)
+        whole = (filled / PACK_NAME).read_bytes()
+        start = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+        for cut in range(start + 1, len(whole)):
+            cache = tmp_path / str(cut)
+            cache.mkdir()
+            (cache / PACK_NAME).write_bytes(whole[:cut])
+            new_process(monkeypatch)
+            backend = CountingBackend()
+            with Warnings() as warned:
+                assert justification(
+                    cached_complete(backend, first, cache)) == "answer 1"
+                assert justification(
+                    cached_complete(backend, torn, cache)) == "answer 1"
+            assert backend.calls == 1, cut
+            assert any("ends in a torn line" in m for m in warned.messages)
+            data = (cache / PACK_NAME).read_bytes()
+            assert data == whole[:cut] + b"\n" + data[cut + 1:]
+            new_process(monkeypatch)
+            resp = cached_complete(ScriptedBackend([]), torn, cache)
+            assert justification(resp) == "answer 1"
+
+    def test_processes_appending_at_once_keep_every_entry(self, tmp_path):
+        """Two processes append to one pack at the same time, as fast as
+        they can; afterwards every line reads and every entry replays."""
+        code = textwrap.dedent("""
+            import json, os, pathlib, sys, time
+            from terminators.backends import (
+                PACK_NAME, BackendRequest, append_line)
+            cache, name, work = sys.argv[1], sys.argv[2], pathlib.Path(sys.argv[3])
+            answer = json.dumps({"verification": "Supported",
+                                 "justification": name * 100})
+            lines = [json.dumps({
+                "fingerprint": BackendRequest(
+                    "You label statements.", f"Statement {name} {i}.",
+                    "verification").request_fingerprint,
+                "response": {"raw_text": answer, "usage": {},
+                             "latency_ms": 0.0, "backend_id": name}})
+                for i in range(%d)]
+            (work / f"{name}.ready").touch()
+            deadline = time.monotonic() + 60
+            while not (work / "go").exists() and time.monotonic() < deadline:
+                time.sleep(0.0005)
+            for line in lines:
+                append_line(os.path.join(cache, PACK_NAME), line)
+        """ % PER_PROCESS)
+        cache = tmp_path / "cache"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(backends.__file__)),
+             os.environ.get("PYTHONPATH", "")])}
+        names = ("a", "b")
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(cache),
+                                   name, str(tmp_path)], env=env)
+                 for name in names]
+        try:
+            deadline = time.monotonic() + 60
+            while not all((tmp_path / f"{n}.ready").exists() for n in names):
+                assert time.monotonic() < deadline, "a writer did not start"
+                assert all(p.poll() is None for p in procs)
+                time.sleep(0.005)
+            (tmp_path / "go").touch()
+            assert [p.wait(timeout=120) for p in procs] == [0, 0]
+        finally:
+            for p in procs:
+                if p.poll() is None:
+                    p.kill()
+                    p.wait()
+        reqs = [BackendRequest("You label statements.", f"Statement {n} {i}.",
+                               SCHEMA_VERIFICATION)
+                for n in names for i in range(PER_PROCESS)]
+        # A writer that reads the last byte while the other's write is half
+        # visible starts its line with a newline: an empty line, skipped.
+        assert len([line for line in pack_lines(cache) if line]) == len(reqs)
+        assert set(pack_entries(cache)) == {r.request_fingerprint
+                                            for r in reqs}
+        empty = RecordingBackend(ScriptedBackend([]))
+        for req in reqs:
+            assert cached_complete(empty, req, cache).backend_id in names
+        assert empty.calls == []
+
+    @pytest.mark.parametrize("change", ["truncated", "replaced",
+                                        "rewritten-in-place"])
+    def test_pack_changed_under_a_live_process(self, tmp_path, change):
+        """A warning and a miss, never a replay of another entry: the two
+        lines swapped have the same length, so only the fingerprint check
+        tells them apart."""
+        backend = CountingBackend()
+        a, b = KEYS[0], KEYS[1]
+        for req in (a, b, a, b):  # the second round is all hits
+            cached_complete(backend, req, tmp_path)
+        pack = tmp_path / PACK_NAME
+        line_a, line_b = pack_lines(tmp_path)
+        assert len(line_a) == len(line_b)
+        if change == "truncated":
+            os.truncate(pack, 0)
+        elif change == "replaced":
+            (tmp_path / "new").write_text(f"{line_b}\n{line_a}\n")
+            os.replace(tmp_path / "new", pack)
+        else:
+            pack.write_text(f"{line_b}\n{line_a}\n")
+        with Warnings() as warned:
+            resp = cached_complete(backend, a, tmp_path)
+        assert (backend.calls, justification(resp)) == (3, "answer 3")
+        assert any(a.request_fingerprint in m for m in warned.messages)
+        assert justification(cached_complete(backend, a, tmp_path)) == (
+            "answer 3")
+        assert backend.calls == 3, "the answer appended replays"
+        assert justification(cached_complete(backend, b, tmp_path)) in (
+            "answer 2", f"answer {backend.calls}")
+
+    def test_legacy_entries_replay_and_are_never_written(self, tmp_path):
+        """Per-entry files of earlier versions, response only or with the
+        request, replay; one that does not fit its schema is a miss whose
+        answer goes to the pack, and no file is rewritten."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        responses = [stored_response(tmp_path / "filled", req)
+                     for req in KEYS]
+        layouts = [{"response": responses[0]},
+                   {"request": asdict(KEYS[1]), "response": responses[1]},
+                   {"response": {**responses[2], "raw_text": "[]"}}]
+        for req, layout in zip(KEYS, layouts):
+            (cache / f"{req.request_fingerprint}.json").write_text(
+                stdlib_json(layout), encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in cache.iterdir()}
+        backend = scripted(("water", "supported_verification.json"))
+        with Warnings() as warned:
+            for req in KEYS + KEYS:
+                assert cached_complete(backend, req, cache).parsed
+        assert backend.calls == [KEYS[2].request_fingerprint]
+        assert len(warned.messages) == 1
+        assert f"{KEYS[2].request_fingerprint}.json" in warned.messages[0]
+        after = {p.name: p.read_bytes() for p in cache.iterdir()}
+        assert after.pop(PACK_NAME)
+        assert after == before
+        assert list(pack_entries(cache)) == [KEYS[2].request_fingerprint]
 
 
 class _FakeResponse:

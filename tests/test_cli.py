@@ -22,9 +22,12 @@ from helpers import (
     MISMATCH_RUN_ENTRIES,
     RESPONSES,
     SCRIPTS,
+    pack_entries,
+    pack_lines,
     stdlib_json,
 )
 from terminators import cli
+from terminators.backends import PACK_NAME
 from terminators.cli import EXIT_BACKEND, EXIT_OK, EXIT_PIPELINE, main
 from terminators.pipeline import resume as resume_run
 
@@ -619,12 +622,14 @@ class TestMarkdownReport:
 
 
 def assert_entries_canonical(cache):
-    """Every cache entry reads as the stdlib's indent-2 encoder writes it."""
-    entries = list(cache.glob("*.json"))
-    assert entries, "cache must be populated"
-    for entry in entries:
-        text = entry.read_text(encoding="utf-8")
-        assert text == stdlib_json(json.loads(text)), entry.name
+    """The cache is one pack, and each of its lines reads as the stdlib's
+    one-line encoder writes the entry."""
+    assert [p.name for p in cache.iterdir()] == [PACK_NAME]
+    lines = pack_lines(cache)
+    assert lines, "cache must be populated"
+    for line in lines:
+        assert line == json.dumps(json.loads(line), ensure_ascii=False), line
+    assert len(pack_entries(cache)) == len(lines), "one line per request"
 
 
 class TestCache:
@@ -656,7 +661,7 @@ class TestCache:
             extract_args(doc) + ["--cache-dir", str(flag_cache)]
         ) == EXIT_OK
         capsys.readouterr()
-        assert list(flag_cache.glob("*.json"))
+        assert_entries_canonical(flag_cache)
         assert not env_cache.exists()
 
     def cached(self, tmp_path, argv, script):
@@ -715,6 +720,37 @@ class TestCache:
         )) == EXIT_OK
         capsys.readouterr()
         assert_entries_canonical(tmp_path / "cache")
+        (cold_dir,) = (tmp_path / "cold").iterdir()
+        (warm_dir,) = (tmp_path / "warm").iterdir()
+        self.assert_same_run_files(cold_dir, warm_dir)
+
+    def test_run_replays_entries_earlier_versions_wrote(self, tmp_path,
+                                                         capsys):
+        """A cache in the per-entry layout of earlier versions, half of it
+        response only and half with a request object beside the response,
+        replays a run without the backend and without writing to the
+        cache."""
+        doc = copy_excerpt(tmp_path)
+        assert main(self.cached(
+            tmp_path, self.run_argv(doc, tmp_path / "cold"),
+            SCRIPTS / "mismatch_run.json",
+        )) == EXIT_OK
+        cache = tmp_path / "cache"
+        entries = pack_entries(cache)
+        (cache / PACK_NAME).unlink()
+        for i, (fingerprint, response) in enumerate(sorted(entries.items())):
+            layout = {"response": response}
+            if i % 2:
+                layout = {"request": {"fingerprint": fingerprint}, **layout}
+            (cache / f"{fingerprint}.json").write_text(stdlib_json(layout),
+                                                      encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in cache.iterdir()}
+        assert main(self.cached(
+            tmp_path, self.run_argv(doc, tmp_path / "warm"),
+            self.empty_script(tmp_path),
+        )) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
         (cold_dir,) = (tmp_path / "cold").iterdir()
         (warm_dir,) = (tmp_path / "warm").iterdir()
         self.assert_same_run_files(cold_dir, warm_dir)
@@ -871,6 +907,26 @@ class TestExitCodes:
         code = main(argv + ["--backend", backend_arg("mismatch_run.json")])
         assert code == EXIT_PIPELINE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda r: r["verifications"].pop(),
+         "'verifications' do not pair with 'terms' at index 3"),
+        (lambda r: r["terms"][0].update(term=5),
+         "malformed 'terms' entry: Term.term: expected str, got 5"),
+    ], ids=["pairing", "malformed-entry"])
+    def test_stage_file_names_itself_in_restore_errors(
+        self, tmp_path, capsys, corrupt, message
+    ):
+        doc, _, verified, _, _ = TestStageChain().run_chain(tmp_path)
+        record = json.loads(verified.read_text(encoding="utf-8"))
+        corrupt(record)
+        verified.write_text(json.dumps(record), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["remediate", str(verified), str(doc),
+                     "--backend", backend_arg("mismatch_run.json")])
+        assert code == EXIT_PIPELINE
+        assert capsys.readouterr().err == (
+            f"terminators: error: {verified}: {message}\n")
 
     @pytest.mark.parametrize("artifact, corrupt, message", [
         ("verifications.json", lambda r: r["verifications"][0].pop("label"),

@@ -22,6 +22,7 @@ from helpers import (
     random_document,
     random_statement,
     RecordingBackend,
+    pack_entries,
     response_text,
     scripted,
 )
@@ -310,7 +311,7 @@ class TestVerifyTerm:
         assert warm.verifier_prompt_fingerprint == (
             "98ac6984751d287081ccb721f96b3a7d3add1e2aaea0204332e05ce67beb74bf"
         )
-        assert (tmp_path / f"{warm.verifier_prompt_fingerprint}.json").exists()
+        assert list(pack_entries(tmp_path)) == [warm.verifier_prompt_fingerprint]
 
     def test_unresolvable_never_reaches_backend(self, excerpt_doc):
         term = make_term("Ghost clause.", "OpenAI_ToS.txt:400", excerpt_doc)
