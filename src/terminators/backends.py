@@ -386,12 +386,10 @@ class LiveBackend(Backend):
         headers = {"Authorization": f"Bearer {api_key}"}
 
         last_failure = "no attempt made"
-        retry_after_s = 0.0
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 time.sleep(max(BACKOFF_BASE_S * (2 ** (attempt - 1)),
                                retry_after_s))
-                retry_after_s = 0.0
             started = time.monotonic()
             try:
                 resp = requests.post(
@@ -402,45 +400,45 @@ class LiveBackend(Backend):
                 )
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_failure = f"request failed: {type(exc).__name__}"
-                log.warning("backend attempt %d/%d failed: %s",
-                            attempt + 1, MAX_ATTEMPTS, last_failure)
-                continue
+                retry_after_s = 0.0
             except requests.RequestException as exc:
                 # Only the type: a message may quote the credential header.
                 raise BackendError("request", f"request to {self.endpoint!r} "
                                    f"failed: {type(exc).__name__}") from exc
-            latency_ms = (time.monotonic() - started) * 1000.0
-            if resp.status_code in (401, 403):
-                raise BackendError("auth", f"endpoint rejected credential "
-                                           f"(HTTP {resp.status_code})")
-            if resp.status_code == 429 or resp.status_code >= 500:
+            else:
+                if resp.status_code != 429 and resp.status_code < 500:
+                    break
                 last_failure = f"HTTP {resp.status_code}"
                 retry_after_s = _retry_after_s(resp)
-                log.warning("backend attempt %d/%d failed: %s",
-                            attempt + 1, MAX_ATTEMPTS, last_failure)
-                continue
-            if resp.status_code != 200:
-                raise BackendError(
-                    "request", f"unexpected HTTP {resp.status_code}: "
-                               f"{resp.text[:200]}"
-                )
-            try:
-                data = resp.json()
-                raw_text = data["choices"][0]["message"]["content"]
-                if not isinstance(raw_text, str):
-                    raise TypeError(f"content is {type(raw_text).__name__}")
-            except (ValueError, LookupError, TypeError) as exc:
-                raise BackendError(
-                    "request", f"unexpected response body shape: {exc}"
-                ) from exc
-            usage = data.get("usage") or _estimated_usage(req, raw_text)
-            return _attach_parse(raw_text, req.response_schema, usage,
-                                 latency_ms, self.backend_id)
+            log.warning("backend attempt %d/%d failed: %s",
+                        attempt + 1, MAX_ATTEMPTS, last_failure)
+        else:
+            raise BackendError(
+                "transient",
+                f"gave up after {MAX_ATTEMPTS} attempts; last: {last_failure}",
+            )
 
-        raise BackendError(
-            "transient",
-            f"gave up after {MAX_ATTEMPTS} attempts; last: {last_failure}",
-        )
+        latency_ms = (time.monotonic() - started) * 1000.0
+        if resp.status_code in (401, 403):
+            raise BackendError("auth", f"endpoint rejected credential "
+                                       f"(HTTP {resp.status_code})")
+        if resp.status_code != 200:
+            raise BackendError(
+                "request", f"unexpected HTTP {resp.status_code}: "
+                           f"{resp.text[:200]}"
+            )
+        try:
+            data = resp.json()
+            raw_text = data["choices"][0]["message"]["content"]
+            if not isinstance(raw_text, str):
+                raise TypeError(f"content is {type(raw_text).__name__}")
+        except (ValueError, LookupError, TypeError) as exc:
+            raise BackendError(
+                "request", f"unexpected response body shape: {exc}"
+            ) from exc
+        usage = data.get("usage") or _estimated_usage(req, raw_text)
+        return _attach_parse(raw_text, req.response_schema, usage,
+                             latency_ms, self.backend_id)
 
 
 # Per thread: the callable complete() runs when a backend call waits.
@@ -651,10 +649,19 @@ _PACK_HEAD = re.compile(rb'\{"fingerprint": "([0-9a-f]{64})"')
 class _PackIndex:
     """fingerprint -> (offset, length) of its last line in the pack last
     asked about: offsets, never entry bytes. A scan reads what was appended
-    since the one before, or all of a pack that was replaced or shrank."""
+    since the one before, or all of a pack that was replaced or shrank.
+    Also the (directory, message) pairs warn_once has logged."""
 
     def __init__(self):
         self.lock, self.path = threading.Lock(), None
+        self.warned, self.warned_lock = set(), threading.Lock()
+
+    def warn_once(self, path: str, msg: str, *args) -> None:
+        """log.warning(msg, *args) unless msg was logged for path's directory."""
+        with self.warned_lock:
+            if (key := (os.path.dirname(path), msg)) not in self.warned:
+                self.warned.add(key)
+                log.warning(msg, *args)
 
     def find(self, path: str, fingerprint: str):
         """Where fingerprint's line is in the pack at path, or None; the
@@ -676,7 +683,8 @@ class _PackIndex:
                 *whole, tail = fh.read().split(b"\n")
         except OSError as exc:
             if not isinstance(exc, FileNotFoundError):
-                log.warning("unreadable cache pack %s: %s", self.path, exc)
+                self.warn_once(self.path, "unreadable cache pack %s: %s",
+                               self.path, exc)
             return
         for line in whole:
             if head := _PACK_HEAD.match(line):
@@ -701,20 +709,17 @@ def _stored(req: BackendRequest, path: str,
     name = (os.path.basename(path) if where is None else
             f"{req.request_fingerprint} at offset {where[0]} of {path}")
     try:
-        # os.open and os.read take a third of the time open().read() does.
-        fd, chunks = os.open(path, os.O_RDONLY), []
-        try:
-            if where is not None:
-                chunks.append(os.pread(fd, where[1], where[0]))
-            else:
-                while chunk := os.read(fd, 1 << 16):
-                    chunks.append(chunk)
-        except OSError as exc:
-            exc.filename = path  # a directory opens, then fails here
-            raise
-        finally:
-            os.close(fd)
-        entry = json.loads(b"".join(chunks).decode("utf-8"))
+        if where is None:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        else:
+            # os.open and os.pread take a third of the time open().read() does.
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                data = os.pread(fd, where[1], where[0])
+            finally:
+                os.close(fd)
+        entry = json.loads(data.decode("utf-8"))
         if where is not None and entry["fingerprint"] != req.request_fingerprint:
             raise ValueError(f"the line names {entry['fingerprint']!r}")
         stored = entry["response"]
@@ -733,7 +738,9 @@ def _stored(req: BackendRequest, path: str,
                     name, req.response_schema, resp.parse_error)
     except FileNotFoundError:
         pass
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except OSError as exc:
+        _pack_index.warn_once(path, "unreadable cache entry %s: %s", name, exc)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         log.warning("unreadable cache entry %s: %s", name, exc)
     return None
 
@@ -747,7 +754,8 @@ def cached_complete(backend: Backend, req: BackendRequest,
     <fingerprint>.json that earlier versions wrote is read, never written;
     a miss asks the backend and appends a line. Cache trouble degrades to an
     uncached call with a warning, never an error: an entry that does not
-    read, names another fingerprint or does not fit the schema is a miss."""
+    read, names another fingerprint or does not fit the schema is a miss. An
+    OSError from cache_dir is warned about once per process and kind."""
     fingerprint = req.request_fingerprint
     pack = os.path.join(cache_dir, PACK_NAME)
     if (where := _pack_index.find(pack, fingerprint)) is not None:
@@ -765,5 +773,5 @@ def cached_complete(backend: Backend, req: BackendRequest,
             "latency_ms": resp.latency_ms, "backend_id": resp.backend_id,
         }}, ensure_ascii=False))
     except OSError as exc:
-        log.warning("cache write failed for %s: %s", fingerprint, exc)
+        _pack_index.warn_once(pack, "cache write failed for %s: %s", fingerprint, exc)
     return resp

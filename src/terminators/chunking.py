@@ -76,24 +76,23 @@ def _chunk_id(doc: SourceDocument, start: int, end: int, kind: str) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
 
 
+def _is_short_heading(text: str) -> bool:
+    return (len(text.split()) <= _MAX_HEADING_WORDS
+            and not text.endswith((".", ",", ";")))
+
+
 def _looks_like_title(title: str) -> bool:
-    title = title.strip()
-    if not title or title[0] != title[0].upper() or not title[0].isalpha():
+    if title[0] != title[0].upper() or not title[0].isalpha():
         return False
-    if len(title.split()) > _MAX_HEADING_WORDS:
-        return False
-    return not title.endswith((".", ",", ";"))
+    return _is_short_heading(title)
 
 
-def _is_all_caps_heading(text: str) -> bool:
-    stripped = text.strip()
+def _is_all_caps_heading(stripped: str) -> bool:
     if not stripped or not any(c.isalpha() for c in stripped):
         return False
     if stripped != stripped.upper():
         return False
-    if len(stripped.split()) > _MAX_HEADING_WORDS:
-        return False
-    return not stripped.endswith((".", ",", ";"))
+    return _is_short_heading(stripped)
 
 
 def detect_headings(doc: SourceDocument) -> list[Heading]:

@@ -16,12 +16,13 @@ import logging
 import math
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .backends import (Backend, BackendError, CachedBackend, LiveBackend,
                        load_script, read_json, write_atomic)
 from .chunking import ChunkMode, ChunkStrategy, DEFAULT_MAX_CHUNK_LINES
-from .documents import FORMATS, SourceDocument, TerminatorsError, ingest_path
+from .documents import FORMATS, IngestError, SourceDocument, TerminatorsError, ingest_path
 from .parsing import DEFAULT_WORKERS, ExtractionConfig
 from .pipeline import (
     _REPORT_FILES,
@@ -271,7 +272,7 @@ def _load_stage_file(path: str, needs: tuple[str, ...],
                      doc_file: str | None = None):
     """(embedded document, whole record) of an earlier verb's output, which
     must hold the keys in needs and a document that passes from_json's
-    checks. With doc_file, the document on disk must match it too."""
+    checks. With doc_file, the file on disk must ingest to it in some format."""
     data = read_json(path)
     if not isinstance(data, dict) or "document" not in data:
         raise ValueError(
@@ -286,8 +287,13 @@ def _load_stage_file(path: str, needs: tuple[str, ...],
             )
     doc = SourceDocument.from_json(data["document"], path)
     if doc_file is not None:
-        on_disk = ingest_path(doc_file, first_line=doc.first_line)
-        if on_disk.fingerprint != doc.fingerprint:
+        for doc_format in FORMATS:
+            with suppress(IngestError):  # a format it does not ingest under
+                if ingest_path(doc_file, doc_format, first_line=doc.first_line
+                               ).fingerprint == doc.fingerprint:
+                    break
+        else:
+            on_disk = ingest_path(doc_file, first_line=doc.first_line)
             raise ValueError(
                 f"{doc_file} does not match the document the terms were "
                 f"extracted from (fingerprint {on_disk.fingerprint[:12]} vs "

@@ -92,13 +92,14 @@ class SourceDocument:
         """The normalized document text (joining line texts reproduces it exactly)."""
         return "\n".join(text for _, text in self.lines)
 
+    def _out_of_range(self, what: str) -> SpanError:
+        """The error for what, lines this document does not have."""
+        return SpanError("out_of_range", f"{what} outside {self.source_name} "
+                                         f"({self.first_line}..{self.last_line})")
+
     def line_text(self, line_number: int) -> str:
         if not (self.first_line <= line_number <= self.last_line):
-            raise SpanError(
-                "out_of_range",
-                f"line {line_number} outside {self.source_name} "
-                f"({self.first_line}..{self.last_line})",
-            )
+            raise self._out_of_range(f"line {line_number}")
         return self.lines[line_number - self.first_line][1]
 
     def to_json(self) -> dict:
@@ -285,11 +286,7 @@ def render_numbered(
     start = doc.first_line if start_line is None else start_line
     end = doc.last_line if end_line is None else end_line
     if start < doc.first_line or end > doc.last_line or start > end:
-        raise SpanError(
-            "out_of_range",
-            f"render range {start}-{end} outside {doc.source_name} "
-            f"({doc.first_line}..{doc.last_line})",
-        )
+        raise doc._out_of_range(f"render range {start}-{end}")
     rendered = []
     for number, text in doc.lines[start - doc.first_line : end - doc.first_line + 1]:
         rendered.append(f"{number}: {text}" if text else f"{number}:")
@@ -304,11 +301,7 @@ def resolve_span(doc: SourceDocument, ref: SourceRef) -> str:
             f"span names {ref.source_name!r} but document is {doc.source_name!r}",
         )
     if ref.start_line < doc.first_line or ref.end_line > doc.last_line:
-        raise SpanError(
-            "out_of_range",
-            f"span {ref.start_line}-{ref.end_line} outside {doc.source_name} "
-            f"({doc.first_line}..{doc.last_line})",
-        )
+        raise doc._out_of_range(f"span {ref.start_line}-{ref.end_line}")
     texts = [
         doc.lines[n - doc.first_line][1]
         for n in range(ref.start_line, ref.end_line + 1)

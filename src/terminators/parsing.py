@@ -20,7 +20,7 @@ from .backends import (
     complete,
     install_wait_hook,
 )
-from .chunking import Chunk, ChunkMode, ChunkStrategy, chunk as chunk_document
+from .chunking import Chunk, ChunkStrategy, chunk as chunk_document
 from .documents import SourceDocument, render_numbered
 from .prompts import PROMPT_VERSION, build_parser_request
 from .terms import SchemaError, Term, dedupe_terms, validate_term
@@ -230,9 +230,7 @@ def extract_document(
     dedupe to collapse agreements.
     """
     chunks = chunk_document(doc, cfg.strategy)
-    passes = 1
-    if cfg.strategy.mode is ChunkMode.PARALLEL_MERGE:
-        passes = cfg.strategy.parallel_fanout
+    passes = cfg.strategy.parallel_fanout
 
     work: list[tuple[Chunk, str | None]] = []
     for c in chunks:

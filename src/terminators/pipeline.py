@@ -40,11 +40,11 @@ from .planning import (
 )
 from .records import fingerprint, from_json, record_text, to_json
 from .remediation import (
+    LABEL_STATUSES,
     RemediationOutcome,
     apply_outcome,
     remediate,
     shown_whole_document,
-    status_for_label,
     advance,
 )
 from .terms import SURVIVING_STATUSES, Term, TermStatus
@@ -264,7 +264,7 @@ def verify_step(run: AuditRun, backend: Backend):
         best_effort=cfg.best_effort,
     )
     run.terms = [
-        advance(term, status_for_label(result.label))
+        advance(term, LABEL_STATUSES[result.label])
         for term, result in zip(run.terms, run.verifications)
     ]
     record = _record(run, "verifications", "terms")

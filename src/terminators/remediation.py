@@ -74,10 +74,6 @@ def advance(term: Term, new_status: TermStatus) -> Term:
     return replace(term, status=new_status)
 
 
-def status_for_label(label: str) -> TermStatus:
-    return LABEL_STATUSES[label]
-
-
 @dataclass(frozen=True)
 class TrailEntry:
     proposed: SourceRef | None

@@ -44,20 +44,19 @@ class VerificationResult:
     verifier_prompt_fingerprint: str | None
 
 
+def _data_lines(name: str) -> list[str]:
+    path = resources.files("terminators").joinpath(f"data/{name}")
+    return [line for line in path.read_text(encoding="utf-8").split("\n") if line]
+
+
 @lru_cache(maxsize=1)
 def _stopwords() -> frozenset[str]:
-    text = resources.files("terminators").joinpath("data/stopwords.txt").read_text(
-        encoding="utf-8"
-    )
-    return frozenset(w for w in text.split("\n") if w)
+    return frozenset(_data_lines("stopwords.txt"))
 
 
 @lru_cache(maxsize=1)
 def _suffixes() -> tuple[str, ...]:
-    text = resources.files("terminators").joinpath("data/suffixes.txt").read_text(
-        encoding="utf-8"
-    )
-    return tuple(s for s in text.split("\n") if s)
+    return tuple(_data_lines("suffixes.txt"))
 
 
 def tokenize(text: str) -> list[str]:

@@ -42,7 +42,6 @@ from terminators.remediation import (
     advance,
     find_best_window,
     remediate,
-    status_for_label,
 )
 from terminators.terms import TermStatus, validate_term
 from terminators.verification import (

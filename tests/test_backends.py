@@ -13,6 +13,7 @@ import tempfile
 import textwrap
 import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import pytest
@@ -804,6 +805,50 @@ class TestCachedComplete:
             caplog.text
         )
         assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_unusable_cache_dir_warns_once_per_kind(self, tmp_path, caplog,
+                                                    threads):
+        """A file where the cache directory should be: each kind of OSError
+        warning is logged once in a process, however many requests and
+        threads meet it, and every request is answered by the backend."""
+        cache = tmp_path / "cache"
+        cache.write_text("a file where the cache dir should be")
+        backend = scripted(("water", "supported_verification.json"))
+        reqs = [make_request(user_prompt=f"Statement: water is wet ({i}).")
+                for i in range(20)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch between check and add
+        try:
+            with caplog.at_level(logging.WARNING,
+                                 logger="terminators.backends"):
+                with ThreadPoolExecutor(threads) as pool:
+                    resps = list(pool.map(
+                        lambda req: cached_complete(backend, req, cache), reqs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.parsed["verification"] for r in resps] == ["Supported"] * 20
+        assert len(backend.calls) == 20
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 3, messages
+        for kind in ("unreadable cache pack ", "unreadable cache entry ",
+                     "cache write failed for "):
+            assert sum(m.startswith(kind) for m in messages) == 1, kind
+
+    def test_content_warnings_stay_one_per_entry(self, tmp_path, caplog):
+        """Entries that do not decode are each warned about: only OSErrors
+        from the cache directory are warned about once."""
+        backend = scripted(("water", "supported_verification.json"))
+        reqs = [make_request(user_prompt=f"Statement: water is wet ({i}).")
+                for i in range(3)]
+        for req in reqs:
+            (tmp_path / f"{req.request_fingerprint}.json").write_text("{")
+        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
+            for req in reqs:
+                cached_complete(backend, req, tmp_path)
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            f"unreadable cache entry {req.request_fingerprint}.json"
+            for req in reqs]
 
     def test_first_write_makes_the_missing_cache_directories(self, tmp_path):
         backend = scripted(("water", "supported_verification.json"))

@@ -29,6 +29,7 @@ from helpers import (
 from terminators import cli
 from terminators.backends import PACK_NAME
 from terminators.cli import EXIT_BACKEND, EXIT_OK, EXIT_PIPELINE, main
+from terminators.documents import ingest_path
 from terminators.pipeline import resume as resume_run
 
 SCENARIO_TXT = FIXTURES / "student_scenario.txt"
@@ -172,6 +173,54 @@ class TestStageChain:
         ])
         assert code == EXIT_PIPELINE
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, doc_format",
+        [
+            ("tos.txt", "<h1>Terms</h1>\n<p>  Users must be 13 or older.</p>\n",
+             "html"),
+            ("tos.html", "<script>var terms = 1;</script>\n", "plain"),
+        ],
+        ids=["html-in-a-txt-file", "plain-in-an-html-file-that-ingests-empty"],
+    )
+    def test_stage_verbs_accept_either_format(self, tmp_path, name, text,
+                                              doc_format):
+        """The document file matches when it ingests to the embedded
+        document in either format, whatever its extension names, also when
+        the extension's format does not ingest it at all."""
+        doc = tmp_path / name
+        doc.write_text(text, encoding="utf-8")
+        script = write_script(tmp_path / "script.json",
+                              [("Document name", "empty_terms.json")])
+        backend = ["--backend", f"scripted:{script}"]
+        s1, s2, s3 = (self.stage(tmp_path, f"stage{i}.json") for i in (1, 2, 3))
+        assert main(["extract", str(doc), "--doc-format", doc_format,
+                     *backend, "--out", str(s1)]) == EXIT_OK
+        assert main(["verify", str(s1), str(doc), *backend,
+                     "--out", str(s2)]) == EXIT_OK
+        assert main(["remediate", str(s2), str(doc), *backend,
+                     "--out", str(s3)]) == EXIT_OK
+
+    def test_doc_mismatch_quotes_the_extension_format(self, tmp_path, capsys):
+        """A file that matches in neither format is refused, quoting the
+        fingerprint the format its extension names gives."""
+        doc = tmp_path / "tos.html"
+        doc.write_text("<p>Users must be 13 or older.</p>\n", encoding="utf-8")
+        script = write_script(tmp_path / "script.json",
+                              [("Document name", "empty_terms.json")])
+        backend = ["--backend", f"scripted:{script}"]
+        s1 = self.stage(tmp_path, "stage1.json")
+        assert main(["extract", str(doc), "--doc-format", "plain", *backend,
+                     "--out", str(s1)]) == EXIT_OK
+        embedded = json.loads(s1.read_text(encoding="utf-8"))["document"]
+        doc.write_text("<p>Users must be 18 or older.</p>\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(s1), str(doc), *backend]) == EXIT_PIPELINE
+        on_disk = ingest_path(doc)
+        assert capsys.readouterr().err == (
+            f"terminators: error: {doc} does not match the document the terms "
+            f"were extracted from (fingerprint {on_disk.fingerprint[:12]} vs "
+            f"{embedded['fingerprint'][:12]})\n")
 
     def test_remediate_requires_verify_output(self, tmp_path, capsys):
         doc = copy_excerpt(tmp_path)

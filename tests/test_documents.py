@@ -195,6 +195,32 @@ def test_resolve_span_failures():
     assert exc.value.kind == "out_of_range"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda doc: doc.line_text(105), "line 105"),
+        (lambda doc: doc.line_text(118), "line 118"),
+        (lambda doc: render_numbered(doc, start_line=105, end_line=109),
+         "render range 105-109"),
+        (lambda doc: render_numbered(doc, start_line=109, end_line=108),
+         "render range 109-108"),
+        (lambda doc: resolve_span(doc, SourceRef("OpenAI_ToS.txt", 100, 110)),
+         "span 100-110"),
+        (lambda doc: resolve_span(doc, SourceRef("OpenAI_ToS.txt", 117, 118)),
+         "span 117-118"),
+    ],
+    ids=["line-before", "line-after", "render-before", "render-reversed",
+         "span-before", "span-after"],
+)
+def test_out_of_range_messages(call, message):
+    """Every out-of-range error names what was asked for, the document and
+    its first and last line, in one wording."""
+    with pytest.raises(SpanError) as exc:
+        call(ingest_excerpt())
+    assert exc.value.kind == "out_of_range"
+    assert str(exc.value) == f"{message} outside OpenAI_ToS.txt (106..117)"
+
+
 def test_line_text_out_of_range():
     doc = ingest_excerpt()
     with pytest.raises(SpanError):

@@ -35,6 +35,7 @@ from terminators.remediation import (
     ACTION_DISCARDED,
     ACTION_KEPT,
     ACTION_RESOURCED,
+    LABEL_STATUSES,
     TRANSITIONS,
     WINDOW_MARGIN_LINES,
     RemediationOutcome,
@@ -44,7 +45,6 @@ from terminators.remediation import (
     find_best_window,
     remediate,
     resource_term,
-    status_for_label,
 )
 from terminators.terms import (
     LifecycleError,
@@ -126,10 +126,10 @@ class TestLifecycle:
         ):
             assert TRANSITIONS[status] == frozenset()
 
-    def test_status_for_label(self):
-        assert status_for_label("Supported") is TermStatus.VERIFIED_SUPPORTED
-        assert status_for_label("Contradicted") is TermStatus.CONTRADICTED
-        assert status_for_label("Unverifiable") is TermStatus.UNVERIFIABLE
+    def test_label_statuses(self):
+        assert LABEL_STATUSES["Supported"] is TermStatus.VERIFIED_SUPPORTED
+        assert LABEL_STATUSES["Contradicted"] is TermStatus.CONTRADICTED
+        assert LABEL_STATUSES["Unverifiable"] is TermStatus.UNVERIFIABLE
 
 
 class TestFindBestWindow:
@@ -607,7 +607,7 @@ class TestApplyOutcome:
             scripted(("reverse engineer, decompile", "listing6_verification.json")),
         )
         outcome = remediate(term, result, raw_doc, backend)
-        verified = advance(term, status_for_label(result.label))
+        verified = advance(term, LABEL_STATUSES[result.label])
         final = apply_outcome(verified, outcome)
         assert final.status is TermStatus.RESOURCED
         assert (final.source.start_line, final.source.end_line) == (30, 30)

@@ -26,7 +26,7 @@ from helpers import (
     response_text,
     scripted,
 )
-from terminators import backends
+from terminators import backends, verification
 from terminators.backends import (
     BackendError,
     CachedBackend,
@@ -130,6 +130,13 @@ class TestTokenizer:
 
     def test_digits_survive(self):
         assert tokenize("within 30 days") == ["within", "30", "days"]
+
+    def test_word_lists_keep_their_file_form(self):
+        """Suffixes are tried in file order; stopwords are a set."""
+        assert verification._suffixes() == ("'s", "ing", "ed", "ly", "s")
+        stop = verification._stopwords()
+        assert type(stop) is frozenset
+        assert stop == ORACLE_STOP and "" not in stop
 
     def test_stemming_rules(self):
         assert stem("openai's") == "openai"
