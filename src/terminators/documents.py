@@ -124,9 +124,10 @@ class SourceDocument:
     @classmethod
     def from_json(cls, data: dict, origin="stored document") -> "SourceDocument":
         """Decode to_json's form, checking what ingest guarantees: [int, str]
-        line pairs counting up from first_line, the fingerprint of their
-        text, and a doc_id of its first 12 digits. A document that breaks
-        any of it raises IngestError("document_changed") naming origin."""
+        line pairs counting up from a first_line of at least 1, the
+        fingerprint of their text, and a doc_id of its first 12 digits. A
+        document that breaks any of it raises IngestError("document_changed")
+        naming origin."""
         try:
             first = data["first_line"]
             lines = tuple((n, t) for n, t in data["lines"])
@@ -141,6 +142,8 @@ class SourceDocument:
                 type(n) is not int or type(t) is not str or n != first + i
                 for i, (n, t) in enumerate(lines)):
             problem = "stored lines are not [int, str] pairs counting up from first_line"
+        elif first < 1:
+            problem = f"first_line must be >= 1, not {first}"
         elif doc.fingerprint != fingerprint_text(doc.text()):
             problem = "stored lines no longer match the fingerprint"
         elif doc.doc_id != doc.fingerprint[:12]:

@@ -76,7 +76,7 @@ def run_request(backend: Backend, req):
     return complete(backend, req)
 
 
-def map_ordered(fn, items, workers: int) -> list:
+def map_ordered(fn, items, workers: int, failed=None) -> list:
     """fn over items on the calling thread plus up to `workers` - 1 helper
     threads, results in input order, so output does not depend on thread
     scheduling. Each thread claims the next unclaimed index until none is
@@ -86,12 +86,16 @@ def map_ordered(fn, items, workers: int) -> list:
     10 ms off the thread's CPU, and, once the backend has been seen to
     wait, before each later phase's first request to it. A phase served
     wholly from the cache, or by an in-process backend, runs on the calling
-    thread alone. Every job runs to completion; then the first failure in
-    input order is raised. An interrupt stops further claims, waits for the
-    started helpers' current jobs and propagates."""
+    thread alone. Given failed, an item whose job raises BackendError holds
+    failed(item, exc) instead, and what failed raises is the item's failure;
+    if every item failed so, one warning gives their count and the first.
+    Every job runs to completion; then the first failure in input order is
+    raised. An interrupt stops further claims, waits for the started
+    helpers' current jobs and propagates."""
     items = list(items)
     results = [None] * len(items)
     failures: list[BaseException | None] = [None] * len(items)
+    errors: list[BackendError | None] = [None] * len(items)
     # next() on a count is atomic under the GIL: no index is claimed twice.
     claims = itertools.count()
     stopped = False
@@ -104,7 +108,13 @@ def map_ordered(fn, items, workers: int) -> list:
             if i >= len(items):
                 return
             try:
-                results[i] = fn(items[i])
+                try:
+                    results[i] = fn(items[i])
+                except BackendError as exc:
+                    if failed is None:
+                        raise
+                    errors[i] = exc
+                    results[i] = failed(items[i], exc)
             except Exception as exc:
                 failures[i] = exc
             except BaseException as exc:
@@ -134,6 +144,9 @@ def map_ordered(fn, items, workers: int) -> list:
     for failure in failures:
         if failure is not None:
             raise failure
+    if items and all(errors):
+        log.warning("every item failed and was recorded (%d); first: %s: %s",
+                    len(items), errors[0].kind, errors[0])
     return results
 
 
@@ -144,7 +157,7 @@ def extract_chunk(
     backend: Backend,
     *,
     replica_note: str | None = None,
-    validated: dict | None = None,
+    answers: dict | None = None,
 ) -> ChunkExtraction:
     """Extract terms from one chunk.
 
@@ -152,9 +165,9 @@ def extract_chunk(
     validate but cite lines outside the chunk are kept and flagged, since the
     verifier is the arbiter of whether a citation is actually wrong.
 
-    validated, shared by one extract_document call's chunks, keeps each
-    candidate whose term, source and party labels are strings as validated
-    once: a repeat takes the same Term and its validation's warnings.
+    answers, shared by one extract_document call's passes, maps (chunk_id,
+    answer text) to the extraction made from that answer: a replica pass
+    answered with the same text returns it.
     """
     if chunk.doc_id != doc.doc_id:
         raise ValueError(
@@ -168,32 +181,24 @@ def extract_chunk(
         numbered += "\n\n" + replica_note
     req = build_parser_request(doc.source_name, numbered, aspects=cfg.aspects)
     resp = run_request(backend, req)
+    answers = {} if answers is None else answers
+    key = chunk.chunk_id, resp.raw_text
+    if key in answers:
+        return answers[key]
 
     warnings: list[str] = []
     terms: list[Term] = []
     flagged: list[str] = []
     rejected = 0
     for i, candidate in enumerate(resp.parsed):
-        key = None
-        labels = candidate.get("applicable_to") if isinstance(candidate, dict) else None
-        if validated is not None and type(labels) is list:
-            key = candidate.get("term"), candidate.get("source"), *labels
-            key = key if all(type(part) is str for part in key) else None
-        if key and key in validated:
-            term, added = validated[key]
-            warnings.extend(added)
-        else:
-            before = len(warnings)
-            try:
-                term = validate_term(candidate, doc, provider_name=cfg.provider_name,
-                                     aspect=cfg.aspect_label, warnings=warnings)
-            except SchemaError as exc:
-                rejected += 1
-                warnings.append(f"chunk {chunk.chunk_id}: rejected candidate "
-                                f"{i}: {exc.kind}: {exc}")
-                continue
-            if key:
-                validated[key] = term, warnings[before:]
+        try:
+            term = validate_term(candidate, doc, provider_name=cfg.provider_name,
+                                 aspect=cfg.aspect_label, warnings=warnings)
+        except SchemaError as exc:
+            rejected += 1
+            warnings.append(f"chunk {chunk.chunk_id}: rejected candidate "
+                            f"{i}: {exc.kind}: {exc}")
+            continue
         if (
             term.source.start_line < chunk.start_line
             or term.source.end_line > chunk.end_line
@@ -206,13 +211,14 @@ def extract_chunk(
             )
         terms.append(term)
 
-    return ChunkExtraction(
+    answers[key] = ChunkExtraction(
         chunk_id=chunk.chunk_id,
         terms=terms,
         rejected_count=rejected,
         flagged_outside_chunk=tuple(flagged),
         warnings=warnings,
     )
+    return answers[key]
 
 
 def extract_document(
@@ -238,32 +244,29 @@ def extract_document(
             note = f"Independent extraction pass {i + 1} of {passes}." if i else None
             work.append((c, note))
 
-    validated: dict = {}
+    answers: dict = {}
 
     def job(item):
         c, note = item
-        try:
-            return extract_chunk(c, doc, cfg, backend, replica_note=note,
-                                 validated=validated), None
-        except BackendError as exc:
-            if not best_effort:
-                raise
-            return None, {"chunk_id": c.chunk_id, "error": str(exc)}
+        return extract_chunk(c, doc, cfg, backend, replica_note=note,
+                             answers=answers)
 
-    results = map_ordered(job, work, workers)
-    failures = [failure for _, failure in results if failure is not None]
+    def failed(item, exc):
+        return {"chunk_id": item[0].chunk_id, "error": str(exc)}
+
+    results = map_ordered(job, work, workers, failed if best_effort else None)
+    failures = [r for r in results if isinstance(r, dict)]
+    extractions = [r for r in results if isinstance(r, ChunkExtraction)]
 
     all_terms: list[Term] = []
     warnings: list[str] = []
     per_chunk_counts: dict[str, int] = {c.chunk_id: 0 for c in chunks}
-    for extraction, _ in results:
-        if extraction is None:
-            continue
+    for extraction in extractions:
         all_terms.extend(extraction.terms)
         warnings.extend(extraction.warnings)
         per_chunk_counts[extraction.chunk_id] += len(extraction.terms)
 
-    rejected = sum(extraction.rejected_count for extraction, _ in results if extraction)
+    rejected = sum(extraction.rejected_count for extraction in extractions)
     if rejected and not all_terms:
         log.warning("every extracted candidate was rejected (%d); first: %s", rejected,
                     next(w for w in warnings if ": rejected candidate " in w))

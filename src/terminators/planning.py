@@ -186,20 +186,11 @@ def plan_all(
                 f"term {term.term_id} skipped: status {term.status.value}"
             )
 
-    def job(term: Term):
-        try:
-            return plan_term(
-                term, doc, scenario, backend, min_checks=min_checks
-            ), None
-        except BackendError as exc:
-            if not best_effort:
-                raise
-            return None, str(exc)
+    def failed(term: Term, exc: BackendError) -> str:
+        return f"term {term.term_id} skipped: planning failed: {exc}"
 
-    plans: list[AccountabilityPlan] = []
-    for term, (plan, error) in zip(eligible, map_ordered(job, eligible, workers)):
-        if plan is None:
-            notices.append(f"term {term.term_id} skipped: planning failed: {error}")
-        else:
-            plans.append(plan)
-    return plans, notices
+    results = map_ordered(
+        lambda term: plan_term(term, doc, scenario, backend, min_checks=min_checks),
+        eligible, workers, failed if best_effort else None)
+    notices += [r for r in results if isinstance(r, str)]
+    return [r for r in results if isinstance(r, AccountabilityPlan)], notices

@@ -133,6 +133,13 @@ def _context_passage(doc: SourceDocument, ref: SourceRef,
     return resolve_span(doc, widened)
 
 
+def _unanswered(term: Term, justification: str, score: float,
+                flag: str) -> VerificationResult:
+    """An Unverifiable verdict that no backend answer backs."""
+    return VerificationResult(term.term_id, LABEL_UNVERIFIABLE, justification,
+                              score, flag, None)
+
+
 def verify_term(
     term: Term,
     doc: SourceDocument,
@@ -149,18 +156,10 @@ def verify_term(
     """
     span_text, score, flag = pre_check(term, doc, threshold)
     if span_text is None:
-        return VerificationResult(
-            term_id=term.term_id,
-            label=LABEL_UNVERIFIABLE,
-            justification=(
-                f"The cited span {canonical_source_string(term.source)} does "
-                "not resolve in the document, so there is no passage to "
-                "check the statement against."
-            ),
-            lexical_score=0.0,
-            pre_check_flag=FLAG_UNRESOLVABLE,
-            verifier_prompt_fingerprint=None,
-        )
+        return _unanswered(term, (
+            f"The cited span {canonical_source_string(term.source)} does "
+            "not resolve in the document, so there is no passage to "
+            "check the statement against."), score, flag)
 
     passage = span_text
     if context_lines > 0:
@@ -190,30 +189,14 @@ def verify_all(
     best_effort: bool = False,
 ) -> list[VerificationResult]:
     """One result per term, in input order. Under best_effort a failing term
-    becomes Unverifiable with the failure in its justification; otherwise the
-    first failure aborts the batch."""
+    becomes Unverifiable with the failure in its justification."""
 
-    def job(term: Term) -> VerificationResult:
-        try:
-            return verify_term(
-                term,
-                doc,
-                backend,
-                threshold=threshold,
-                context_lines=context_lines,
-            )
-        except BackendError as exc:
-            if not best_effort:
-                raise
-            _, score, flag = pre_check(term, doc, threshold)
-            return VerificationResult(
-                term_id=term.term_id,
-                label=LABEL_UNVERIFIABLE,
-                justification=f"Verification failed: {exc}",
-                lexical_score=score,
-                pre_check_flag=flag,
-                verifier_prompt_fingerprint=None,
-            )
+    def failed(term: Term, exc: BackendError) -> VerificationResult:
+        _, score, flag = pre_check(term, doc, threshold)
+        return _unanswered(term, f"Verification failed: {exc}", score, flag)
 
-    return map_ordered(job, terms, workers)
+    return map_ordered(
+        lambda term: verify_term(term, doc, backend, threshold=threshold,
+                                 context_lines=context_lines),
+        terms, workers, failed if best_effort else None)
 

@@ -8,9 +8,12 @@ import inspect
 import json
 import logging
 import math
+import os
 import pkgutil
 import shutil
 import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -1155,6 +1158,24 @@ class TestExitCodes:
                 "from first_line") in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["verify", "plan"])
+    def test_embedded_lines_numbered_from_zero_exit_two(self, tmp_path,
+                                                        capsys, verb):
+        """Renumbered from line 0 with the fingerprint intact: no ingest
+        would have made it, and both verbs refuse it by the stage file's
+        name."""
+        def edit(record):
+            record["document"]["first_line"] = 0
+            for i, line in enumerate(record["document"]["lines"]):
+                line[0] = i
+
+        doc, stage = self.edited_stage_file(tmp_path, edit)
+        assert self.stage_verb(verb, stage, doc) == EXIT_PIPELINE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"terminators: error: {stage}: first_line must be >= 1, not 0\n")
+        assert captured.out == ""
+
     def test_script_file_not_json_names_it(self, tmp_path, capsys):
         doc = copy_excerpt(tmp_path)
         script = tmp_path / "script.json"
@@ -1277,6 +1298,44 @@ class TestExitCodes:
             "terminators: backend error (auth): credential variable "
             "TERMINATORS_API_KEY is not set\n"
         )
+
+    def test_best_effort_run_where_every_item_fails_warns_once(self,
+                                                              tmp_path):
+        """Both chunks fail on the missing credential, before any request:
+        the run exits 0, records both, and says so once on stderr. The CLI
+        runs in its own process, as the console script does, so its logging
+        writes to stderr; that process refuses every socket, as above."""
+        code = (
+            "import socket, sys\n"
+            "import requests\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('network access attempted')\n"
+            "socket.socket = socket.create_connection = refuse\n"
+            "from terminators.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("TERMINATORS_API_KEY", "TERMINATORS_CACHE")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)),
+             env.get("PYTHONPATH", "")])
+        out_root = tmp_path / "runs"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", str(copy_excerpt(tmp_path)),
+             "--strategy", "paragraph", "--first-line", "106",
+             "--backend", "live", "--best-effort", "--out", str(out_root)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == (
+            "every item failed and was recorded (2); first: auth: credential "
+            "variable TERMINATORS_API_KEY is not set\n")
+        assert "terms extracted: 0" in proc.stdout
+        (run_dir,) = out_root.iterdir()
+        record = json.loads((run_dir / "terms.json").read_text(encoding="utf-8"))
+        assert [f["chunk_id"] for f in record["failures"]] == [
+            c["chunk_id"] for c in record["coverage"]]
+        assert {f["error"] for f in record["failures"]} == {
+            "credential variable TERMINATORS_API_KEY is not set"}
 
     def test_unknown_backend_spec(self, tmp_path, capsys):
         doc = copy_excerpt(tmp_path)

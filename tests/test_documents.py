@@ -316,6 +316,9 @@ _DOCUMENT_MUTATIONS = {
     "line number": lambda d, i, k, s: d["lines"][i].__setitem__(
         0, d["lines"][i][0] + k),
     "first_line": lambda d, i, k, s: d.update(first_line=d["first_line"] + k),
+    "renumbered from below 1": lambda d, i, k, s: d.update(
+        first_line=1 - abs(k),
+        lines=[[1 - abs(k) + j, t] for j, (_, t) in enumerate(d["lines"])]),
     "doc_id": lambda d, i, k, s: d.update(doc_id=_other_hex(d["doc_id"])),
     "fingerprint": lambda d, i, k, s: d.update(
         fingerprint=_other_hex(d["fingerprint"])),
@@ -355,6 +358,20 @@ def test_stored_documents_round_trip_and_refuse_any_single_edit(
             SourceDocument.from_json(mutated, "stage.json")
         assert exc.value.kind == "document_changed", name
         assert str(exc.value).startswith("stage.json: "), name
+
+
+@pytest.mark.parametrize("first_line", [0, -4])
+def test_stored_document_numbered_from_below_line_one_is_refused(first_line):
+    """Renumbered with its fingerprint intact, it counts up as it should,
+    but ingest never numbers a line below 1."""
+    stored = json.loads(json.dumps(ingest_excerpt().to_json()))
+    stored["first_line"] = first_line
+    stored["lines"] = [[first_line + i, text]
+                       for i, (_, text) in enumerate(stored["lines"])]
+    with pytest.raises(IngestError) as exc:
+        SourceDocument.from_json(stored, "s0.json")
+    assert exc.value.kind == "document_changed"
+    assert str(exc.value) == f"s0.json: first_line must be >= 1, not {first_line}"
 
 
 def test_excerpt_numbering_matches_fixture():

@@ -264,8 +264,8 @@ class _Answers(Backend):
 
 
 def _unshared(original):
-    """extract_chunk as it is without a shared dict."""
-    def extract(*args, validated=None, **kwargs):
+    """extract_chunk as it is without a shared dict of answers."""
+    def extract(*args, answers=None, **kwargs):
         return original(*args, **kwargs)
     return extract
 
@@ -303,8 +303,9 @@ RAW_CANDIDATES = [
 
 
 class TestSharedValidation:
-    """extract_document validates a candidate that repeats once per call;
-    its outcome equals the one every chunk validating alone gives."""
+    """extract_document validates an answer that a chunk's replica passes
+    repeat once per call; its outcome equals the one every pass validating
+    alone gives."""
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
@@ -330,11 +331,13 @@ class TestSharedValidation:
         assert shared == unshared
 
     def test_threads_sharing_the_dict_agree_with_one_unshared(self):
-        """Helper threads race on the shared dict: a key may be validated
-        twice, and either entry gives the same Term and warnings."""
+        """Helper threads race on the shared dict: an answer may be
+        validated twice, and either extraction is the same. Twelve passes
+        over one chunk get three answers, so most passes repeat one."""
         doc = ingest_raw()
-        cfg = ExtractionConfig(ChunkStrategy(ChunkMode.PARAGRAPH, max_chunk_lines=1),
-                               provider_name="OpenAI")
+        cfg = ExtractionConfig(
+            ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=12),
+            provider_name="OpenAI")
 
         class Waiting(_Answers):
             def generate(self, req):
@@ -353,23 +356,28 @@ class TestSharedValidation:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_repeat_is_validated_once(self):
+    @pytest.mark.parametrize("strategy", [
+        ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=3),
+        ChunkStrategy(ChunkMode.PARAGRAPH, max_chunk_lines=3),
+    ], ids=["one-chunk", "many-chunks"])
+    def test_a_repeated_answer_is_validated_once_per_chunk(self, strategy):
         doc = ingest_raw()
-        cfg = ExtractionConfig(
-            ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=3))
         backend = _Answers([RAW_CANDIDATES[:10]])
         calls = []
         original = parsing.validate_term
         with mock.patch.object(parsing, "validate_term",
                                lambda c, *a, **k: calls.append(c) or original(c, *a, **k)):
-            outcome = extract_document(doc, cfg, backend, workers=1)
-        # Every pass over every chunk gets the same ten: the seven valid
-        # ones are validated once, the three rejected ones every time.
+            outcome = extract_document(doc, ExtractionConfig(strategy), backend,
+                                       workers=1)
+        # Every pass over every chunk gets the same ten candidates: each
+        # chunk validates them once, and every pass repeats the warnings.
         chunks = len(outcome.coverage)
-        assert len(calls) == 7 + 3 * 3 * chunks
-        # Two of them name Acme Corp, on every pass.
+        passes = strategy.parallel_fanout
+        assert len(calls) == 10 * chunks
         assert sum("unrecognized party label 'Acme Corp'" in w
-                   for w in outcome.warnings) == 2 * 3 * chunks
+                   for w in outcome.warnings) == 2 * passes * chunks
+        assert sum(": rejected candidate " in w
+                   for w in outcome.warnings) == 3 * passes * chunks
 
 
 class TestParallelMerge:
@@ -674,6 +682,80 @@ class TestMapOrdered:
             sys.setswitchinterval(interval)
         assert out == [2 * i for i in range(2000)]
         assert sorted(ran) == list(range(2000))
+
+
+# How each item of TestBestEffortRule's jobs ends: with its job's value,
+# with a BackendError that failed records, with a BackendError on which
+# failed itself raises, or with an error of another kind, which failed never
+# sees.
+_OK, _RECORDED, _UNRECORDABLE, _OTHER = range(4)
+
+
+def _best_effort_job(item):
+    i, mode = item
+    announce_wait()
+    if mode == _OTHER:
+        raise ValueError(f"item {i}")
+    if mode != _OK:
+        raise BackendError("transient", f"item {i}")
+    return i
+
+
+def _record(item, exc):
+    i, mode = item
+    if mode == _UNRECORDABLE:
+        raise KeyError(f"record {i}")
+    return f"recorded: {exc}"
+
+
+def _per_item_oracle(items, failed):
+    """map_ordered's outcome, and whether it warns, as one loop with a
+    try/except per item."""
+    results, first, errors = [], None, 0
+    for item in items:
+        try:
+            try:
+                results.append(_best_effort_job(item))
+            except BackendError as exc:
+                if failed is None:
+                    raise
+                errors += 1
+                results.append(failed(item, exc))
+        except Exception as exc:
+            first = first or exc
+    if first:
+        return ("raised", type(first), str(first)), False
+    return ("returned", results), 0 < errors == len(items)
+
+
+class TestBestEffortRule:
+    """map_ordered(..., failed=f) records a BackendError in the item's
+    place, as a try/except around each item would."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(st.lists(st.sampled_from([_OK, _RECORDED, _UNRECORDABLE, _OTHER]),
+                    max_size=10),
+           st.sampled_from([1, 4]),
+           st.sampled_from([None, _record]))
+    def test_equals_a_try_except_per_item(self, modes, workers, failed):
+        items = list(enumerate(modes))
+        expected, warns = _per_item_oracle(items, failed)
+        with mock.patch.object(parsing.log, "warning") as warning:
+            try:
+                outcome = ("returned", map_ordered(_best_effort_job, items,
+                                                   workers, failed))
+            except Exception as exc:
+                outcome = ("raised", type(exc), str(exc))
+        assert outcome == expected
+        assert warning.call_count == warns
+
+    def test_every_item_failing_warns_once_with_the_first_error(self, caplog):
+        items = [(i, _RECORDED) for i in range(3)]
+        with caplog.at_level(logging.WARNING, logger="terminators.parsing"):
+            out = map_ordered(_best_effort_job, items, 4, _record)
+        assert out == [f"recorded: item {i}" for i in range(3)]
+        assert [r.getMessage() for r in caplog.records] == [
+            "every item failed and was recorded (3); first: transient: item 0"]
 
 
 class TestPromptGolden:
