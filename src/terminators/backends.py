@@ -700,27 +700,21 @@ class _PackIndex:
 _pack_index = _PackIndex()
 
 
-def _stored(req: BackendRequest, path: str,
-            where=None) -> BackendResponse | None:
-    """The response stored for req in the file at path, or with where =
-    (offset, length) in the pack line there, which must name req's
-    fingerprint. None when the file is missing; None with a warning when
-    the entry does not read or does not fit req's schema."""
-    name = (os.path.basename(path) if where is None else
-            f"{req.request_fingerprint} at offset {where[0]} of {path}")
+def _stored(req: BackendRequest, path: str, where) -> BackendResponse | None:
+    """The response stored for req in the pack line at where = (offset,
+    length) of the pack at path, which must name req's fingerprint. None
+    when the pack is missing; None with a warning when the line does not
+    read or does not fit req's schema."""
+    name = f"{req.request_fingerprint} at offset {where[0]} of {path}"
     try:
-        if where is None:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        else:
-            # os.open and os.pread take a third of the time open().read() does.
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                data = os.pread(fd, where[1], where[0])
-            finally:
-                os.close(fd)
+        # os.open and os.pread take a third of the time open().read() does.
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = os.pread(fd, where[1], where[0])
+        finally:
+            os.close(fd)
         entry = json.loads(data.decode("utf-8"))
-        if where is not None and entry["fingerprint"] != req.request_fingerprint:
+        if entry["fingerprint"] != req.request_fingerprint:
             raise ValueError(f"the line names {entry['fingerprint']!r}")
         stored = entry["response"]
         if not isinstance(stored["raw_text"], str):
@@ -750,12 +744,11 @@ def cached_complete(backend: Backend, req: BackendRequest,
     """complete() with a content-addressed response cache: the append-only
     pack PACK_NAME in cache_dir, one line {"fingerprint", "response"} per
     entry, the last line for a fingerprint winning. A hit replays the stored
-    raw text without touching the backend. On a pack miss, the file
-    <fingerprint>.json that earlier versions wrote is read, never written;
-    a miss asks the backend and appends a line. Cache trouble degrades to an
-    uncached call with a warning, never an error: an entry that does not
-    read, names another fingerprint or does not fit the schema is a miss. An
-    OSError from cache_dir is warned about once per process and kind."""
+    raw text without touching the backend; a miss asks the backend and
+    appends a line. Cache trouble degrades to an uncached call with a
+    warning, never an error: an entry that does not read, names another
+    fingerprint or does not fit the schema is a miss. An OSError from
+    cache_dir is warned about once per process and kind."""
     fingerprint = req.request_fingerprint
     pack = os.path.join(cache_dir, PACK_NAME)
     if (where := _pack_index.find(pack, fingerprint)) is not None:
@@ -763,8 +756,6 @@ def cached_complete(backend: Backend, req: BackendRequest,
             return resp
         with _pack_index.lock:  # the next find scans for the line below
             _pack_index.lines.pop(fingerprint, None)
-    if resp := _stored(req, os.path.join(cache_dir, f"{fingerprint}.json")):
-        return resp
 
     resp = complete(backend, req)
     try:

@@ -274,7 +274,7 @@ def verify_step(run: AuditRun, backend: Backend):
 
 def remediate_step(run: AuditRun, backend: Backend):
     """Re-source or discard every term that run.verifications did not
-    support."""
+    support. Only those terms are map_ordered's items."""
     cfg = run.config
 
     def job(pair):
@@ -287,12 +287,14 @@ def remediate_step(run: AuditRun, backend: Backend):
             use_llm_resource=cfg.use_llm_resource,
             threshold=cfg.threshold,
             context_lines=cfg.context_lines,
-            best_effort=cfg.best_effort,
         )
 
-    run.outcomes = map_ordered(
-        job, zip(run.terms, run.verifications, strict=True), cfg.workers
-    )
+    pairs = list(zip(run.terms, run.verifications, strict=True))
+    resourced = iter(map_ordered(
+        job, [p for p in pairs if p[1].label != LABEL_SUPPORTED], cfg.workers,
+        (lambda pair, exc: exc.outcome) if cfg.best_effort else None))
+    run.outcomes = [job(p) if p[1].label == LABEL_SUPPORTED else next(resourced)
+                    for p in pairs]
     run.terms = [
         apply_outcome(term, outcome)
         for term, outcome in zip(run.terms, run.outcomes)

@@ -226,7 +226,6 @@ def remediate(
     use_llm_resource: bool = True,
     threshold: float = DEFAULT_LOW_OVERLAP_THRESHOLD,
     context_lines: int = 0,
-    best_effort: bool = False,
 ) -> RemediationOutcome:
     """Decide one term's fate given its verification.
 
@@ -237,7 +236,8 @@ def remediate(
     resource_window around the citation; when its proposal is no span or
     the cited one, it is set aside and a second request shows the whole
     document. The trail records a set-aside proposal, then the proposal
-    decided on and its verdict.
+    decided on and its verdict. A BackendError is raised with .outcome, the
+    discard whose last entry notes which step failed.
     """
     if result.term_id != term.term_id:
         raise ValueError(
@@ -264,24 +264,21 @@ def remediate(
         )
 
     window = resource_window(doc, term.source) if use_llm_resource else None
+    proposed = None  # the span under verification, once there is one
     try:
-        proposed = resource_term(
+        candidate = resource_term(
             term, doc, backend, use_llm=use_llm_resource, lines=window
         )
-        unusable = _unusable(proposed, term.source)
+        unusable = _unusable(candidate, term.source)
         if window is not None and unusable:
             first, last = window
             note = f"{unusable} from lines {first}-{last}"
-            set_aside = (TrailEntry(proposed, None, note),)
-            proposed = resource_term(term, doc, backend)
-            unusable = _unusable(proposed, term.source)
-    except BackendError as exc:
-        if not best_effort:
-            raise
-        return outcome(TrailEntry(None, None, f"re-sourcing failed: {exc}"))
-    if unusable:
-        return outcome(TrailEntry(proposed, None, unusable))
-    try:
+            set_aside = (TrailEntry(candidate, None, note),)
+            candidate = resource_term(term, doc, backend)
+            unusable = _unusable(candidate, term.source)
+        if unusable:
+            return outcome(TrailEntry(candidate, None, unusable))
+        proposed = candidate
         verdict = verify_term(
             replace(term, source=proposed),
             doc,
@@ -290,9 +287,9 @@ def remediate(
             context_lines=context_lines,
         )
     except BackendError as exc:
-        if not best_effort:
-            raise
-        return outcome(TrailEntry(proposed, None, f"verification failed: {exc}"))
+        step = "verification" if proposed else "re-sourcing"
+        exc.outcome = outcome(TrailEntry(proposed, None, f"{step} failed: {exc}"))
+        raise
     entry = TrailEntry(proposed, verdict, "")
     if verdict.label == LABEL_SUPPORTED:
         return outcome(entry, proposed)

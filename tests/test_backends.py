@@ -26,7 +26,6 @@ from helpers import (
     pack_lines,
     response_text,
     scripted,
-    stdlib_json,
 )
 from terminators import backends
 from terminators.backends import (
@@ -593,13 +592,6 @@ class TestCachedBackend:
         assert len(inner.calls) == 2, "an unwrapped backend is not cached"
 
 
-def stored_response(cache, req: BackendRequest) -> dict:
-    """The response object a cold miss stores for req."""
-    cached_complete(scripted(("water", "supported_verification.json")), req,
-                    cache)
-    return pack_entries(cache)[req.request_fingerprint]
-
-
 def new_process(monkeypatch) -> None:
     """Drop the in-process pack index, as a new process starts without
     one."""
@@ -643,22 +635,6 @@ class TestCachedComplete:
         assert list(entry) == ["fingerprint", "response"]
         assert entry["fingerprint"] == req.request_fingerprint
         assert "Supported" in entry["response"]["raw_text"]
-
-    def test_entry_with_stored_request_still_replays(self, tmp_path):
-        req = make_request()
-        response = stored_response(tmp_path / "filled", req)
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        cache_file = cache / f"{req.request_fingerprint}.json"
-        # The layout earlier versions wrote: the request beside the response.
-        old_layout = stdlib_json({"request": asdict(req), "response": response})
-        cache_file.write_text(old_layout, encoding="utf-8")
-        empty = RecordingBackend(ScriptedBackend([]))
-        resp = cached_complete(empty, req, cache)
-        assert resp.parsed["verification"] == "Supported"
-        assert empty.calls == []
-        assert cache_file.read_text(encoding="utf-8") == old_layout
-        assert list(cache.iterdir()) == [cache_file], "a hit writes nothing"
 
     def test_corrupt_entry_degrades_to_backend(self, tmp_path, caplog):
         backend = scripted(("water", "supported_verification.json"))
@@ -757,27 +733,6 @@ class TestCachedComplete:
         assert f"cache write failed for {req.request_fingerprint}" in (
             caplog.text)
 
-    @pytest.mark.parametrize("blocker", ["directory", "file-as-parent"])
-    def test_unreadable_entry_warns_as_open_would(self, tmp_path, caplog,
-                                                  blocker):
-        """The warning for an entry an earlier version wrote quotes the
-        error open() raises, path included."""
-        backend = scripted(("water", "supported_verification.json"))
-        req = make_request()
-        if blocker == "directory":
-            cache = tmp_path
-            (cache / f"{req.request_fingerprint}.json").mkdir()
-        else:
-            cache = tmp_path / "cache"
-            cache.write_text("a file where the cache dir should be")
-        entry = os.path.join(cache, f"{req.request_fingerprint}.json")
-        with pytest.raises(OSError) as opened:
-            open(entry, "rb")
-        with caplog.at_level(logging.WARNING, logger="terminators.backends"):
-            cached_complete(backend, req, cache)
-        assert (f"unreadable cache entry {req.request_fingerprint}.json: "
-                f"{opened.value}") in caplog.text
-
     def test_failed_write_warns_and_leaves_no_temporary_file(
         self, tmp_path, caplog
     ):
@@ -830,25 +785,48 @@ class TestCachedComplete:
         assert [r.parsed["verification"] for r in resps] == ["Supported"] * 20
         assert len(backend.calls) == 20
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 3, messages
-        for kind in ("unreadable cache pack ", "unreadable cache entry ",
-                     "cache write failed for "):
+        assert len(messages) == 2, messages
+        for kind in ("unreadable cache pack ", "cache write failed for "):
             assert sum(m.startswith(kind) for m in messages) == 1, kind
 
     def test_content_warnings_stay_one_per_entry(self, tmp_path, caplog):
-        """Entries that do not decode are each warned about: only OSErrors
-        from the cache directory are warned about once."""
+        """Pack lines that do not decode are each warned about: only
+        OSErrors from the cache directory are warned about once."""
         backend = scripted(("water", "supported_verification.json"))
         reqs = [make_request(user_prompt=f"Statement: water is wet ({i}).")
                 for i in range(3)]
-        for req in reqs:
-            (tmp_path / f"{req.request_fingerprint}.json").write_text("{")
+        pack = tmp_path / PACK_NAME
+        bad = [f'{{"fingerprint": "{req.request_fingerprint}", not json'
+               for req in reqs]
+        pack.write_text("".join(line + "\n" for line in bad))
+        offsets = [sum(len(line) + 1 for line in bad[:i]) for i in range(3)]
         with caplog.at_level(logging.WARNING, logger="terminators.backends"):
             for req in reqs:
                 cached_complete(backend, req, tmp_path)
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [
-            f"unreadable cache entry {req.request_fingerprint}.json"
-            for req in reqs]
+            f"unreadable cache entry {req.request_fingerprint} at offset "
+            f"{offset} of {pack}" for req, offset in zip(reqs, offsets)]
+        assert len(backend.calls) == 3
+
+    def test_file_earlier_versions_wrote_is_ignored(self, tmp_path):
+        """A <fingerprint>.json beside the pack, the layout of versions
+        before the pack, is neither read nor written: the backend answers,
+        and its answer goes to the pack."""
+        req = make_request()
+        legacy = tmp_path / f"{req.request_fingerprint}.json"
+        legacy.write_text(json.dumps({"response": {
+            "raw_text": answer_of("a stale answer")[0],
+            "usage": {"input_tokens": 1, "output_tokens": 1},
+            "latency_ms": 0.0, "backend_id": "stale"}}))
+        before = legacy.read_bytes()
+        backend = scripted(("water", "supported_verification.json"))
+        resp = cached_complete(backend, req, tmp_path)
+        assert len(backend.calls) == 1
+        assert resp.parsed["justification"] != "a stale answer"
+        assert list(pack_entries(tmp_path)) == [req.request_fingerprint]
+        assert pack_entries(tmp_path)[req.request_fingerprint]["raw_text"] == (
+            resp.raw_text)
+        assert legacy.read_bytes() == before
 
     def test_first_write_makes_the_missing_cache_directories(self, tmp_path):
         backend = scripted(("water", "supported_verification.json"))
@@ -1141,33 +1119,6 @@ class TestResponsePack:
         assert backend.calls == 3, "the answer appended replays"
         assert justification(cached_complete(backend, b, tmp_path)) in (
             "answer 2", f"answer {backend.calls}")
-
-    def test_legacy_entries_replay_and_are_never_written(self, tmp_path):
-        """Per-entry files of earlier versions, response only or with the
-        request, replay; one that does not fit its schema is a miss whose
-        answer goes to the pack, and no file is rewritten."""
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        responses = [stored_response(tmp_path / "filled", req)
-                     for req in KEYS]
-        layouts = [{"response": responses[0]},
-                   {"request": asdict(KEYS[1]), "response": responses[1]},
-                   {"response": {**responses[2], "raw_text": "[]"}}]
-        for req, layout in zip(KEYS, layouts):
-            (cache / f"{req.request_fingerprint}.json").write_text(
-                stdlib_json(layout), encoding="utf-8")
-        before = {p.name: p.read_bytes() for p in cache.iterdir()}
-        backend = scripted(("water", "supported_verification.json"))
-        with Warnings() as warned:
-            for req in KEYS + KEYS:
-                assert cached_complete(backend, req, cache).parsed
-        assert backend.calls == [KEYS[2].request_fingerprint]
-        assert len(warned.messages) == 1
-        assert f"{KEYS[2].request_fingerprint}.json" in warned.messages[0]
-        after = {p.name: p.read_bytes() for p in cache.iterdir()}
-        assert after.pop(PACK_NAME)
-        assert after == before
-        assert list(pack_entries(cache)) == [KEYS[2].request_fingerprint]
 
 
 class _FakeResponse:

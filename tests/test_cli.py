@@ -285,6 +285,25 @@ class TestStagesMatchRun:
                 encoding="utf-8"
             ), name
 
+    def test_stage_verbs_log_nothing(self, tmp_path, capsys, caplog):
+        """Each stage verb over the excerpt and happy_run.json exits 0
+        without a warning or a word on stderr."""
+        doc = copy_excerpt(tmp_path)
+        script = ["--backend", backend_arg("happy_run.json")]
+        verbs = [
+            extract_args(doc, "happy_run.json"),
+            ["verify", str(tmp_path / "extract.json"), str(doc), *script],
+            ["remediate", str(tmp_path / "verify.json"), str(doc), *script],
+            ["plan", str(tmp_path / "remediate.json"),
+             "--scenario-file", str(SCENARIO_TXT), *script],
+        ]
+        with caplog.at_level(logging.WARNING):
+            for argv in verbs:
+                out = tmp_path / f"{argv[0]}.json"
+                assert main(argv + ["--out", str(out)]) == EXIT_OK, argv[0]
+        assert capsys.readouterr().err == ""
+        assert caplog.records == []
+
     def test_remediate_output_does_not_depend_on_workers(self, tmp_path):
         _, _, s2, _, _ = TestStageChain().run_chain(tmp_path)
         outputs = []
@@ -587,6 +606,24 @@ class TestRunResumeReport:
         assert main(excerpt_run_argv(tmp_path, empty)) == EXIT_OK
         assert capsys.readouterr().out == summary
 
+    def test_rerun_of_a_complete_run_changes_no_file(self, tmp_path, capsys,
+                                                      caplog):
+        """Two runs of the same inputs into one --out: the second returns
+        the complete run, so no file changes, events.jsonl included, and
+        neither logs a warning or writes to stderr."""
+        copy_excerpt(tmp_path)
+        argv = excerpt_run_argv(tmp_path, SCRIPTS / "happy_run.json")
+        with caplog.at_level(logging.WARNING):
+            assert main(argv) == EXIT_OK
+            (run_dir,) = (tmp_path / "runs").iterdir()
+            before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+            assert main(argv) == EXIT_OK
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        assert before["report.paper.json"] == (
+            GOLDEN / "paper_report.json").read_bytes()
+        assert capsys.readouterr().err == ""
+        assert caplog.records == []
+
     def test_report_before_extraction_exits_two(self, tmp_path, capsys):
         empty = write_script(tmp_path / "empty.json", [])
         code = main([
@@ -776,36 +813,23 @@ class TestCache:
         (warm_dir,) = (tmp_path / "warm").iterdir()
         self.assert_same_run_files(cold_dir, warm_dir)
 
-    def test_run_replays_entries_earlier_versions_wrote(self, tmp_path,
-                                                         capsys):
-        """A cache in the per-entry layout of earlier versions, half of it
-        response only and half with a request object beside the response,
-        replays a run without the backend and without writing to the
-        cache."""
+    def test_file_as_cache_dir_warns_once_per_kind(self, tmp_path, capsys,
+                                                   caplog):
+        """A regular file given as --cache-dir: the run exits 0 uncached,
+        and each kind of cache warning is logged once, however many
+        requests meet it."""
         doc = copy_excerpt(tmp_path)
-        assert main(self.cached(
-            tmp_path, self.run_argv(doc, tmp_path / "cold"),
-            SCRIPTS / "mismatch_run.json",
-        )) == EXIT_OK
-        cache = tmp_path / "cache"
-        entries = pack_entries(cache)
-        (cache / PACK_NAME).unlink()
-        for i, (fingerprint, response) in enumerate(sorted(entries.items())):
-            layout = {"response": response}
-            if i % 2:
-                layout = {"request": {"fingerprint": fingerprint}, **layout}
-            (cache / f"{fingerprint}.json").write_text(stdlib_json(layout),
-                                                      encoding="utf-8")
-        before = {p.name: p.read_bytes() for p in cache.iterdir()}
-        assert main(self.cached(
-            tmp_path, self.run_argv(doc, tmp_path / "warm"),
-            self.empty_script(tmp_path),
-        )) == EXIT_OK
-        assert capsys.readouterr().err == ""
-        assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
-        (cold_dir,) = (tmp_path / "cold").iterdir()
-        (warm_dir,) = (tmp_path / "warm").iterdir()
-        self.assert_same_run_files(cold_dir, warm_dir)
+        cache = tmp_path / "cache-file"
+        cache.write_text("a file where the cache directory should be")
+        argv = self.run_argv(doc, tmp_path / "runs") + [
+            "--backend", backend_arg("happy_run.json"),
+            "--cache-dir", str(cache)]
+        with caplog.at_level(logging.WARNING):
+            assert main(argv) == EXIT_OK
+        assert "(complete)" in capsys.readouterr().out
+        kinds = [r.getMessage().split(" ")[:3] for r in caplog.records]
+        assert sorted(kinds) == [["cache", "write", "failed"],
+                                 ["unreadable", "cache", "pack"]], kinds
 
     def test_resumed_run_replays_without_backend(self, tmp_path, capsys):
         """An interrupted run, resumed with the cache, fills it; resuming a
@@ -1336,6 +1360,37 @@ class TestExitCodes:
             c["chunk_id"] for c in record["coverage"]]
         assert {f["error"] for f in record["failures"]} == {
             "credential variable TERMINATORS_API_KEY is not set"}
+
+    def test_best_effort_remediate_where_every_term_fails_warns_once(
+        self, tmp_path, capsys, caplog, monkeypatch
+    ):
+        """mismatch_run.json's verification leaves one term of four
+        unsupported. Re-sourcing it fails on the missing credential, before
+        any request: remediate exits 0, records the failure in the term's
+        trail, and warns once, counting only the term it re-sourced."""
+        import requests  # noqa: F401
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("network access attempted")
+
+        monkeypatch.setattr(socket, "socket", refuse)
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        monkeypatch.delenv("TERMINATORS_API_KEY", raising=False)
+        monkeypatch.delenv("TERMINATORS_CACHE", raising=False)
+        doc, _, verified, _, _ = TestStageChain().run_chain(tmp_path)
+        out = tmp_path / "remediated.json"
+        with caplog.at_level(logging.WARNING):
+            assert main(["remediate", str(verified), str(doc), "--backend",
+                         "live", "--best-effort", "--out", str(out)]) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records] == [
+            "every item failed and was recorded (1); first: auth: credential "
+            "variable TERMINATORS_API_KEY is not set"]
+        outcomes = json.loads(out.read_text(encoding="utf-8"))["outcomes"]
+        assert [o["action"] for o in outcomes] == [
+            "kept_supported", "kept_supported", "kept_supported", "discarded"]
+        assert [e["note"] for e in outcomes[3]["trail"]] == [
+            "re-sourcing failed: credential variable TERMINATORS_API_KEY is "
+            "not set"]
 
     def test_unknown_backend_spec(self, tmp_path, capsys):
         doc = copy_excerpt(tmp_path)

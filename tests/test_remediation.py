@@ -24,11 +24,14 @@ from helpers import (
 )
 from terminators import remediation
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
+from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.documents import (
     SourceRef,
     render_numbered,
     resolve_span,
 )
+from terminators.parsing import ExtractionConfig
+from terminators.pipeline import AuditRun, RunConfig, remediate_step
 from terminators.prompts import build_resource_request
 from terminators.records import from_json, to_json
 from terminators.remediation import (
@@ -83,6 +86,19 @@ def mismatch_term(raw_doc):
         raw_doc,
         warnings=[],
     )
+
+
+def best_effort_outcome(term, result, doc, backend):
+    """The outcome remediate_step records for the one term, verified as
+    result says, under best_effort."""
+    config = RunConfig(ExtractionConfig(ChunkStrategy(ChunkMode.PARAGRAPH)),
+                       best_effort=True)
+    verified = advance(term, LABEL_STATUSES[result.label])
+    run = AuditRun("", None, config, doc, "verified", terms=[verified],
+                   verifications=[result])
+    remediate_step(run, backend)
+    (outcome,) = run.outcomes
+    return outcome
 
 
 def resourced_backend():
@@ -245,8 +261,8 @@ class TestResourceTerm:
          "2d75f64f99b989d6c37bb727ae156ecc8cd61d9517537ec21cd339624960e016"),
     ], ids=["whole-document", "window"])
     def test_request_digests_never_change(self, excerpt_doc, lines, digest):
-        # Cache entries written by earlier versions are named by these
-        # digests, so they must never change.
+        # Response pack lines are keyed by these digests, so a change
+        # would leave every cached re-sourcing answer unreachable.
         if lines is None:
             numbered = render_numbered(excerpt_doc)
         else:
@@ -407,9 +423,8 @@ class TestRemediate:
     def test_best_effort_resource_failure_noted(self, raw_doc):
         term = mismatch_term(raw_doc)
         result = self.unverifiable_result(term, raw_doc)
-        outcome = remediate(
-            term, result, raw_doc, ScriptedBackend([]), best_effort=True
-        )
+        outcome = best_effort_outcome(term, result, raw_doc,
+                                      ScriptedBackend([]))
         assert outcome.action == ACTION_DISCARDED
         assert len(outcome.trail) == 1
         assert outcome.trail[0].note.startswith("re-sourcing failed:")
@@ -418,7 +433,7 @@ class TestRemediate:
         term = mismatch_term(raw_doc)
         result = self.unverifiable_result(term, raw_doc)
         backend = scripted(("Locate the single passage", "resource_raw30.json"))
-        outcome = remediate(term, result, raw_doc, backend, best_effort=True)
+        outcome = best_effort_outcome(term, result, raw_doc, backend)
         assert outcome.action == ACTION_DISCARDED
         assert outcome.trail[0].note.startswith("verification failed:")
         assert outcome.trail[0].proposed.start_line == 30
@@ -583,9 +598,9 @@ class TestWindowThenDocument:
                     raise BackendError("transient", "no answer")
                 return super().generate(req)
 
-        _, outcome = remediate_cited(
-            doc, 150, FailingWholeDocument(), best_effort=True
-        )
+        term = clause_term(doc, 150)
+        outcome = best_effort_outcome(term, unverified(term), doc,
+                                      FailingWholeDocument())
         assert [e.note for e in outcome.trail] == [
             "no span proposed from lines 120-180",
             "re-sourcing failed: no answer",
