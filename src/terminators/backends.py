@@ -602,25 +602,29 @@ def write_atomic(path, text: str) -> None:
     sees a whole file, and threads writing the same path do not collide.
     The directory is made only when opening the temporary file finds it
     missing; the open is then tried once more. A failed write removes its
-    temporary file."""
+    temporary file, and its OSError names path: the temporary file is gone,
+    and its name changes with every process and thread."""
     data = text.encode("utf-8")
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    fd = _open_in_dir(tmp, _TMP_FLAGS)
     try:
+        fd = _open_in_dir(tmp, _TMP_FLAGS)
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
-        raise
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def append_line(path, line: str) -> None:

@@ -10,8 +10,9 @@ discards it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import wraps
 
 from .backends import Backend, BackendError
 from .chunking import DEFAULT_MAX_CHUNK_LINES
@@ -90,18 +91,48 @@ class RemediationOutcome:
     trail: tuple[TrailEntry, ...]
 
 
-@lru_cache(maxsize=1)
-def _line_index(doc: SourceDocument) -> tuple[tuple[frozenset, frozenset], ...]:
-    """Each line's stem_sets, built once per document. One entry: the
-    remediate phase asks about the same document many times in a row, and
-    an index per document would grow with every document a process sees."""
-    return tuple(stem_sets(text) for _, text in doc.lines)
+def _one_per_document(build):
+    """A one-entry memo of build(doc), keyed on the document's fingerprint
+    and first line, which stand for its numbered lines: a hit costs the same
+    at any length, where document equality would compare every line. One
+    entry: the remediate phase asks about the same document many times in a
+    row, and a memo per document would grow with every document a process
+    sees."""
+    last = None
+
+    @wraps(build)
+    def memo(doc: SourceDocument):
+        nonlocal last
+        key = (doc.fingerprint, doc.first_line)
+        entry = last
+        if entry is None or entry[0] != key:
+            entry = last = key, build(doc)
+        return entry[1]
+
+    return memo
 
 
-@lru_cache(maxsize=1)
+@_one_per_document
+def _line_index(
+    doc: SourceDocument,
+) -> tuple[dict[str, list[int]], tuple[frozenset[str], ...]]:
+    """An inverted index of the document's lines, by offset from its first
+    line: the lines where each stem occurs, and each line's content stems,
+    both by verification.stem_sets."""
+    lines_of: dict[str, list[int]] = defaultdict(list)
+    contents = []
+    for offset, (_, text) in enumerate(doc.lines):
+        content, every = stem_sets(text)
+        contents.append(content)
+        for stem in every:
+            lines_of[stem].append(offset)
+    return lines_of, tuple(contents)
+
+
+@_one_per_document
 def _numbered_document(doc: SourceDocument) -> str:
     """The whole numbered document every whole-document re-sourcing request
-    shows, rendered once per document; one entry, as in _line_index."""
+    shows, rendered once per document."""
     return render_numbered(doc)
 
 
@@ -125,37 +156,41 @@ def find_best_window(
 ) -> SourceRef:
     """Contiguous window of at most max_span_lines lines with the highest
     lexical support for the statement. Ties go to the earliest start, then
-    the shortest span (guaranteed by scan order plus strict improvement).
+    the shortest span.
 
-    The score equals lexical_support_score of the window's text, computed
-    from a per-line token index (_line_index) cut to the statement's
-    vocabulary: a window's content stems are the union of its lines'. As in
-    content_tokens, a window with no content stem on any line falls back to
-    all its stems; the fallback is decided per window, never per line."""
+    The score equals lexical_support_score of the window's text: a window's
+    content stems are the union of its lines', and as in content_tokens a
+    window with no content stem on any line falls back to all its stems;
+    the fallback is decided per window, never per line. The statement's
+    stems become bits, set only on the lines the document's index
+    (_line_index) names for them, and only windows that end on such a line
+    are scored. That is exact: a line holding no wanted stem adds no hit,
+    and can only switch a window from all its stems to its content stems, a
+    subset. So a window ending on a line that holds none never beats the
+    same window without it, and when no window scores above 0 the first
+    line wins, as in a scan of every window."""
     wanted = content_tokens(statement)
-    lines = [
-        (bool(content), content & wanted, every & wanted)
-        for content, every in _line_index(doc)
-    ]
-    best_ref = None
-    best_score = -1.0
-    for i in range(len(lines)):
-        has_content = False
-        content_hits: set[str] = set()
-        every_hits: set[str] = set()
-        for j in range(i, min(i + max_span_lines, len(lines))):
-            line_has_content, line_content, line_every = lines[j]
-            has_content = has_content or line_has_content
-            content_hits |= line_content
-            every_hits |= line_every
-            hits = content_hits if has_content else every_hits
-            score = len(hits) / len(wanted) if wanted else 0.0
-            if score > best_score:
-                best_score = score
-                best_ref = SourceRef(
-                    doc.source_name, doc.first_line + i, doc.first_line + j
-                )
-    return best_ref
+    lines_of, contents = _line_index(doc)
+    content_bits: dict[int, int] = {}
+    every_bits: dict[int, int] = {}
+    for bit, stem in enumerate(wanted):
+        for offset in lines_of.get(stem, ()):
+            every_bits[offset] = every_bits.get(offset, 0) | 1 << bit
+            if stem in contents[offset]:
+                content_bits[offset] = content_bits.get(offset, 0) | 1 << bit
+    best_hits = best_start = best_end = 0
+    for end in sorted(every_bits):
+        content_hits = every_hits = 0
+        window_has_content = False
+        for start in range(end, max(end - max_span_lines, -1), -1):
+            content_hits |= content_bits.get(start, 0)
+            every_hits |= every_bits.get(start, 0)
+            window_has_content = window_has_content or bool(contents[start])
+            hits = (content_hits if window_has_content else every_hits).bit_count()
+            if hits > best_hits or hits == best_hits and start < best_start:
+                best_hits, best_start, best_end = hits, start, end
+    return SourceRef(doc.source_name, doc.first_line + best_start,
+                     doc.first_line + best_end)
 
 
 def resource_term(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import importlib
 import inspect
 import json
@@ -896,6 +897,25 @@ class TestExitCodes:
         (run_dir,) = (tmp_path / "runs").iterdir()
         header = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
         assert header["config"]["threshold"] == 0.5
+
+    def test_unwritable_out_names_the_file_not_its_temporary_file(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "runs"
+        out.write_text("a file, not a directory\n", encoding="utf-8")
+        code = main([
+            "run", str(copy_excerpt(tmp_path)),
+            "--strategy", "paragraph", "--first-line", "106",
+            "--backend", backend_arg("happy_run.json"),
+            "--out", str(out),
+        ])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert err.startswith(f"terminators: error: [Errno {errno.ENOTDIR}] "
+                              f"{os.strerror(errno.ENOTDIR)}: ")
+        assert err.rstrip().endswith("document.json'")
+        assert ".tmp" not in err
+        assert out.read_text(encoding="utf-8") == "a file, not a directory\n"
 
     @pytest.mark.parametrize("argv, flag, message", [
         (["run", "tos.txt"], "--workers=0", "must be at least 1, not 0"),

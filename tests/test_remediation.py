@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     EXCERPT_NAME,
@@ -26,6 +27,7 @@ from terminators import remediation
 from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.documents import (
+    SourceDocument,
     SourceRef,
     render_numbered,
     resolve_span,
@@ -148,6 +150,49 @@ class TestLifecycle:
         assert LABEL_STATUSES["Unverifiable"] is TermStatus.UNVERIFIABLE
 
 
+# Vocabularies for the property test: a small one, so many lines share the
+# statement's stems, and a large one, so few do. "cans" and "dids" are
+# content words whose stems are stopwords.
+_SMALL_VOCAB = ("service", "terms", "data", "refunds", "cans", "dids", "the",
+                "of", "and", "can")
+_LARGE_VOCAB = tuple(f"{a}{b}{c}" for a in ("br", "cl", "dr", "fl", "gr", "pl")
+                     for b in ("a", "e", "i", "o", "u")
+                     for c in ("mb", "nd", "rk", "sp", "ving", "ts"))
+_ABSENT = ("felucca", "quixotic", "zeppelin", "ossuary")
+_FEW_STOPWORDS = ("the", "of", "and", "to", "is", "can", "did", "it")
+
+
+@st.composite
+def window_searches(draw):
+    """(statement, document, cap) over documents of up to 200 lines."""
+    vocab = draw(st.sampled_from((_SMALL_VOCAB, _LARGE_VOCAB)))
+    statement_words = draw(st.sampled_from((
+        vocab + _FEW_STOPWORDS + _ABSENT,  # listed twice: the common case
+        vocab + _FEW_STOPWORDS + _ABSENT,
+        _ABSENT,  # no stem in the document
+        _FEW_STOPWORDS,  # all stopwords
+        ("cans", "dids", "the", "service"),
+    )))
+    first_line = draw(st.sampled_from((1, 2, 40, 106, 9000)))
+    n_lines = draw(st.integers(1, 200))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lines = []
+    for _ in range(n_lines):
+        roll = rng.random()
+        if roll < 0.15:
+            lines.append("")
+        else:
+            pool = _FEW_STOPWORDS if roll < 0.3 else vocab
+            lines.append(" ".join(rng.choice(pool)
+                                  for _ in range(rng.randint(1, 6))))
+    if not any(lines):
+        lines[0] = rng.choice(vocab)
+    doc = ingest_doc_text("\n".join(lines) + "\n", first_line=first_line)
+    statement = " ".join(rng.choice(statement_words)
+                         for _ in range(rng.randint(1, 8)))
+    return statement, doc, rng.randint(1, 10)
+
+
 class TestFindBestWindow:
     def test_statement_with_unique_home_line(self):
         doc = ingest_doc_text("alpha beta\n\ngamma delta\nbeta gamma\n")
@@ -174,6 +219,26 @@ class TestFindBestWindow:
             cap = rng.choice((1, 2, 4, 6))
             got = find_best_window(statement, doc, max_span_lines=cap)
             assert got == exhaustive_best_window(statement, doc, cap)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(window_searches())
+    def test_matches_exhaustive_search_property(self, case):
+        statement, doc, cap = case
+        got = find_best_window(statement, doc, max_span_lines=cap)
+        assert got == exhaustive_best_window(statement, doc, cap)
+
+    def test_reingested_document_reuses_the_index(self, monkeypatch):
+        text = "service terms\nthe and of\nrefunds stated\n" * 400
+        first = remediation._line_index(ingest_doc_text(text))
+        again = ingest_doc_text(text)
+
+        def no_compare(self, other):
+            raise AssertionError("the memo compared documents line by line")
+
+        monkeypatch.setattr(SourceDocument, "__eq__", no_compare)
+        assert remediation._line_index(again) is first
+        assert find_best_window("refunds stated", again,
+                                max_span_lines=1) == SourceRef("Inline.txt", 3, 3)
 
     def test_stopword_fallback_is_decided_per_window(self):
         # Line 2 alone is all stopwords, so its own tokens count; joined
@@ -348,7 +413,8 @@ class TestRemediate:
             renders.append(args)
             return real(*args, **kwargs)
 
-        remediation._numbered_document.cache_clear()
+        # A different document evicts whatever the one-entry memo holds.
+        remediation._numbered_document(ingest_doc_text("evict\n"))
         monkeypatch.setattr(remediation, "render_numbered", counting_render)
         cited = mismatch_term(raw_doc)
         result = self.unverifiable_result(cited, raw_doc)
