@@ -164,7 +164,10 @@ def chunk(doc: SourceDocument, strategy: ChunkStrategy) -> list[Chunk]:
     section_by_section document without headings, each heading line for
     section_by_section), and between cuts consecutive paragraphs join one
     chunk while it spans at most max_chunk_lines, a longer paragraph being
-    split into windows of that many lines.
+    split into windows of that many lines. After a paragraph made only of
+    heading lines the next paragraph's first line is no cut, so the heading
+    opens that paragraph's chunk when both fit in max_chunk_lines; before a
+    longer paragraph it stays alone.
 
     Invariants: chunks are ordered by start line, trimmed to non-blank edges,
     pairwise disjoint, no wider than max_chunk_lines, and together cover every
@@ -173,6 +176,7 @@ def chunk(doc: SourceDocument, strategy: ChunkStrategy) -> list[Chunk]:
     """
     cap = strategy.max_chunk_lines
     headings = detect_headings(doc)
+    heading_lines = {h.line_number for h in headings}
     runs = _non_blank_runs(doc)
     if strategy.mode in (ChunkMode.WHOLE_DOCUMENT, ChunkMode.PARALLEL_MERGE):
         kind, cuts = "whole_document", set()
@@ -180,7 +184,10 @@ def chunk(doc: SourceDocument, strategy: ChunkStrategy) -> list[Chunk]:
         # Section mode with no headings to follow is paragraph mode.
         kind, cuts = "paragraph", {s for s, _ in runs}
     else:
-        kind, cuts = "section", {h.line_number for h in headings}
+        kind, cuts = "section", set(heading_lines)
+    for (start, end), (after, _) in zip(runs, runs[1:]):
+        if heading_lines.issuperset(range(start, end + 1)):
+            cuts.discard(after)
 
     ranges: list[tuple[int, int]] = []
     joinable = False  # whether the next piece may extend ranges[-1]

@@ -124,10 +124,10 @@ class SourceDocument:
     @classmethod
     def from_json(cls, data: dict, origin="stored document") -> "SourceDocument":
         """Decode to_json's form, checking what ingest guarantees: [int, str]
-        line pairs counting up from a first_line of at least 1, the
-        fingerprint of their text, and a doc_id of its first 12 digits. A
-        document that breaks any of it raises IngestError("document_changed")
-        naming origin."""
+        line pairs counting up from a first_line of at least 1, no newline
+        or carriage return inside a line, the fingerprint of their text, and
+        a doc_id of its first 12 digits. A document that breaks any of it
+        raises IngestError("document_changed") naming origin."""
         try:
             first = data["first_line"]
             lines = tuple((n, t) for n, t in data["lines"])
@@ -144,6 +144,8 @@ class SourceDocument:
             problem = "stored lines are not [int, str] pairs counting up from first_line"
         elif first < 1:
             problem = f"first_line must be >= 1, not {first}"
+        elif any("\n" in t or "\r" in t for _, t in lines):
+            problem = "a stored line holds a line break"
         elif doc.fingerprint != fingerprint_text(doc.text()):
             problem = "stored lines no longer match the fingerprint"
         elif doc.doc_id != doc.fingerprint[:12]:

@@ -1,9 +1,10 @@
 """Term verification: deterministic lexical pre-check plus semantic judgment.
 
 The pre-check measures how much of a statement's vocabulary the cited span
-actually contains; spans that cannot even resolve short-circuit the backend
-entirely. The semantic label always comes from the backend and the pre-check
-never overrides it, it only flags disagreements for the report.
+actually contains; spans that cannot even resolve, or hold only blank lines,
+short-circuit the backend entirely. The semantic label always comes from the
+backend and the pre-check never overrides it, it only flags disagreements
+for the report.
 """
 
 from __future__ import annotations
@@ -150,16 +151,20 @@ def verify_term(
 ) -> VerificationResult:
     """Judge one term against its cited span.
 
-    An unresolvable span is Unverifiable outright, with no backend call.
-    context_lines widens the passage shown to the backend; the lexical score
-    always uses the exact cited span.
+    A span that does not resolve, or whose lines are all blank (whitespace
+    only), is Unverifiable outright, with no backend call: there is no
+    passage to check, and its neighbours shown as context are not what the
+    term cites. context_lines widens the passage shown to the backend; the
+    lexical score always uses the exact cited span.
     """
     span_text, score, flag = pre_check(term, doc, threshold)
-    if span_text is None:
+    if span_text is None or not span_text.strip():
+        problem = ("does not resolve in the document" if span_text is None
+                   else "holds only blank lines")
         return _unanswered(term, (
-            f"The cited span {canonical_source_string(term.source)} does "
-            "not resolve in the document, so there is no passage to "
-            "check the statement against."), score, flag)
+            f"The cited span {canonical_source_string(term.source)} "
+            f"{problem}, so there is no passage to check the statement "
+            "against."), score, flag)
 
     passage = span_text
     if context_lines > 0:

@@ -79,21 +79,33 @@ def ref_ranges(doc, mode: str, cap: int) -> list[tuple[int, int]]:
             out.append(group)
         return out
 
+    # A paragraph made only of heading lines ends no chunk: the first line
+    # of the paragraph after it is no cut line.
+    heads = [h.line_number for h in detect_headings(doc)]
+    no_cut = {
+        after for (s, e), (after, _) in zip(paras, paras[1:])
+        if all(n in heads for n in range(s, e + 1))
+    }
+
     def paragraph_ranges() -> list[tuple[int, int]]:
-        out = []
+        blocks: list[tuple[int, int]] = []
         for s, e in paras:
+            if s in no_cut:
+                blocks[-1] = (blocks[-1][0], e)
+            else:
+                blocks.append((s, e))
+        out = []
+        for s, e in blocks:
             out.extend(pack(s, e))
         return out
 
     if mode in ("whole_document", "parallel_merge"):
         t = trim(numbers[0], numbers[-1])
         return [] if t is None else pack(*t)
-    if mode == "paragraph":
+    if mode == "paragraph" or not heads:
         return paragraph_ranges()
 
-    heads = [h.line_number for h in detect_headings(doc)]
-    if not heads:
-        return paragraph_ranges()
+    heads = [h for h in heads if h not in no_cut]
     ranges: list[tuple[int, int]] = []
     if heads[0] > numbers[0]:
         t = trim(numbers[0], heads[0] - 1)
@@ -192,6 +204,46 @@ def test_section_chunks_on_raw_doc():
     assert chunks[1].heading == "REGISTRATION AND ACCESS"
     assert chunks[3].heading == "WHAT YOU CANNOT DO"
     assert all(c.kind == "section" for c in chunks)
+
+
+def test_paragraph_chunks_on_raw_doc():
+    # Each heading stands alone as a paragraph and opens the next one's chunk.
+    doc = ingest_raw()
+    chunks = chunk(doc, ChunkStrategy(ChunkMode.PARAGRAPH))
+    assert [(c.start_line, c.end_line) for c in chunks] == [
+        (1, 3),
+        (5, 11),
+        (13, 17),
+        (19, 30),
+        (32, 32),
+    ]
+    assert chunks[1].heading == "REGISTRATION AND ACCESS"
+    assert all(c.kind == "paragraph" for c in chunks)
+
+
+@pytest.mark.parametrize("mode, expected", [
+    (ChunkMode.PARAGRAPH, [(1, 6), (8, 8)]),
+    (ChunkMode.SECTION_BY_SECTION, [(1, 8)]),
+])
+def test_stacked_headings_join_the_paragraph_after_them(mode, expected):
+    raw = b"1. Terms\n\nGENERAL TERMS\n\nbody one\nbody two\n\nlast words\n"
+    doc = ingest(raw, "t.txt")
+    assert [h.line_number for h in detect_headings(doc)] == [1, 3]
+    chunks = chunk(doc, ChunkStrategy(mode))
+    assert [(c.start_line, c.end_line) for c in chunks] == expected
+
+
+def test_heading_before_a_longer_paragraph_stays_alone():
+    raw = b"GENERAL TERMS\n\none\ntwo\nthree\n\nfour\n"
+    doc = ingest(raw, "t.txt")
+    # Over the cap the paragraph is split into windows, the heading apart.
+    over = chunk(doc, ChunkStrategy(ChunkMode.PARAGRAPH, max_chunk_lines=2))
+    assert [(c.start_line, c.end_line) for c in over] == [
+        (1, 1), (3, 4), (5, 5), (7, 7)]
+    # Within the cap, but not together with the heading.
+    apart = chunk(doc, ChunkStrategy(ChunkMode.PARAGRAPH, max_chunk_lines=3))
+    assert [(c.start_line, c.end_line) for c in apart] == [
+        (1, 1), (3, 5), (7, 7)]
 
 
 def test_parallel_merge_layout_matches_whole_document():

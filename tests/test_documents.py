@@ -308,9 +308,19 @@ def _other_hex(digits: str) -> str:
     return digits[:-1] + ("1" if digits[-1] == "0" else "0")
 
 
+def _break_line(stored: dict, index: int, shape: int) -> None:
+    """Put a newline or carriage return into line index's text and store
+    the new text's fingerprint and doc_id, so only the line rule refuses it."""
+    line = stored["lines"][index]
+    line[1] = line[1][:shape] + "\n\r"[shape % 2] + line[1][shape:]
+    fp = fingerprint_text("\n".join(text for _, text in stored["lines"]))
+    stored.update(fingerprint=fp, doc_id=fp[:12])
+
+
 # Each single change to a stored document that from_json refuses, given
 # the stored JSON, a line index, a nonzero shift and a shape index.
 _DOCUMENT_MUTATIONS = {
+    "line break in a line": lambda d, i, k, s: _break_line(d, i, s),
     "line text": lambda d, i, k, s: d["lines"][i].__setitem__(
         1, d["lines"][i][1] + "x"),
     "line number": lambda d, i, k, s: d["lines"][i].__setitem__(
@@ -372,6 +382,21 @@ def test_stored_document_numbered_from_below_line_one_is_refused(first_line):
         SourceDocument.from_json(stored, "s0.json")
     assert exc.value.kind == "document_changed"
     assert str(exc.value) == f"s0.json: first_line must be >= 1, not {first_line}"
+
+
+@pytest.mark.parametrize("text", ["a\nb", "a\rb"])
+def test_stored_line_holding_a_line_break_is_refused(text):
+    """ingest never leaves a line break inside a line. Stored as one line,
+    "a\\nb" even has the fingerprint and doc_id of the two-line a, b."""
+    fp = fingerprint_text(text)
+    stored = {"source_name": "doc.txt", "doc_id": fp[:12], "fingerprint": fp,
+              "first_line": 1, "lines": [[1, text]]}
+    with pytest.raises(IngestError) as exc:
+        SourceDocument.from_json(stored, "s1.json")
+    assert exc.value.kind == "document_changed"
+    assert str(exc.value) == "s1.json: a stored line holds a line break"
+    if text == "a\nb":
+        assert fp == ingest(b"a\nb\n", "doc.txt").fingerprint
 
 
 def test_excerpt_numbering_matches_fixture():

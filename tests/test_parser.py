@@ -135,6 +135,13 @@ class TestParagraphStrategy:
             "(106-106) produced no terms" in w for w in outcome.warnings
         )
 
+    def test_headings_are_sent_with_their_paragraphs(self, raw_doc):
+        backend = scripted(("Excerpt with line numbers:", "empty_terms.json"))
+        outcome = extract_document(raw_doc, ExtractionConfig(PARAGRAPH), backend)
+        assert [(c["start_line"], c["end_line"]) for c in outcome.coverage] == [
+            (1, 3), (5, 11), (13, 17), (19, 30), (32, 32)]
+        assert len(backend.calls) == 5
+
 
 class TestAspectExtraction:
     def test_aspect_narrows_and_stamps(self, excerpt_doc):

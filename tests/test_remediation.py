@@ -612,6 +612,19 @@ class TestWindowThenDocument:
         assert entry.proposed == SourceRef(LONG_NAME, 160, 160)
         assert entry.verification.label == LABEL_UNVERIFIABLE
 
+    def test_blank_proposal_is_discarded_without_verification(self):
+        texts = long_doc(clause_line=20).text().split("\n")
+        texts[159] = "   "  # line 160
+        doc = ingest_doc_text("\n".join(texts) + "\n", LONG_NAME, 1)
+        backend = LineTextBackend(resource=lambda statement, shown: 160)
+        _, outcome = remediate_cited(doc, 150, backend)
+        assert len(backend.requests) == 1
+        assert outcome.action == ACTION_DISCARDED
+        (entry,) = outcome.trail
+        assert entry.proposed == SourceRef(LONG_NAME, 160, 160)
+        assert entry.verification.label == LABEL_UNVERIFIABLE
+        assert entry.verification.verifier_prompt_fingerprint is None
+
     @pytest.mark.parametrize(
         "first_line, clause_line, cited_line, shown",
         [

@@ -33,7 +33,7 @@ from terminators.backends import (
     ScriptEntry,
     ScriptedBackend,
 )
-from terminators.documents import SourceRef, resolve_span
+from terminators.documents import SourceRef, ingest, resolve_span
 from terminators.records import from_json, to_json
 from terminators.terms import Term, validate_term
 from terminators.verification import (
@@ -328,6 +328,20 @@ class TestVerifyTerm:
         assert result.pre_check_flag == FLAG_UNRESOLVABLE
         assert result.verifier_prompt_fingerprint is None
         assert "does not resolve" in result.justification
+        assert backend.calls == []
+
+    @pytest.mark.parametrize("context_lines", [0, 2])
+    def test_blank_span_never_reaches_backend(self, context_lines):
+        doc = ingest(b"Users must be 13.\n\n   \nWe may end access.\n",
+                     "ToS.txt")
+        term = make_term("Users must be 13.", "ToS.txt:2-3", doc)
+        backend = RecordingBackend(ScriptedBackend([]))
+        result = verify_term(term, doc, backend, context_lines=context_lines)
+        assert result.label == LABEL_UNVERIFIABLE
+        assert result.lexical_score == 0.0
+        assert result.pre_check_flag == FLAG_LOW_OVERLAP
+        assert result.verifier_prompt_fingerprint is None
+        assert "holds only blank lines" in result.justification
         assert backend.calls == []
 
     def test_low_overlap_does_not_override_backend(self, raw_doc):
