@@ -164,10 +164,10 @@ def chunk(doc: SourceDocument, strategy: ChunkStrategy) -> list[Chunk]:
     section_by_section document without headings, each heading line for
     section_by_section), and between cuts consecutive paragraphs join one
     chunk while it spans at most max_chunk_lines, a longer paragraph being
-    split into windows of that many lines. After a paragraph made only of
-    heading lines the next paragraph's first line is no cut, so the heading
-    opens that paragraph's chunk when both fit in max_chunk_lines; before a
-    longer paragraph it stays alone.
+    split into windows of that many lines. A paragraph made only of heading
+    lines opens one chunk: its later lines and the next paragraph's first
+    line are no cuts, so the headings open that paragraph's chunk when both
+    fit in max_chunk_lines; before a longer paragraph they stay alone.
 
     Invariants: chunks are ordered by start line, trimmed to non-blank edges,
     pairwise disjoint, no wider than max_chunk_lines, and together cover every
@@ -185,9 +185,11 @@ def chunk(doc: SourceDocument, strategy: ChunkStrategy) -> list[Chunk]:
         kind, cuts = "paragraph", {s for s, _ in runs}
     else:
         kind, cuts = "section", set(heading_lines)
-    for (start, end), (after, _) in zip(runs, runs[1:]):
+    for k, (start, end) in enumerate(runs):
         if heading_lines.issuperset(range(start, end + 1)):
-            cuts.discard(after)
+            # Neither its later lines nor the next paragraph's first is a cut.
+            cuts.difference_update(range(start + 1, end + 1),
+                                   (s for s, _ in runs[k + 1:k + 2]))
 
     ranges: list[tuple[int, int]] = []
     joinable = False  # whether the next piece may extend ranges[-1]

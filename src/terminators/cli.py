@@ -113,7 +113,10 @@ def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-chunk-lines", type=_int_at_least(1),
                         default=DEFAULT_MAX_CHUNK_LINES, metavar="N")
     parser.add_argument("--parallel-fanout", type=_int_at_least(2), default=2,
-                        metavar="N")
+                        metavar="N",
+                        help="most passes per chunk for --strategy parallel; "
+                             "passes after the second go only where the "
+                             "first two disagree")
     parser.add_argument("--provider-name", metavar="NAME",
                         help="service provider name, a known party label")
     parser.add_argument("--first-line", type=_int_at_least(1), default=1,

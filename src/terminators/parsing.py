@@ -67,6 +67,7 @@ class ExtractionOutcome:
     coverage: list[dict]
     warnings: list[str]
     failures: list[dict] = field(default_factory=list)
+    skipped_passes: int = 0
 
 
 def run_request(backend: Backend, req):
@@ -231,30 +232,41 @@ def extract_document(
 ) -> ExtractionOutcome:
     """Chunk the document, extract every chunk, merge.
 
-    parallel_merge runs parallel_fanout independent passes over each chunk
-    (each pass marked in the prompt so requests stay distinct) and relies on
-    dedupe to collapse agreements.
+    parallel_merge sends each chunk up to parallel_fanout independent passes
+    (each pass after the first marked in the prompt so requests stay
+    distinct) and relies on dedupe to collapse agreements. Passes go out in
+    two rounds: passes 1 and 2 of every chunk, then passes 3 to n of only
+    the chunks whose first two passes both answered with unequal
+    extractions. Results merge in (chunk, pass) order; the outcome counts
+    the passes not sent as skipped_passes.
     """
     chunks = chunk_document(doc, cfg.strategy)
     passes = cfg.strategy.parallel_fanout
-
-    work: list[tuple[Chunk, str | None]] = []
-    for c in chunks:
-        for i in range(passes):
-            note = f"Independent extraction pass {i + 1} of {passes}." if i else None
-            work.append((c, note))
-
     answers: dict = {}
 
     def job(item):
-        c, note = item
+        c, i = item
+        note = f"Independent extraction pass {i + 1} of {passes}." if i else None
         return extract_chunk(c, doc, cfg, backend, replica_note=note,
                              answers=answers)
 
     def failed(item, exc):
         return {"chunk_id": item[0].chunk_id, "error": str(exc)}
 
-    results = map_ordered(job, work, workers, failed if best_effort else None)
+    on_failure = failed if best_effort else None
+    head = min(passes, 2)
+    first = map_ordered(job, [(c, i) for c in chunks for i in range(head)],
+                        workers, on_failure)
+    per_chunk = [first[k:k + head] for k in range(0, len(first), head)]
+    # Passes 3 to n go only to chunks whose first two answered unequally.
+    rest = [(k, i) for k, got in enumerate(per_chunk) if passes > 2
+            and all(isinstance(r, ChunkExtraction) for r in got)
+            and got[0] != got[1] for i in range(2, passes)]
+    later = map_ordered(job, [(chunks[k], i) for k, i in rest], workers,
+                        on_failure)
+    for (k, _), result in zip(rest, later):
+        per_chunk[k].append(result)
+    results = [r for got in per_chunk for r in got]
     failures = [r for r in results if isinstance(r, dict)]
     extractions = [r for r in results if isinstance(r, ChunkExtraction)]
 
@@ -290,5 +302,6 @@ def extract_document(
                 "produced no terms"
             )
     return ExtractionOutcome(
-        terms=merged, coverage=coverage, warnings=warnings, failures=failures
+        terms=merged, coverage=coverage, warnings=warnings, failures=failures,
+        skipped_passes=len(chunks) * passes - len(results),
     )

@@ -248,7 +248,8 @@ def extract_step(run: AuditRun, backend: Backend):
     run.warnings = outcome.warnings
     run.failures = outcome.failures
     record = _record(run, "terms", "coverage", "warnings", "failures")
-    return record, f"{len(run.terms)} terms"
+    return record, (f"{len(run.terms)} terms, "
+                    f"{outcome.skipped_passes} replica passes skipped")
 
 
 def verify_step(run: AuditRun, backend: Backend):

@@ -79,13 +79,15 @@ def ref_ranges(doc, mode: str, cap: int) -> list[tuple[int, int]]:
             out.append(group)
         return out
 
-    # A paragraph made only of heading lines ends no chunk: the first line
-    # of the paragraph after it is no cut line.
+    # A paragraph made only of heading lines opens one chunk: neither its
+    # later lines nor the first line of the paragraph after it is a cut line.
     heads = [h.line_number for h in detect_headings(doc)]
-    no_cut = {
-        after for (s, e), (after, _) in zip(paras, paras[1:])
-        if all(n in heads for n in range(s, e + 1))
-    }
+    no_cut: set[int] = set()
+    for (s, e), after in zip(paras, paras[1:] + [None]):
+        if all(n in heads for n in range(s, e + 1)):
+            no_cut.update(range(s + 1, e + 1))
+            if after is not None:
+                no_cut.add(after[0])
 
     def paragraph_ranges() -> list[tuple[int, int]]:
         blocks: list[tuple[int, int]] = []
@@ -231,6 +233,22 @@ def test_stacked_headings_join_the_paragraph_after_them(mode, expected):
     assert [h.line_number for h in detect_headings(doc)] == [1, 3]
     chunks = chunk(doc, ChunkStrategy(mode))
     assert [(c.start_line, c.end_line) for c in chunks] == expected
+
+
+@pytest.mark.parametrize("raw, expected", [
+    (b"1. Terms\nGENERAL TERMS\n\nbody one\nbody two\n", [(1, 5)]),
+    (b"## One\n## Two\n## Three\n\nbody\n\n## Four\nmore\nwords\n",
+     [(1, 5), (7, 9)]),
+    (b"intro words\n\n## One\n## Two\n", [(1, 1), (3, 4)]),
+], ids=["numbered-above-caps", "three-markdown", "at-the-end"])
+@pytest.mark.parametrize("mode", ["section_by_section", "paragraph"])
+def test_stacked_heading_lines_open_one_chunk(raw, expected, mode):
+    doc = ingest(raw, "t.txt")
+    got = chunk(doc, strategy_for(mode, 60))
+    assert [(c.start_line, c.end_line) for c in got] == expected
+    for cap in (1, 2, 60):
+        got = chunk(doc, strategy_for(mode, cap))
+        assert [(c.start_line, c.end_line) for c in got] == ref_ranges(doc, mode, cap)
 
 
 def test_heading_before_a_longer_paragraph_stays_alone():

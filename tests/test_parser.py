@@ -5,9 +5,13 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import re
 import sys
 import threading
 import time
+
+from collections import Counter
+from dataclasses import replace
 
 from unittest import mock
 
@@ -18,6 +22,7 @@ from helpers import (
     EXCERPT_NAME,
     GOLDEN,
     RAW_NAME,
+    RecordingBackend,
     ingest_raw,
     record_thread_starts,
     response_text,
@@ -48,6 +53,7 @@ from terminators.parsing import (
 )
 from terminators.prompts import build_parser_request
 from terminators.records import from_json, to_json
+from terminators.terms import dedupe_terms
 
 WHOLE = ChunkStrategy(ChunkMode.WHOLE_DOCUMENT)
 PARAGRAPH = ChunkStrategy(ChunkMode.PARAGRAPH)
@@ -377,9 +383,10 @@ class TestSharedValidation:
             outcome = extract_document(doc, ExtractionConfig(strategy), backend,
                                        workers=1)
         # Every pass over every chunk gets the same ten candidates: each
-        # chunk validates them once, and every pass repeats the warnings.
+        # chunk validates them once, and every pass sent repeats the
+        # warnings. The first two passes agree, so no later one is sent.
         chunks = len(outcome.coverage)
-        passes = strategy.parallel_fanout
+        passes = min(strategy.parallel_fanout, 2)
         assert len(calls) == 10 * chunks
         assert sum("unrecognized party label 'Acme Corp'" in w
                    for w in outcome.warnings) == 2 * passes * chunks
@@ -421,6 +428,170 @@ class TestParallelMerge:
         extract_document(excerpt_doc, ExtractionConfig(self.STRATEGY), backend)
         notes = [p for p in seen if "Independent extraction pass 2 of 2." in p]
         assert len(notes) == 1
+
+
+class _PerPass(Backend):
+    """Answers a parse request with answer(its chunk's first line, its pass
+    number), reading the pass from the replica note (pass 1 has none).
+    answer may raise BackendError to fail the request."""
+
+    backend_id = "per-pass"
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def generate(self, req):
+        announce_wait()
+        excerpt = req.user_prompt.split("Excerpt with line numbers:\n", 1)[1]
+        note = re.search(r"Independent extraction pass (\d+) of \d+\.$", excerpt)
+        answer = self.answer(int(excerpt.split(":", 1)[0]),
+                             int(note.group(1)) if note else 1)
+        return BackendResponse(json.dumps(answer), answer, None, {}, 0.0,
+                               self.backend_id)
+
+
+def _every_pass_sent(doc, cfg, backend):
+    """(terms, per-chunk term counts, extraction warnings) with every chunk
+    sent all its passes, each extracted alone, merged in (chunk, pass)
+    order: what extract_document gives when every chunk's first two passes
+    differ."""
+    chunks = chunk_document(doc, cfg.strategy)
+    n = cfg.strategy.parallel_fanout
+    got = [extract_chunk(c, doc, cfg, backend, replica_note=(
+               f"Independent extraction pass {i + 1} of {n}." if i else None))
+           for c in chunks for i in range(n)]
+    counts = [sum(len(e.terms) for e in got if e.chunk_id == c.chunk_id)
+              for c in chunks]
+    return (dedupe_terms([t for e in got for t in e.terms]), counts,
+            [w for e in got for w in e.warnings])
+
+
+def _merged(outcome):
+    return (outcome.terms, [c["term_count"] for c in outcome.coverage],
+            [w for w in outcome.warnings if not w.endswith("produced no terms")])
+
+
+class TestReplicaRounds:
+    """parallel_merge sends passes 1 and 2 of every chunk, then passes 3 to
+    n only to the chunks whose first two extractions differ. On the raw
+    fixture at 12 lines a chunk, the chunks start at lines 1, 13 and 21."""
+
+    CFG = ExtractionConfig(ChunkStrategy(ChunkMode.PARALLEL_MERGE,
+                                         max_chunk_lines=12, parallel_fanout=3),
+                           provider_name="OpenAI")
+    BASE = RAW_CANDIDATES[:8]
+    EXTRA = {"term": "We may suspend access.", "source": f"{RAW_NAME}:32",
+             "applicable_to": ["OpenAI"]}
+
+    def run(self, answer, workers=1, best_effort=False, cfg=CFG):
+        backend = RecordingBackend(_PerPass(answer))
+        outcome = extract_document(ingest_raw(), cfg, backend, workers=workers,
+                                   best_effort=best_effort)
+        return outcome, backend.calls
+
+    def test_agreeing_passes_send_two_requests_a_chunk(self):
+        outcome, calls = self.run(lambda first, n: self.BASE)
+        assert [c["start_line"] for c in outcome.coverage] == [1, 13, 21]
+        assert len(calls) == 6 and outcome.skipped_passes == 3
+        every = RecordingBackend(_PerPass(lambda first, n: self.BASE))
+        terms, counts, _ = _every_pass_sent(ingest_raw(), self.CFG, every)
+        assert len(every.calls) == 9
+        assert outcome.terms == terms
+        assert [c["term_count"] for c in outcome.coverage] == [
+            count // 3 * 2 for count in counts]
+
+    @pytest.mark.parametrize("fanout", [3, 5])
+    def test_a_differing_second_pass_gets_every_pass(self, fanout):
+        cfg = replace(self.CFG, strategy=replace(self.CFG.strategy,
+                                                 parallel_fanout=fanout))
+
+        def answer(first, n):
+            return RAW_CANDIDATES[n - 1:n + 7]
+
+        outcome, calls = self.run(answer, cfg=cfg)
+        every = RecordingBackend(_PerPass(answer))
+        assert _merged(outcome) == _every_pass_sent(ingest_raw(), cfg, every)
+        assert Counter(calls) == Counter(every.calls)
+        assert len(calls) == 3 * fanout and outcome.skipped_passes == 0
+
+    @pytest.mark.parametrize("second, extracted", [
+        (BASE, False), (BASE[:-1], True)], ids=["agree", "differ"])
+    def test_a_term_only_pass_three_returns(self, second, extracted):
+        """The documented trade-off: when passes 1 and 2 agree, what pass 3
+        alone would add is never asked for."""
+        answers = {1: self.BASE, 2: second, 3: [*self.BASE, self.EXTRA]}
+        outcome, calls = self.run(lambda first, n: answers[n])
+        found = any(t.statement == self.EXTRA["term"] for t in outcome.terms)
+        assert found is extracted
+        assert len(calls) == (9 if extracted else 6)
+
+    def test_skip_decisions_do_not_depend_on_threads(self):
+        """Helper threads race on the shared answers, so passes 1 and 2 may
+        give equal extractions that are not the same object: agreement is
+        equality. Only the chunk at line 13 differs at pass 2."""
+        def answer(first, n):
+            return self.BASE[:-1] if (first, n) == (13, 2) else self.BASE
+
+        expected, expected_calls = self.run(answer)
+        assert expected.skipped_passes == 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                outcome, calls = self.run(answer, workers=8)
+                assert outcome == expected
+                assert Counter(calls) == Counter(expected_calls)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_a_failed_first_round_pass_gets_no_second_round(self, failing):
+        def answer(first, n):
+            if (first, n) == (13, failing):
+                raise BackendError("transient", "pass down")
+            return RAW_CANDIDATES[n - 1:n + 7]
+
+        outcome, calls = self.run(answer, best_effort=True)
+        assert outcome.failures == [{"chunk_id": outcome.coverage[1]["chunk_id"],
+                                     "error": "pass down"}]
+        assert len(calls) == 8 and outcome.skipped_passes == 1
+
+    def test_every_pass_failing_warns_once(self, caplog):
+        def answer(first, n):
+            raise BackendError("transient", f"{first}/{n} down")
+
+        with caplog.at_level(logging.WARNING, logger="terminators.parsing"):
+            outcome, calls = self.run(answer, best_effort=True)
+        assert len(outcome.failures) == len(calls) == 6
+        assert outcome.terms == [] and outcome.skipped_passes == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "every item failed and was recorded (6); first: transient: 1/1 down"]
+
+    def test_a_second_round_failing_whole_warns_for_its_passes(self, caplog):
+        """A second round in which every pass fails is warned about alone:
+        the count is of its passes, though the first round answered."""
+        def answer(first, n):
+            if n == 3:
+                raise BackendError("transient", f"{first}/{n} down")
+            return self.BASE[:-1] if (first, n) == (21, 2) else self.BASE
+
+        with caplog.at_level(logging.WARNING, logger="terminators.parsing"):
+            outcome, calls = self.run(answer, best_effort=True)
+        assert len(calls) == 7 and len(outcome.failures) == 1
+        assert outcome.terms
+        assert [r.getMessage() for r in caplog.records] == [
+            "every item failed and was recorded (1); first: transient: 21/3 down"]
+
+    def test_strict_first_round_failure_sends_no_second_round(self):
+        def answer(first, n):
+            if (first, n) == (21, 1):
+                raise BackendError("transient", "pass 1 down")
+            return RAW_CANDIDATES[n - 1:n + 7]
+
+        backend = RecordingBackend(_PerPass(answer))
+        with pytest.raises(BackendError, match="pass 1 down"):
+            extract_document(ingest_raw(), self.CFG, backend, workers=1)
+        assert len(backend.calls) == 6
 
 
 class TestFailureHandling:

@@ -837,14 +837,30 @@ class TestResourcedThroughPipeline:
         assert run.notices == ["no scenario provided; planning skipped"]
 
 
-def remediated_event(run) -> str:
+def phase_event(run, phase: str) -> str:
     events = [
         json.loads(line)
         for line in run.store.path("events.jsonl").read_text(
             encoding="utf-8"
         ).splitlines()
     ]
-    return next(e["event"] for e in events if e["phase"] == "remediated")
+    return next(e["event"] for e in events if e["phase"] == phase)
+
+
+class TestExtractedEvent:
+    @pytest.mark.parametrize("strategy, event", [
+        (ChunkStrategy(ChunkMode.PARAGRAPH), "4 terms, 0 replica passes skipped"),
+        (ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=2),
+         "4 terms, 0 replica passes skipped"),
+        (ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=5),
+         "4 terms, 3 replica passes skipped"),
+    ], ids=["paragraph", "fanout-2", "fanout-5"])
+    def test_counts_replica_passes_not_sent(self, tmp_path, strategy, event):
+        # The excerpt is one parallel_merge chunk, and every pass over it
+        # gets the same answer: passes 1 and 2 agree.
+        config = replace(happy_config(), extraction=ExtractionConfig(strategy))
+        run = run_pipeline(ingest_excerpt(), config, happy_backend(), tmp_path)
+        assert phase_event(run, "extracted") == event
 
 
 class TestRemediatedEvent:
@@ -854,14 +870,14 @@ class TestRemediatedEvent:
         run = run_pipeline(
             ingest_excerpt(), happy_config(), mismatch_backend(), tmp_path
         )
-        assert remediated_event(run) == "1 discarded, 1 shown the whole document"
+        assert phase_event(run, "remediated") == "1 discarded, 1 shown the whole document"
 
     def test_lexical_re_sourcing_shows_the_agent_nothing(self, tmp_path):
         config = replace(happy_config(), use_llm_resource=False)
         run = run_pipeline(
             ingest_excerpt(), config, mismatch_backend(), tmp_path
         )
-        assert remediated_event(run) == "1 discarded, 0 shown the whole document"
+        assert phase_event(run, "remediated") == "1 discarded, 0 shown the whole document"
 
 
 SHIFT_NAME = "Long.txt"
@@ -938,7 +954,7 @@ class TestFirstLineShift:
             "resourced", "kept_supported", "resourced", "resourced", "resourced",
         ]
         assert [len(o.trail) for o in base.outcomes] == [1, 0, 2, 1, 1]
-        assert remediated_event(base) == "0 discarded, 1 shown the whole document"
+        assert phase_event(base, "remediated") == "0 discarded, 1 shown the whole document"
 
 
 class TestReports:
