@@ -21,9 +21,9 @@ from .backends import (
     install_wait_hook,
 )
 from .chunking import Chunk, ChunkStrategy, chunk as chunk_document
-from .documents import SourceDocument, render_numbered
+from .documents import SourceDocument, SourceRef, render_numbered
 from .prompts import PROMPT_VERSION, build_parser_request
-from .terms import SchemaError, Term, dedupe_terms, validate_term
+from .terms import SchemaError, Term, dedupe_key, dedupe_terms, validate_term
 
 DEFAULT_WORKERS = 4
 
@@ -160,7 +160,8 @@ def extract_chunk(
     replica_note: str | None = None,
     answers: dict | None = None,
 ) -> ChunkExtraction:
-    """Extract terms from one chunk.
+    """Extract terms from one chunk, each with the chunk's lines as its
+    excerpt.
 
     Candidates that fail validation are dropped and counted; candidates that
     validate but cite lines outside the chunk are kept and flagged, since the
@@ -191,10 +192,12 @@ def extract_chunk(
     terms: list[Term] = []
     flagged: list[str] = []
     rejected = 0
+    excerpt = SourceRef(doc.source_name, chunk.start_line, chunk.end_line)
     for i, candidate in enumerate(resp.parsed):
         try:
             term = validate_term(candidate, doc, provider_name=cfg.provider_name,
-                                 aspect=cfg.aspect_label, warnings=warnings)
+                                 aspect=cfg.aspect_label, warnings=warnings,
+                                 excerpt=excerpt)
         except SchemaError as exc:
             rejected += 1
             warnings.append(f"chunk {chunk.chunk_id}: rejected candidate "
@@ -238,7 +241,9 @@ def extract_document(
     two rounds: passes 1 and 2 of every chunk, then passes 3 to n of only
     the chunks whose first two passes both answered with unequal
     extractions. Results merge in (chunk, pass) order; the outcome counts
-    the passes not sent as skipped_passes.
+    the passes not sent as skipped_passes. A chunk's coverage term_count is
+    the number of distinct terms (terms.dedupe_key) its passes gave, so it
+    does not depend on how many passes were sent.
     """
     chunks = chunk_document(doc, cfg.strategy)
     passes = cfg.strategy.parallel_fanout
@@ -272,11 +277,12 @@ def extract_document(
 
     all_terms: list[Term] = []
     warnings: list[str] = []
-    per_chunk_counts: dict[str, int] = {c.chunk_id: 0 for c in chunks}
+    # Each chunk's distinct terms, however many of its passes gave them.
+    per_chunk_keys: dict[str, set] = {c.chunk_id: set() for c in chunks}
     for extraction in extractions:
         all_terms.extend(extraction.terms)
         warnings.extend(extraction.warnings)
-        per_chunk_counts[extraction.chunk_id] += len(extraction.terms)
+        per_chunk_keys[extraction.chunk_id].update(map(dedupe_key, extraction.terms))
 
     rejected = sum(extraction.rejected_count for extraction in extractions)
     if rejected and not all_terms:
@@ -285,7 +291,7 @@ def extract_document(
     merged = dedupe_terms(all_terms)
     coverage = []
     for c in chunks:
-        count = per_chunk_counts[c.chunk_id]
+        count = len(per_chunk_keys[c.chunk_id])
         coverage.append(
             {
                 "chunk_id": c.chunk_id,

@@ -303,7 +303,8 @@ def remediate_step(run: AuditRun, backend: Backend):
     record = _record(run, "outcomes", "terms")
     discarded = sum(1 for o in run.outcomes if o.action == "discarded")
     whole = sum(
-        shown_whole_document(o, run.doc) for o in run.outcomes
+        shown_whole_document(t, o, run.doc)
+        for t, o in zip(run.terms, run.outcomes)
     ) if cfg.use_llm_resource else 0
     return record, f"{discarded} discarded, {whole} shown the whole document"
 

@@ -2,10 +2,10 @@
 
 Any term not labeled Supported gets a proposal for a better source span,
 made either by parser-role backend calls or by a deterministic lexical
-search over the whole document. The backend is first shown the cited
-neighbourhood, and the whole document only when that gives no usable new
-span. A new span that verifies Supported re-sources the term; anything else
-discards it.
+search over the whole document. The backend is first shown the term's
+excerpt, the chunk the parser saw when it produced the term, and the whole
+document only when that gives no usable new span. A new span that verifies
+Supported re-sources the term; anything else discards it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from functools import wraps
 
 from .backends import Backend, BackendError
-from .chunking import DEFAULT_MAX_CHUNK_LINES
 from .documents import SourceDocument, SourceRef, SpanError, render_numbered, resolve_span
 from .parsing import run_request
 from .prompts import build_resource_request
@@ -39,11 +38,6 @@ from .verification import (
 )
 
 DEFAULT_MAX_SPAN_LINES = 6
-
-# Lines shown on each side of the cited span by the first re-sourcing
-# request: half an extraction chunk, so the agent sees about one chunk,
-# roughly what the parser saw when it made the citation.
-WINDOW_MARGIN_LINES = DEFAULT_MAX_CHUNK_LINES // 2
 
 ACTION_KEPT = "kept_supported"
 ACTION_RESOURCED = "resourced"
@@ -136,14 +130,21 @@ def _numbered_document(doc: SourceDocument) -> str:
     return render_numbered(doc)
 
 
-def resource_window(doc: SourceDocument, cited: SourceRef) -> tuple[int, int] | None:
-    """(first, last) line the first re-sourcing request shows for a term
-    citing `cited`: the span widened by WINDOW_MARGIN_LINES on each side,
-    clipped to the document. None when that is the whole document, or when
-    the citation lies too far outside the document to leave any line."""
-    first = max(doc.first_line, cited.start_line - WINDOW_MARGIN_LINES)
-    last = min(doc.last_line, cited.end_line + WINDOW_MARGIN_LINES)
-    if first > last or (first, last) == (doc.first_line, doc.last_line):
+def resource_window(term: Term, doc: SourceDocument) -> tuple[int, int] | None:
+    """(first, last) line the first re-sourcing request shows for the term:
+    its excerpt, the chunk the parser was shown when it produced the term,
+    wherever the term cites, clipped to the document. None, for one
+    whole-document request, when the term has no excerpt, or when the
+    excerpt holds every non-blank line of the document or no line of it."""
+    excerpt = term.excerpt
+    if excerpt is None:
+        return None
+    first = max(doc.first_line, excerpt.start_line)
+    last = min(doc.last_line, excerpt.end_line)
+    # The first and last non-blank line, found from each end.
+    low = next((n for n, text in doc.lines if text.strip()), doc.first_line)
+    high = next((n for n, text in reversed(doc.lines) if text.strip()), doc.last_line)
+    if first > last or (first <= low and high <= last):
         return None
     return first, last
 
@@ -243,12 +244,14 @@ def _unusable(proposed: SourceRef | None, cited: SourceRef) -> str:
     return ""
 
 
-def shown_whole_document(outcome: RemediationOutcome, doc: SourceDocument) -> bool:
-    """Whether re-sourcing on the backend path sent this term's agent the
-    whole document: its window was the whole document, or the window's
-    proposal was set aside."""
+def shown_whole_document(
+    term: Term, outcome: RemediationOutcome, doc: SourceDocument
+) -> bool:
+    """Whether re-sourcing on the backend path sent the term's agent the
+    whole document: the term had no window (resource_window), or the
+    window's proposal was set aside."""
     return outcome.action != ACTION_KEPT and (
-        len(outcome.trail) > 1 or resource_window(doc, outcome.old_source) is None
+        len(outcome.trail) > 1 or resource_window(term, doc) is None
     )
 
 
@@ -268,7 +271,7 @@ def remediate(
     no span, or the span the term already cites, discards it unverified;
     a new span is verified and re-sources the term on Supported, otherwise
     the term is discarded. On the backend path the first request shows the
-    resource_window around the citation; when its proposal is no span or
+    term's resource_window, its excerpt; when its proposal is no span or
     the cited one, it is set aside and a second request shows the whole
     document. The trail records a set-aside proposal, then the proposal
     decided on and its verdict. A BackendError is raised with .outcome, the
@@ -298,7 +301,7 @@ def remediate(
             trail=set_aside + (entry,),
         )
 
-    window = resource_window(doc, term.source) if use_llm_resource else None
+    window = resource_window(term, doc) if use_llm_resource else None
     proposed = None  # the span under verification, once there is one
     try:
         candidate = resource_term(

@@ -59,7 +59,10 @@ class LifecycleError(TerminatorsError):
 @dataclass(frozen=True)
 class Term:
     """A term in record order: the paper's three fields (the statement is
-    stored as "term"), then its identity, aspect and lifecycle state."""
+    stored as "term"), then its identity, aspect and lifecycle state, and
+    last the excerpt: the lines of the chunk the parser was shown when it
+    produced the term, which re-sourcing shows first. A term read from a
+    record written without one has excerpt None."""
 
     statement: str = field(metadata={"key": "term"})
     source: SourceRef
@@ -67,6 +70,7 @@ class Term:
     term_id: str
     aspect: str | None = field(default=None, kw_only=True)
     status: TermStatus = field(kw_only=True)
+    excerpt: SourceRef | None = field(default=None, kw_only=True)
 
 
 def known_party(label: str, provider_name: str | None = None) -> bool:
@@ -116,8 +120,10 @@ def validate_term(
     provider_name: str | None = None,
     aspect: str | None = None,
     warnings: list[str] | None = None,
+    excerpt: SourceRef | None = None,
 ) -> Term:
-    """Validate one raw extractor record into a Term, or raise SchemaError.
+    """Validate one raw extractor record into a Term with the given aspect
+    and excerpt, or raise SchemaError.
 
     Checks field presence and types, statement length, source citation format,
     and that the cited span actually resolves in the document. Party labels
@@ -166,6 +172,7 @@ def validate_term(
         term_id=term_identity(doc, statement, ref, aspect),
         aspect=aspect,
         status=TermStatus.EXTRACTED,
+        excerpt=excerpt,
     )
 
 
@@ -178,18 +185,22 @@ def _normalized_statement(statement: str) -> str:
     return " ".join(text.decode("utf-8", "surrogatepass").lower().split())
 
 
+def dedupe_key(term: Term) -> tuple[str, str | None]:
+    """What duplicate terms share: the normalized statement and the aspect."""
+    return _normalized_statement(term.statement), term.aspect
+
+
 def dedupe_terms(terms: list[Term]) -> list[Term]:
     """Merge duplicate statements produced by overlapping extraction passes.
 
-    Terms whose normalized statements match are one term: the narrowest span
-    wins (ties: earliest start), applicable_to is unioned preserving first-seen
-    order, and the result is sorted by source position, then normalized
-    statement.
+    Terms with the same dedupe_key are one term: the narrowest span wins
+    (ties: earliest start) with its excerpt, applicable_to is unioned
+    preserving first-seen order, and the result is sorted by source
+    position, then normalized statement.
     """
     groups: dict[tuple[str, str | None], list[Term]] = {}
     for term in terms:
-        key = (_normalized_statement(term.statement), term.aspect)
-        groups.setdefault(key, []).append(term)
+        groups.setdefault(dedupe_key(term), []).append(term)
 
     merged: list[tuple[str, Term]] = []
     for (normalized, _), group in groups.items():

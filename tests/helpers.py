@@ -115,19 +115,21 @@ def response_text(name: str) -> str:
 
 
 class RecordingBackend(Backend):
-    """A backend that passes each request on to `backend` and keeps its
-    fingerprint in calls, in call order: the tests' count of backend
-    calls."""
+    """A backend that passes each request on to `backend` and keeps it in
+    requests and its fingerprint in calls, in call order: the tests' count
+    of backend calls."""
 
     def __init__(self, backend: Backend):
         self.backend = backend
         self.backend_id = backend.backend_id
         self.calls: list[str] = []
+        self.requests: list[BackendRequest] = []
         self._lock = threading.Lock()
 
     def generate(self, req: BackendRequest) -> BackendResponse:
         with self._lock:
             self.calls.append(req.request_fingerprint)
+            self.requests.append(req)
         return self.backend.generate(req)
 
 

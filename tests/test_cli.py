@@ -155,9 +155,17 @@ class TestStageChain:
         remediated = json.loads(s3.read_text(encoding="utf-8"))
         actions = [o["action"] for o in remediated["outcomes"]]
         assert actions == ["kept_supported"] * 3 + ["discarded"]
-        assert len(remediated["outcomes"][3]["trail"]) == 1
-        assert remediated["outcomes"][3]["trail"][0]["note"] == "no span proposed"
+        # Shown its paragraph, then the whole document: no span either time.
+        assert [e["note"] for e in remediated["outcomes"][3]["trail"]] == [
+            "no span proposed from lines 108-117", "no span proposed"]
         assert remediated["terms"][3]["status"] == "discarded"
+
+        # Each stage carries every term's excerpt, its paragraph, unchanged.
+        extracted = json.loads(s1.read_text(encoding="utf-8"))
+        for stage in (extracted, verified, remediated):
+            assert [list(t)[-1] for t in stage["terms"]] == ["excerpt"] * 4
+            assert [t["excerpt"] for t in stage["terms"]] == [
+                "OpenAI_ToS.txt:108-117"] * 4
 
         planned = json.loads(s4.read_text(encoding="utf-8"))
         assert len(planned["plans"]) == 3
@@ -693,6 +701,34 @@ class TestLexicalResourcing:
         assert (run_dir / "report.audit.json").read_bytes() == (
             golden.read_bytes()
         )
+
+
+class TestResourcedRun:
+    """`run --strategy paragraph` over the raw fixture with
+    run_resourced.json, as CI's console-script smoke runs it: the term
+    mis-cited at line 28 is shown its paragraph, lines 19-30, and
+    re-sourced to line 30 from that one request."""
+
+    def test_term_is_resourced_from_its_paragraph(self, tmp_path, capsys):
+        doc = copy_raw(tmp_path)
+        assert main([
+            "run", str(doc), "--strategy", "paragraph",
+            "--backend", backend_arg("run_resourced.json"),
+            "--out", str(tmp_path / "runs"),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        remediated = json.loads((run_dir / "remediation.json").read_text(
+            encoding="utf-8"))
+        (term,) = remediated["terms"]
+        assert term["excerpt"] == "OpenAI_ToS_Raw.txt:19-30"
+        assert term["status"] == "resourced"
+        assert term["source"] == "OpenAI_ToS_Raw.txt:30"
+        (outcome,) = remediated["outcomes"]
+        assert outcome["old_source"] == "OpenAI_ToS_Raw.txt:28"
+        assert [e["note"] for e in outcome["trail"]] == [""]
+        events = (run_dir / "events.jsonl").read_text(encoding="utf-8")
+        assert "0 discarded, 0 shown the whole document" in events
 
 
 class TestMarkdownReport:

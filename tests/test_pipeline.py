@@ -28,6 +28,7 @@ from helpers import (
     RAW_NAME,
     SCRIPTS,
     STUDENT_SCENARIO,
+    cite_the_statement,
     happy_backend,
     ingest_doc_text,
     ingest_excerpt,
@@ -36,6 +37,7 @@ from helpers import (
     pack_lines,
     record_thread_starts,
     scripted,
+    shown_lines,
     stdlib_json,
 )
 from terminators.backends import (
@@ -50,7 +52,7 @@ from terminators.backends import (
 from terminators import pipeline
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.cli import main as cli_main
-from terminators.documents import ingest
+from terminators.documents import SourceRef, ingest, render_numbered
 from terminators.parsing import ExtractionConfig
 from terminators.pipeline import (
     PHASES,
@@ -67,6 +69,7 @@ from terminators.pipeline import (
     run_pipeline,
 )
 from terminators.planning import PLAN_DISCLAIMER, JurisdictionId, Scenario
+from terminators.prompts import build_resource_request
 from terminators.records import from_json, to_json
 from terminators.terms import TermStatus
 
@@ -130,9 +133,10 @@ class TestHappyRun:
 
 
 class TestMismatchRun:
-    def run(self, out_root):
+    def run(self, out_root, backend=None):
         return run_pipeline(
-            ingest_excerpt(), happy_config(), mismatch_backend(), out_root
+            ingest_excerpt(), happy_config(), backend or mismatch_backend(),
+            out_root,
         )
 
     def test_unverifiable_term_discarded(self, tmp_path):
@@ -147,7 +151,27 @@ class TestMismatchRun:
             o for o in run.outcomes if o.term_id == dropped.term_id
         )
         assert outcome.action == "discarded"
-        assert [e.note for e in outcome.trail] == ["no span proposed"]
+        # The script answers every re-sourcing request with no span: the
+        # term's paragraph, then the whole document.
+        assert [e.note for e in outcome.trail] == [
+            "no span proposed from lines 108-117", "no span proposed"]
+
+    def test_discarded_term_is_shown_its_paragraph_then_the_document(
+            self, tmp_path):
+        backend = mismatch_backend()
+        run = self.run(tmp_path, backend)
+        doc = run.doc
+        (dropped,) = run.discarded_terms
+        assert dropped.excerpt == SourceRef(EXCERPT_NAME, 108, 117)
+        window, whole = (
+            build_resource_request(EXCERPT_NAME, numbered,
+                                   dropped.statement).request_fingerprint
+            for numbered in (render_numbered(doc, start_line=108, end_line=117),
+                             render_numbered(doc)))
+        assert [c for c in backend.calls if c in (window, whole)] == [
+            window, whole]
+        assert phase_event(run, "remediated") == (
+            "1 discarded, 1 shown the whole document")
 
     def test_surviving_terms_planned_discarded_noticed(self, tmp_path):
         run = self.run(tmp_path)
@@ -684,6 +708,53 @@ class TestStorageFault:
                         clean_dir / name).read_bytes(), (k, name)
 
 
+class TestTermsWithoutExcerpt:
+    """A run directory whose term records were written before terms kept
+    their excerpt: the terms load with excerpt None, and a resumed run
+    re-sources each from one whole-document request."""
+
+    def test_resume_shows_the_whole_document_once(self, tmp_path):
+        run = run_pipeline(ingest_excerpt(), happy_config(),
+                           mismatch_backend(), tmp_path / "runs")
+        run_dir = run.store.run_dir
+        for name in ("remediation.json", "plans.json", "report.audit.json",
+                     "report.paper.json", "report.md"):
+            (run_dir / name).unlink()
+        for name in ("terms.json", "verifications.json"):
+            data = json.loads((run_dir / name).read_text(encoding="utf-8"))
+            for term in data["terms"]:
+                del term["excerpt"]
+            (run_dir / name).write_text(json.dumps(data), encoding="utf-8")
+        loaded = load_run(run_dir)
+        assert loaded.phase == "verified"
+        assert [t.excerpt for t in loaded.terms] == [None] * 4
+        (dropped,) = [t for t in loaded.terms
+                      if t.status is TermStatus.UNVERIFIABLE]
+
+        # The script answers only the whole-document request with no span.
+        whole = build_resource_request(
+            EXCERPT_NAME, render_numbered(loaded.doc), dropped.statement)
+        entries = json.loads((SCRIPTS / "mismatch_run.json").read_text(
+            encoding="utf-8"))
+        assert entries[0]["match"] == "Locate the single passage"
+        entries[0]["match"] = f"fingerprint:{whole.request_fingerprint}"
+        for entry in entries:
+            entry["response_file"] = str(SCRIPTS / entry["response_file"])
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(entries), encoding="utf-8")
+
+        assert cli_main(["resume", str(run_dir),
+                         "--backend", f"scripted:{script}"]) == 0
+        resumed = load_run(run_dir)
+        assert resumed.phase == "complete"
+        assert [[e.note for e in o.trail] for o in resumed.outcomes] == [
+            [], [], [], ["no span proposed"]]
+        events = [json.loads(line) for line in (run_dir / "events.jsonl")
+                  .read_text(encoding="utf-8").splitlines()]
+        assert [e["event"] for e in events if e["phase"] == "remediated"][-1] == (
+            "1 discarded, 1 shown the whole document")
+
+
 class TestOlderRunDirectory:
     """Run directories written before remediation outcomes dropped
     `attempts` and `trail[].attempt`, and scenarios dropped `persona`.
@@ -736,7 +807,7 @@ class TestOlderRunDirectory:
         run = load_run(run_dir)
         assert run.phase == "complete"
         assert run.config.scenario == happy_config().scenario
-        assert [len(o.trail) for o in run.outcomes] == [0, 0, 0, 1]
+        assert [len(o.trail) for o in run.outcomes] == [0, 0, 0, 2]
         out = tmp_path / "report.audit.json"
         assert cli_main(["report", str(run_dir), "--out", str(out)]) == 0
         assert out.read_bytes() == audit
@@ -882,10 +953,18 @@ class TestRemediatedEvent:
 
 SHIFT_NAME = "Long.txt"
 SHIFT = 500
-# Clause line -> the parser's citation offset: exact, near misses (two of
-# them near an end, so their windows are clipped) and one far mis-citation
-# whose window misses the clause, so the whole document is shown.
+# Clause line -> the parser's citation offset: exact, near misses and one
+# far mis-citation, whose excerpt (lines 1-60) the re-sourcing agent
+# answers with no span (shift_resource), so the whole document is shown.
 SHIFT_CLAUSES = {10: 1, 60: 80, 120: 0, 200: 2, 236: -3}
+
+
+def shift_resource(statement, shown):
+    """The re-sourcing agent: cites the statement's line, except that it
+    finds the far mis-cited clause only in the whole document."""
+    if statement.startswith("Clause 1:") and len(shown) < 240:
+        return None
+    return cite_the_statement(statement, shown)
 _CITATION_RE = re.compile(rf"{re.escape(SHIFT_NAME)}:(\d+)(?:-(\d+))?")
 
 
@@ -923,7 +1002,7 @@ class TestFirstLineShift:
         doc = ingest_doc_text(
             "\n".join(lines) + "\n", SHIFT_NAME, first_line=first_line
         )
-        backend = LineTextBackend(offsets=offsets)
+        backend = LineTextBackend(offsets=offsets, resource=shift_resource)
         config = replace(happy_config(), workers=1)
         return run_pipeline(doc, config, backend, out_root), backend
 
@@ -940,8 +1019,11 @@ class TestFirstLineShift:
         for a, b in zip(base_backend.requests, moved_backend.requests):
             assert b.role_prompt == a.role_prompt
             assert b.user_prompt == shifted(a.user_prompt)
-        # Four windows, then the far mis-citation's whole document.
-        assert len(base_backend.resource_requests()) == 5
+        # Each term is shown its 60-line chunk; the far mis-citation, second,
+        # is then shown the whole document.
+        assert [(min(shown), max(shown)) for shown in (
+            shown_lines(r.user_prompt) for r in base_backend.resource_requests()
+        )] == [(1, 60), (1, 60), (1, 240), (181, 240), (181, 240)]
 
         for name in ("terms.json", "remediation.json"):
             a = json.loads(base.store.path(name).read_text(encoding="utf-8"))

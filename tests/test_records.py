@@ -279,7 +279,8 @@ def test_plain_items_and_field_values_are_not_encoded_by_a_call(monkeypatch):
                         lambda value: calls.append(value) or original(value))
     expected = {"term": term.statement, "source": "OpenAI_ToS.txt:108-109",
                 "applicable_to": ["user", "you", "members"],
-                "term_id": term.term_id, "aspect": None, "status": "extracted"}
+                "term_id": term.term_id, "aspect": None, "status": "extracted",
+                "excerpt": None}
     assert records.to_json(term) == expected
     assert calls == [term, term.source, term.applicable_to, term.status]
 

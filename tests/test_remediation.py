@@ -14,9 +14,12 @@ from helpers import (
     MISMATCH_CITED_LINE,
     MISMATCH_STATEMENT,
     RAW_NAME,
+    SCRIPTS,
     LineTextBackend,
     RecordingBackend,
+    cite_the_statement,
     ingest_doc_text,
+    ingest_excerpt,
     random_document,
     random_statement,
     response_text,
@@ -24,17 +27,25 @@ from helpers import (
     shown_lines,
 )
 from terminators import remediation
-from terminators.backends import BackendError, ScriptEntry, ScriptedBackend
+from terminators.backends import (
+    FORMAT_REMINDERS,
+    SCHEMA_TERM_LIST,
+    BackendError,
+    ScriptEntry,
+    ScriptedBackend,
+    load_script,
+)
 from terminators.chunking import ChunkMode, ChunkStrategy
 from terminators.documents import (
     SourceDocument,
     SourceRef,
+    ingest,
     render_numbered,
     resolve_span,
 )
-from terminators.parsing import ExtractionConfig
-from terminators.pipeline import AuditRun, RunConfig, remediate_step
-from terminators.prompts import build_resource_request
+from terminators.parsing import ExtractionConfig, extract_document
+from terminators.pipeline import AuditRun, RunConfig, remediate_step, run_pipeline
+from terminators.prompts import RESOURCE_ROLE, build_resource_request
 from terminators.records import from_json, to_json
 from terminators.remediation import (
     ACTION_DISCARDED,
@@ -42,7 +53,6 @@ from terminators.remediation import (
     ACTION_RESOURCED,
     LABEL_STATUSES,
     TRANSITIONS,
-    WINDOW_MARGIN_LINES,
     RemediationOutcome,
     TrailEntry,
     advance,
@@ -507,22 +517,39 @@ class TestRemediate:
 
 LONG_NAME = "Long.txt"
 CLAUSE = "Clause: users may export their data at any time."
+PARAGRAPH_STRATEGY = ExtractionConfig(ChunkStrategy(ChunkMode.PARAGRAPH))
 
 
 def long_doc(lines=200, clause_line=100, first_line=1):
-    """A document of distinct filler lines with CLAUSE on clause_line."""
+    """A document of distinct filler lines with CLAUSE on clause_line, in
+    paragraphs of 5 lines, each followed by a blank line: from line 1,
+    lines 1-5, 7-11, ..., and CLAUSE on line 100 is in 97-101."""
     texts = [f"Filler {i} about general matters." for i in range(lines)]
+    for i in range(5, lines, 6):
+        texts[i] = ""
     texts[clause_line - first_line] = CLAUSE
     return ingest_doc_text("\n".join(texts) + "\n", LONG_NAME, first_line)
 
 
-def clause_term(doc, cited_line):
-    return validate_term(
+def clause_term(doc, cited_line, excerpt=None):
+    """CLAUSE cited at cited_line, with the given excerpt (first, last)."""
+    term = validate_term(
         {"term": CLAUSE, "source": f"{LONG_NAME}:{cited_line}",
          "applicable_to": ["user"]},
         doc,
         warnings=[],
     )
+    if excerpt is None:
+        return term
+    return replace(term, excerpt=SourceRef(LONG_NAME, *excerpt))
+
+
+def extracted_term(doc, offset):
+    """The term extract_document gives in paragraph mode for CLAUSE, cited
+    `offset` lines from its line."""
+    backend = LineTextBackend(offsets={CLAUSE: offset})
+    (term,) = extract_document(doc, PARAGRAPH_STRATEGY, backend).terms
+    return term
 
 
 def unverified(term):
@@ -533,78 +560,128 @@ def unverified(term):
     )
 
 
-def remediate_cited(doc, cited_line, backend, **options):
-    """Remediate CLAUSE cited at cited_line, which did not verify."""
-    term = clause_term(doc, cited_line)
-    return term, remediate(term, unverified(term), doc, backend, **options)
-
-
 def shown_range(req):
     """(first, last) line number a re-sourcing request shows."""
     shown = shown_lines(req.user_prompt.split("Document with line numbers:\n", 1)[1])
     return min(shown), max(shown)
 
 
-class TestWindowThenDocument:
-    """The first re-sourcing request shows the cited span widened by
-    WINDOW_MARGIN_LINES; the whole document follows only when that gives no
-    span or the cited one."""
+def window_request(doc, first, last):
+    return build_resource_request(
+        LONG_NAME, render_numbered(doc, start_line=first, end_line=last), CLAUSE)
 
-    def whole_document_request(self, doc):
-        return build_resource_request(LONG_NAME, render_numbered(doc), CLAUSE)
+
+def whole_document_request(doc):
+    return build_resource_request(LONG_NAME, render_numbered(doc), CLAUSE)
+
+
+def fingerprints(requests):
+    return [r.request_fingerprint for r in requests]
+
+
+def found_only_in_the_whole_document(doc, answer):
+    """A re-sourcing agent that answers answer(statement, shown) while shown
+    less than the whole document, then cites the statement's line."""
+    def resource(statement, shown):
+        if len(shown) < doc.line_count:
+            return answer(statement, shown)
+        return cite_the_statement(statement, shown)
+    return resource
+
+
+class TestWindowThenDocument:
+    """The first re-sourcing request shows the term's excerpt, the chunk the
+    parser was shown; the whole document follows only when that gives no
+    span or the cited one. A term with no excerpt, or whose excerpt holds
+    every non-blank line, gets one whole-document request."""
 
     def test_near_miss_is_resourced_from_the_window(self):
         doc = long_doc(clause_line=100)
+        term = extracted_term(doc, -2)
+        assert term.source == SourceRef(LONG_NAME, 98, 98)
+        assert term.excerpt == SourceRef(LONG_NAME, 97, 101)
         backend = LineTextBackend()
-        _, outcome = remediate_cited(doc, 103, backend)
-        (req,) = backend.resource_requests()
-        assert WINDOW_MARGIN_LINES == 30
-        assert shown_range(req) == (73, 133)
-        assert req.request_fingerprint == build_resource_request(
-            LONG_NAME, render_numbered(doc, start_line=73, end_line=133), CLAUSE
-        ).request_fingerprint
+        outcome = remediate(term, unverified(term), doc, backend)
+        assert fingerprints(backend.resource_requests()) == fingerprints(
+            [window_request(doc, 97, 101)])
         assert outcome.action == ACTION_RESOURCED
         assert outcome.new_source == SourceRef(LONG_NAME, 100, 100)
         assert len(outcome.trail) == 1
+        assert not remediation.shown_whole_document(term, outcome, doc)
 
-    def test_far_miscitation_falls_back_to_the_whole_document(self):
-        doc = long_doc(clause_line=20)
+    def test_citation_outside_the_chunk_is_shown_the_chunk(self):
+        doc = long_doc(clause_line=100)
+        term = extracted_term(doc, 50)
+        assert term.source == SourceRef(LONG_NAME, 150, 150)
         backend = LineTextBackend()
-        term, outcome = remediate_cited(doc, 150, backend)
-        window, whole = backend.resource_requests()
-        assert shown_range(window) == (120, 180)
-        assert (whole.request_fingerprint
-                == self.whole_document_request(doc).request_fingerprint)
-        assert outcome.action == ACTION_RESOURCED
-        assert outcome.new_source == SourceRef(LONG_NAME, 20, 20)
+        outcome = remediate(term, unverified(term), doc, backend)
+        (req,) = backend.resource_requests()
+        assert shown_range(req) == (97, 101)
+        assert outcome.new_source == SourceRef(LONG_NAME, 100, 100)
+
+    @pytest.mark.parametrize("cited_line", [20, 150])
+    def test_term_without_an_excerpt_gets_one_whole_document_request(
+            self, cited_line):
+        doc = long_doc(clause_line=100)
+        term = clause_term(doc, cited_line)
+        assert term.excerpt is None
+        backend = LineTextBackend()
+        outcome = remediate(term, unverified(term), doc, backend)
+        assert fingerprints(backend.resource_requests()) == fingerprints(
+            [whole_document_request(doc)])
+        assert outcome.new_source == SourceRef(LONG_NAME, 100, 100)
+        assert len(outcome.trail) == 1
+        assert remediation.shown_whole_document(term, outcome, doc)
+
+    @pytest.mark.parametrize("text", [
+        f"Filler 0.\nFiller 1.\n{CLAUSE}\n",
+        f"\n\nFiller 0.\n\n{CLAUSE}\n\n",
+    ], ids=["every-line", "blank-edges"])
+    def test_one_chunk_document_gets_one_request(self, text):
+        doc = ingest_doc_text(text, LONG_NAME)
+        backend = LineTextBackend(offsets={CLAUSE: -1},
+                                  resource=lambda statement, shown: None)
+        whole = ExtractionConfig(ChunkStrategy(ChunkMode.WHOLE_DOCUMENT))
+        (term,) = extract_document(doc, whole, backend).terms
+        assert term.excerpt is not None
+        outcome = remediate(term, unverified(term), doc, backend)
+        assert fingerprints(backend.resource_requests()) == fingerprints(
+            [whole_document_request(doc)])
+        assert [e.note for e in outcome.trail] == ["no span proposed"]
+
+    def test_no_span_from_the_window_falls_back(self):
+        doc = long_doc(clause_line=100)
+        term = extracted_term(doc, -2)
+        backend = LineTextBackend(resource=found_only_in_the_whole_document(
+            doc, lambda statement, shown: None))
+        outcome = remediate(term, unverified(term), doc, backend)
+        assert fingerprints(backend.resource_requests()) == fingerprints(
+            [window_request(doc, 97, 101), whole_document_request(doc)])
         set_aside, decided = outcome.trail
-        assert set_aside == TrailEntry(
-            None, None, "no span proposed from lines 120-180"
-        )
-        assert decided.proposed == outcome.new_source
+        assert set_aside == TrailEntry(None, None, "no span proposed from lines 97-101")
+        assert decided.proposed == outcome.new_source == SourceRef(LONG_NAME, 100, 100)
         assert decided.verification.label == LABEL_SUPPORTED
+        assert remediation.shown_whole_document(term, outcome, doc)
 
     def test_proposing_the_cited_span_falls_back(self):
-        doc = long_doc(clause_line=20)
-
-        def cited_unless_true_line_shown(statement, shown):
-            return 20 if 20 in shown else 150
-
-        backend = LineTextBackend(resource=cited_unless_true_line_shown)
-        term, outcome = remediate_cited(doc, 150, backend)
-        window, whole = backend.resource_requests()
-        assert (whole.request_fingerprint
-                == self.whole_document_request(doc).request_fingerprint)
+        doc = long_doc(clause_line=100)
+        term = extracted_term(doc, -2)
+        backend = LineTextBackend(resource=found_only_in_the_whole_document(
+            doc, lambda statement, shown: 98))
+        outcome = remediate(term, unverified(term), doc, backend)
+        assert fingerprints(backend.resource_requests()) == fingerprints(
+            [window_request(doc, 97, 101), whole_document_request(doc)])
         assert outcome.trail[0] == TrailEntry(
-            term.source, None, "proposed an already tried span from lines 120-180"
+            term.source, None, "proposed an already tried span from lines 97-101"
         )
         assert outcome.action == ACTION_RESOURCED
-        assert outcome.new_source == SourceRef(LONG_NAME, 20, 20)
+        assert outcome.new_source == SourceRef(LONG_NAME, 100, 100)
 
     def test_wrong_new_span_is_verified_and_discarded(self):
-        doc = long_doc(clause_line=20)
+        doc = long_doc(clause_line=100)
+        term = clause_term(doc, 150, excerpt=(97, 101))
         backend = LineTextBackend(resource=lambda statement, shown: 160)
-        _, outcome = remediate_cited(doc, 150, backend)
+        outcome = remediate(term, unverified(term), doc, backend)
         assert len(backend.resource_requests()) == 1
         assert len(backend.requests) == 2
         assert outcome.action == ACTION_DISCARDED
@@ -613,63 +690,62 @@ class TestWindowThenDocument:
         assert entry.verification.label == LABEL_UNVERIFIABLE
 
     def test_blank_proposal_is_discarded_without_verification(self):
-        texts = long_doc(clause_line=20).text().split("\n")
-        texts[159] = "   "  # line 160
-        doc = ingest_doc_text("\n".join(texts) + "\n", LONG_NAME, 1)
-        backend = LineTextBackend(resource=lambda statement, shown: 160)
-        _, outcome = remediate_cited(doc, 150, backend)
+        doc = long_doc(clause_line=100)
+        term = clause_term(doc, 150, excerpt=(97, 101))
+        assert doc.line_text(162) == ""
+        backend = LineTextBackend(resource=lambda statement, shown: 162)
+        outcome = remediate(term, unverified(term), doc, backend)
         assert len(backend.requests) == 1
         assert outcome.action == ACTION_DISCARDED
         (entry,) = outcome.trail
-        assert entry.proposed == SourceRef(LONG_NAME, 160, 160)
+        assert entry.proposed == SourceRef(LONG_NAME, 162, 162)
         assert entry.verification.label == LABEL_UNVERIFIABLE
         assert entry.verification.verifier_prompt_fingerprint is None
 
     @pytest.mark.parametrize(
-        "first_line, clause_line, cited_line, shown",
+        "first_line, clause_line, excerpt, shown",
         [
-            (1, 3, 5, (1, 35)),
-            (1, 199, 197, (167, 200)),
-            (501, 503, 505, (501, 535)),
-            (501, 699, 697, (667, 700)),
+            (1, 3, (1, 5), (1, 5)),
+            (1, 199, (199, 230), (199, 200)),
+            (501, 503, (480, 505), (501, 505)),
+            (501, 699, (699, 720), (699, 700)),
         ],
         ids=["first-line", "last-line", "first-line-offset", "last-line-offset"],
     )
     def test_window_is_clipped_to_the_document(
-        self, first_line, clause_line, cited_line, shown
+        self, first_line, clause_line, excerpt, shown
     ):
+        """A stored excerpt reaching past the document, such as one edited
+        by hand, shows the lines of it the document has."""
         doc = long_doc(clause_line=clause_line, first_line=first_line)
+        term = clause_term(doc, clause_line + 1, excerpt=excerpt)
         backend = LineTextBackend()
-        _, outcome = remediate_cited(doc, cited_line, backend)
+        outcome = remediate(term, unverified(term), doc, backend)
         (req,) = backend.resource_requests()
         assert shown_range(req) == shown
         assert outcome.new_source.start_line == clause_line
 
-    @pytest.mark.parametrize("cited_line", [1, 16, 31])
-    def test_document_shorter_than_the_window_gets_one_request(self, cited_line):
-        # Every line of a document of WINDOW_MARGIN_LINES + 1 lines is
-        # within WINDOW_MARGIN_LINES of both ends, so every window covers it.
-        doc = long_doc(lines=31, clause_line=30)
-        backend = LineTextBackend(resource=lambda statement, shown: None)
-        _, outcome = remediate_cited(doc, cited_line, backend)
-        (req,) = backend.resource_requests()
-        assert (req.request_fingerprint
-                == self.whole_document_request(doc).request_fingerprint)
-        assert outcome.action == ACTION_DISCARDED
-        assert [e.note for e in outcome.trail] == ["no span proposed"]
+    def test_excerpt_outside_the_document_shows_it_whole(self):
+        doc = long_doc(clause_line=100)
+        term = clause_term(doc, 150, excerpt=(300, 320))
+        backend = LineTextBackend()
+        outcome = remediate(term, unverified(term), doc, backend)
+        assert fingerprints(backend.resource_requests()) == fingerprints(
+            [whole_document_request(doc)])
+        assert outcome.new_source == SourceRef(LONG_NAME, 100, 100)
 
-    def test_citation_outside_the_document_shows_it_whole(self):
-        doc = long_doc(clause_line=20)
-        far = replace(clause_term(doc, 20), source=SourceRef(LONG_NAME, 400, 400))
+    def test_citation_outside_the_document_is_shown_its_excerpt(self):
+        doc = long_doc(clause_line=100)
+        far = replace(clause_term(doc, 100, excerpt=(97, 101)),
+                      source=SourceRef(LONG_NAME, 400, 400))
         backend = LineTextBackend()
         outcome = remediate(far, unverified(far), doc, backend)
-        (req,) = backend.resource_requests()
-        assert (req.request_fingerprint
-                == self.whole_document_request(doc).request_fingerprint)
-        assert outcome.new_source == SourceRef(LONG_NAME, 20, 20)
+        assert fingerprints(backend.resource_requests()) == fingerprints(
+            [window_request(doc, 97, 101)])
+        assert outcome.new_source == SourceRef(LONG_NAME, 100, 100)
 
     def test_fallback_failure_keeps_the_set_aside_entry(self):
-        doc = long_doc(clause_line=20)
+        doc = long_doc(clause_line=100)
 
         class FailingWholeDocument(LineTextBackend):
             def generate(self, req):
@@ -677,13 +753,79 @@ class TestWindowThenDocument:
                     raise BackendError("transient", "no answer")
                 return super().generate(req)
 
-        term = clause_term(doc, 150)
-        outcome = best_effort_outcome(term, unverified(term), doc,
-                                      FailingWholeDocument())
+        term = clause_term(doc, 150, excerpt=(97, 101))
+        backend = FailingWholeDocument(resource=lambda statement, shown: None)
+        outcome = best_effort_outcome(term, unverified(term), doc, backend)
         assert [e.note for e in outcome.trail] == [
-            "no span proposed from lines 120-180",
+            "no span proposed from lines 97-101",
             "re-sourcing failed: no answer",
         ]
+
+
+STRATEGIES = {
+    "whole": ChunkStrategy(ChunkMode.WHOLE_DOCUMENT),
+    "paragraph": ChunkStrategy(ChunkMode.PARAGRAPH),
+    "parallel": ChunkStrategy(ChunkMode.PARALLEL_MERGE, parallel_fanout=2),
+    "section": ChunkStrategy(ChunkMode.SECTION_BY_SECTION),
+}
+
+
+def assert_excerpt_rule(run, requests) -> int:
+    """Every term's excerpt is the range of one coverage row, and every
+    re-sourcing request (a format-reminder retry as the request it repeats)
+    shows exactly its term's excerpt or the whole document. Returns how
+    many showed an excerpt that is not the whole document."""
+    doc = run.doc
+    rows = {SourceRef(doc.source_name, c["start_line"], c["end_line"])
+            for c in run.coverage}
+    whole, excerpts = set(), set()
+    for term in run.terms:
+        assert term.excerpt in rows, term
+        excerpt = render_numbered(doc, start_line=term.excerpt.start_line,
+                                  end_line=term.excerpt.end_line)
+        for numbered, shown in ((render_numbered(doc), whole),
+                                (excerpt, excerpts)):
+            shown.add(build_resource_request(
+                doc.source_name, numbered, term.statement).user_prompt)
+    reminder = "\n\n" + FORMAT_REMINDERS[SCHEMA_TERM_LIST]
+    sent = [r.user_prompt.removesuffix(reminder) for r in requests
+            if r.role_prompt == RESOURCE_ROLE]
+    assert set(sent) <= whole | excerpts
+    return sum(prompt not in whole for prompt in sent)
+
+
+class TestExcerptProperty:
+    """Over the fixture scripts and a generated benchmark document, each
+    term's excerpt is one coverage row, and re-sourcing shows it or the
+    whole document."""
+
+    def test_fixture_scripts_under_every_strategy(self, tmp_path):
+        shown = 0
+        for script in sorted(SCRIPTS.glob("*.json")):
+            for name, strategy in STRATEGIES.items():
+                backend = RecordingBackend(load_script(script))
+                config = RunConfig(ExtractionConfig(strategy), workers=1,
+                                   best_effort=True)
+                run = run_pipeline(ingest_excerpt(), config, backend,
+                                   tmp_path / script.stem / name)
+                assert run.phase == "complete", (script.name, name)
+                shown += assert_excerpt_rule(run, backend.requests)
+        assert shown > 0
+
+    def test_generated_document_under_the_simulated_agent(self, tmp_path):
+        from perfbench import harness
+        from perfbench.agent import SimAgent
+        from perfbench.generator import generate_pool
+
+        workload = harness.SPEC["workloads"]["agent-latency"]
+        (generated,) = generate_pool(1, 1, *workload["doc_lines"],
+                                     harness.SPEC["clause_share"],
+                                     harness.SPEC["agent"])
+        backend = RecordingBackend(SimAgent(1, harness.SPEC["agent"]))
+        run = run_pipeline(ingest(generated.raw, generated.name),
+                           harness.make_config(workload), backend, tmp_path)
+        assert len(run.terms) > 10
+        assert assert_excerpt_rule(run, backend.requests) > 0
 
 
 class TestApplyOutcome:

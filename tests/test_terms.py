@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import string
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,6 +271,16 @@ class TestDedupe:
         merged = dedupe_terms([wide, narrow])
         assert merged[0].source == SourceRef("OpenAI_ToS.txt", 108, 109)
 
+    def test_the_narrowest_span_keeps_its_excerpt(self):
+        wide = replace(self.build("Users must not rely on Output.", 108, 110),
+                       excerpt=SourceRef("OpenAI_ToS.txt", 106, 110))
+        narrow = replace(self.build("Users must not rely on Output.", 108, 109),
+                         excerpt=SourceRef("OpenAI_ToS.txt", 108, 117))
+        alone = replace(self.build("You must evaluate Output.", 110, 111),
+                        excerpt=SourceRef("OpenAI_ToS.txt", 110, 111))
+        merged = dedupe_terms([wide, alone, narrow])
+        assert [t.excerpt for t in merged] == [narrow.excerpt, alone.excerpt]
+
     def test_span_tie_goes_to_earliest_start(self):
         later = self.build("You must evaluate Output.", 110, 111)
         earlier = self.build("You must evaluate Output.", 108, 109)
@@ -352,11 +363,22 @@ class TestTermJson:
             provider_name="OpenAI",
             aspect="accuracy",
         )
+        term = replace(term, excerpt=SourceRef("OpenAI_ToS.txt", 108, 117))
         record = to_json(term)
         assert list(record) == [
             "term", "source", "applicable_to", "term_id", "aspect", "status",
+            "excerpt",
         ]
+        assert record["excerpt"] == "OpenAI_ToS.txt:108-117"
         assert from_json(Term, record) == term
+
+    def test_record_without_an_excerpt_loads_as_none(self):
+        """A term written before terms recorded their excerpt."""
+        term = validate_term(make_candidate(), ingest_excerpt())
+        record = to_json(replace(term, excerpt=SourceRef("OpenAI_ToS.txt", 108, 117)))
+        del record["excerpt"]
+        assert from_json(Term, record) == term
+        assert term.excerpt is None
 
     def test_single_line_source_has_no_dash(self):
         term = validate_term(
